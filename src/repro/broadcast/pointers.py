@@ -42,7 +42,9 @@ class BroadcastProgram:
 
     @property
     def cycle_length(self) -> int:
-        return self.schedule.cycle_length
+        # The grid's row length: the schedule's own property rescans
+        # every placement on each read.
+        return len(self.buckets[0])
 
     def bucket_at(self, channel: int, slot: int) -> Bucket:
         """Bucket on ``channel`` at cycle-relative ``slot`` (1-based)."""

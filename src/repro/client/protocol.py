@@ -1,4 +1,4 @@
-"""The mobile client's access protocol (§1, §2.1), executed bucket by bucket.
+"""The mobile client's access protocol (§1, §2.1), over a compiled program.
 
 A portable computer can listen to one channel at a time; between useful
 buckets it dozes. To fetch a data item it:
@@ -14,23 +14,28 @@ buckets it dozes. To fetch a data item it:
 :func:`object_walk` executes this walk against a compiled
 :class:`~repro.broadcast.pointers.BroadcastProgram` and reports the access
 time (slots elapsed), tuning time (buckets actually read — the energy
-cost) and channel switches. The walk never consults the schedule
-directly — only bucket pointers — so it genuinely validates the pointer
-wiring. :func:`recovering_walk` is the same walk hardened against the
-:mod:`repro.faults` channel model. Most callers should go through the
-unified :func:`repro.client.request` facade rather than calling either
-directly.
+cost) and channel switches. :func:`recovering_walk` is the same walk over
+the :mod:`repro.faults` channel model. Both drive the one scalar walk,
+:class:`~repro.client.walk.PointerWalk`, feeding it buckets read off the
+program's grid: the walk never consults the schedule directly — only
+bucket pointers — so it genuinely validates the pointer wiring. Most
+callers should go through the unified :func:`repro.client.request`
+facade rather than calling either directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..broadcast.pointers import BroadcastProgram
 from ..exceptions import ScheduleError
 from ..faults import CORRUPT, OK, FaultConfig, FaultInjector
-from ..obs.events import NO_WALK, ChannelHop, SlotRead, Tracer, WalkFinished
+from ..io.wire import DecodedBucket, DecodedPointer
+from ..obs.events import Tracer
 from ..tree.node import DataNode, IndexNode, Node
+# RecoveryPolicy lives with the walk; it is re-exported from here, where
+# callers have always imported it.
+from .walk import PointerWalk, RecoveryPolicy, WalkResult
 
 __all__ = [
     "AccessRecord",
@@ -90,176 +95,14 @@ def object_walk(
     When ``tracer`` is enabled the walk narrates each read
     (:class:`~repro.obs.events.SlotRead`), re-tune
     (:class:`~repro.obs.events.ChannelHop`) and its completion
-    (:class:`~repro.obs.events.WalkFinished`) in the same vocabulary —
-    and the same absolute-slot frame, counted from the start of the
-    tune-in cycle — as :class:`~repro.client.walk.PointerWalk`, so the
-    object-level and frame-level paths produce diffable traces.
-    ``walk_id`` stamps the events' ``walk`` correlation field.
+    (:class:`~repro.obs.events.WalkFinished`) — and, through a
+    span-capable tracer, its ``walk.run`` span — exactly as every other
+    :class:`~repro.client.walk.PointerWalk` driver does, so object-level
+    and frame-level traces are diffable. ``walk_id`` stamps the events'
+    ``walk`` correlation field.
     """
-    if not isinstance(target, DataNode):
-        raise ValueError("targets must be data nodes")
-    cycle = program.cycle_length
-    if not 1 <= tune_slot <= cycle:
-        raise ValueError(f"tune_slot must be in 1..{cycle}")
-    emit = tracer is not None and tracer.enabled
-    wid = NO_WALK if walk_id is None else walk_id
-
-    # Root path inside the index tree guides pointer choice at each hop.
-    path = list(target.ancestors())
-    path.reverse()
-    path.append(target)
-
-    tuning = 1  # the initial probe bucket on channel 1
-    switches = 0
-    current_channel = 1
-    if emit:
-        tracer.emit(
-            SlotRead(
-                key=target.label, channel=1, absolute_slot=tune_slot, walk=wid
-            )
-        )
-
-    first_bucket = program.bucket_at(1, tune_slot)
-    pointer = first_bucket.next_cycle_pointer
-    if pointer is None:
-        raise ScheduleError("channel-1 bucket lacks a next-cycle pointer")
-    # Absolute time, measured in slots since the start of the tune-in
-    # cycle. The next cycle begins at absolute slot cycle + 1.
-    absolute = cycle + pointer.slot
-
-    bucket = program.bucket_at(pointer.channel, pointer.slot)
-    tuning += 1
-    if emit:
-        tracer.emit(
-            SlotRead(
-                key=target.label,
-                channel=pointer.channel,
-                absolute_slot=absolute,
-                walk=wid,
-            )
-        )
-        if pointer.channel != current_channel:
-            tracer.emit(
-                ChannelHop(
-                    key=target.label,
-                    from_channel=current_channel,
-                    to_channel=pointer.channel,
-                    absolute_slot=absolute,
-                    walk=wid,
-                )
-            )
-    if pointer.channel != current_channel:
-        switches += 1
-        current_channel = pointer.channel
-    if bucket.node is not path[0]:
-        raise ScheduleError("next-cycle pointer did not land on the root")
-    probe_wait = (cycle - tune_slot + 1) + pointer.slot
-
-    for hop in path[1:]:
-        assert isinstance(bucket.node, IndexNode)
-        pointer = _pointer_for(bucket, hop)
-        absolute = cycle + pointer.slot
-        bucket = program.bucket_at(pointer.channel, pointer.slot)
-        tuning += 1
-        if emit:
-            tracer.emit(
-                SlotRead(
-                    key=target.label,
-                    channel=pointer.channel,
-                    absolute_slot=absolute,
-                    walk=wid,
-                )
-            )
-            if pointer.channel != current_channel:
-                tracer.emit(
-                    ChannelHop(
-                        key=target.label,
-                        from_channel=current_channel,
-                        to_channel=pointer.channel,
-                        absolute_slot=absolute,
-                        walk=wid,
-                    )
-                )
-        if pointer.channel != current_channel:
-            switches += 1
-            current_channel = pointer.channel
-        if bucket.node is not hop:
-            raise ScheduleError(
-                f"pointer to {hop.label!r} landed on "
-                f"{bucket.node.label if bucket.node else 'an empty bucket'!r}"
-            )
-
-    data_wait = absolute - cycle
-    access_time = (cycle - tune_slot + 1) + data_wait
-    if emit:
-        tracer.emit(
-            WalkFinished(
-                key=target.label,
-                tune_slot=tune_slot,
-                access_time=access_time,
-                tuning_time=tuning,
-                channel_switches=switches,
-                walk=wid,
-            )
-        )
-    return AccessRecord(
-        target=target.label,
-        tune_slot=tune_slot,
-        access_time=access_time,
-        probe_wait=probe_wait,
-        data_wait=data_wait,
-        tuning_time=tuning,
-        channel_switches=switches,
-    )
-
-
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """What a client does when a tuned-to bucket is lost or corrupt.
-
-    Attributes
-    ----------
-    mode:
-        ``"retry-parent"`` — re-tune to the last successfully read index
-        node at its next airing and walk down from there (the client
-        distrusts its cached pointer after channel trouble);
-        ``"next-cycle"`` — keep the cached pointer and simply wait for
-        the lost bucket's next airing, one cycle later (cheapest in
-        tuning, a full cycle in access time per loss).
-    max_cycles:
-        Give-up bound: the walk abandons once it would have to read past
-        this many cycles from tune-in. Must be at least 2 — a lossless
-        walk needs two cycles (probe cycle + index cycle), so smaller
-        values would abandon requests no loss ever touched.
-    cutover:
-        What a frame-level walk does when a delivered envelope is
-        stamped with a *different* schedule version than the one it
-        adopted (the station replanned mid-walk — see
-        :mod:`repro.sched`). ``"restart-root"`` (default) re-probes
-        channel 1 from the very next slot and descends the *new*
-        version's index — accounted like a retry, never as a corrupt
-        read. ``"abandon"`` gives the walk up instead (for clients that
-        would rather fail fast than pay the restart).
-    """
-
-    mode: str = "retry-parent"
-    max_cycles: int = 8
-    cutover: str = "restart-root"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("retry-parent", "next-cycle"):
-            raise ValueError(
-                f"unknown recovery mode {self.mode!r}; expected "
-                "'retry-parent' or 'next-cycle'"
-            )
-        if self.max_cycles < 2:
-            raise ValueError("max_cycles must be >= 2 (a lossless walk "
-                             "spans two cycles)")
-        if self.cutover not in ("restart-root", "abandon"):
-            raise ValueError(
-                f"unknown cutover outcome {self.cutover!r}; expected "
-                "'restart-root' or 'abandon'"
-            )
+    result = _drive(program, target, tune_slot, tracer=tracer, walk_id=walk_id)
+    return _record(AccessRecord, target, result)
 
 
 @dataclass(frozen=True)
@@ -300,194 +143,106 @@ def recovering_walk(
 ) -> RecoveredAccessRecord:
     """Execute one request over an unreliable channel, recovering on loss.
 
-    The walk is :func:`object_walk` hardened against the
-    :mod:`repro.faults` channel model: every tuned-to bucket may be lost
-    or corrupt (a corrupt frame is detected by the wire checksum, so the
-    client treats it as lost); the client then recovers per ``policy``
-    and the record counts what the damage cost. The broadcast repeats
-    cyclically, so every bucket airs again one cycle later.
+    Every tuned-to bucket may be lost or corrupt per ``faults`` (a
+    corrupt frame is detected by the wire checksum, so the client treats
+    it as lost); the client then recovers per ``policy`` and the record
+    counts what the damage cost. The broadcast repeats cyclically, so
+    every bucket airs again one cycle later.
 
-    With ``faults`` absent (or a zero-probability config) the walk, and
-    every inherited field of the returned record, is **bit-identical**
-    to :func:`object_walk` — the differential invariant the test suite
-    locks.
-
-    ``tracer``/``walk_id`` narrate the walk exactly as in
+    With ``faults`` absent (or a zero-probability config) every
+    inherited field of the returned record is **bit-identical** to
+    :func:`object_walk` — the differential invariant the test suite
+    locks. ``tracer``/``walk_id`` narrate the walk as in
     :func:`object_walk`, with every failed read carrying its
-    ``outcome`` (``"lost"``/``"corrupt"``) so
-    :mod:`repro.obs.attrib` can charge recovery time to the fault.
+    ``outcome`` (``"lost"``/``"corrupt"``) so :mod:`repro.obs.attrib`
+    can charge recovery time to the fault.
+    """
+    if isinstance(faults, FaultConfig):
+        faults = FaultInjector(faults)
+    result = _drive(
+        program, target, tune_slot,
+        faults=faults, policy=policy, tracer=tracer, walk_id=walk_id,
+    )
+    return _record(RecoveredAccessRecord, target, result)
+
+
+def _drive(
+    program: BroadcastProgram,
+    target: Node,
+    tune_slot: int,
+    *,
+    faults: FaultInjector | None = None,
+    policy: RecoveryPolicy | None = None,
+    tracer: Tracer | None = None,
+    walk_id: int | None = None,
+) -> WalkResult:
+    """Run one :class:`PointerWalk` to ``target`` over ``program``'s grid.
+
+    Each read is served from :meth:`BroadcastProgram.bucket_at`, unless
+    ``faults`` dooms its airing. An index bucket is delivered with its
+    pointer table narrowed to the one child on the target's root path:
+    the walk routes a one-entry table to that entry whatever the key,
+    so plans whose subtrees' key ranges interleave (``ptas``) stay
+    walkable. Every read is checked to land on the node the path
+    expects, so a miswired pointer raises :class:`ScheduleError`.
     """
     if not isinstance(target, DataNode):
         raise ValueError("targets must be data nodes")
+    path = [*reversed(list(target.ancestors())), target]
     cycle = program.cycle_length
-    if not 1 <= tune_slot <= cycle:
-        raise ValueError(f"tune_slot must be in 1..{cycle}")
-    if policy is None:
-        policy = RecoveryPolicy()
-    if isinstance(faults, FaultConfig):
-        faults = FaultInjector(faults)
-    emit = tracer is not None and tracer.enabled
-    wid = NO_WALK if walk_id is None else walk_id
-
-    path = list(target.ancestors())
-    path.reverse()
-    path.append(target)
-
-    deadline = policy.max_cycles * cycle
-
-    def fate_of(channel: int, absolute: int) -> str:
-        return faults.outcome(channel, absolute) if faults is not None else OK
-
-    tuning = 0
-    switches = 0
-    current_channel = 1
-    lost = corrupt = retries = 0
-    probe_wait = 0
-
-    def record(final_absolute: int, *, abandoned: bool) -> RecoveredAccessRecord:
-        if emit:
-            tracer.emit(
-                WalkFinished(
-                    key=target.label,
-                    tune_slot=tune_slot,
-                    access_time=final_absolute - tune_slot + 1,
-                    tuning_time=tuning,
-                    channel_switches=switches,
-                    retries=retries,
-                    abandoned=abandoned,
-                    walk=wid,
-                )
-            )
-        return RecoveredAccessRecord(
-            target=target.label,
-            tune_slot=tune_slot,
-            access_time=final_absolute - tune_slot + 1,
-            probe_wait=probe_wait,
-            data_wait=final_absolute - cycle,
-            tuning_time=tuning,
-            channel_switches=switches,
-            lost_buckets=lost,
-            corrupt_buckets=corrupt,
-            retries=retries,
-            wasted_probes=tuning - (len(path) + 1) if not abandoned else tuning,
-            cycles_spent=(final_absolute - 1) // cycle + 1,
-            abandoned=abandoned,
-        )
-
-    # -- phase 1: the initial probe on channel 1 ---------------------------
-    # Every channel-1 bucket carries a next-cycle pointer, so on a lost
-    # probe the client just keeps listening: the very next slot serves.
-    absolute = tune_slot
-    while True:
-        if absolute > deadline:
-            return record(deadline, abandoned=True)
-        fate = fate_of(1, absolute)
-        tuning += 1
-        if emit:
-            tracer.emit(
-                SlotRead(
-                    key=target.label,
-                    channel=1,
-                    absolute_slot=absolute,
-                    outcome=fate,
-                    walk=wid,
-                )
-            )
-        if fate == OK:
-            break
-        retries += 1
-        if fate == CORRUPT:
-            corrupt += 1
-        else:
-            lost += 1
-        absolute += 1
-    probe_slot = (absolute - 1) % cycle + 1
-    probe_bucket = program.bucket_at(1, probe_slot)
-    pointer = probe_bucket.next_cycle_pointer
-    if pointer is None:
-        raise ScheduleError("channel-1 bucket lacks a next-cycle pointer")
-    # The pointer names the root of the cycle after the probe's cycle.
-    probe_cycle = (absolute - 1) // cycle
-    next_channel, next_slot = pointer.channel, pointer.slot
-    next_absolute = (probe_cycle + 1) * cycle + pointer.slot
-
-    # -- phase 2: descend the index path, recovering as configured --------
-    # ``good`` stacks the successfully read index hops (depth, channel,
-    # cycle-relative slot) — the resume points of "retry-parent".
-    good: list[tuple[int, int, int]] = []
-    depth = 0
-    while True:
-        if next_absolute > deadline:
-            return record(deadline, abandoned=True)
-        hopped = next_channel != current_channel
-        if hopped:
-            switches += 1
-        fate = fate_of(next_channel, next_absolute)
-        tuning += 1
-        if emit:
-            tracer.emit(
-                SlotRead(
-                    key=target.label,
-                    channel=next_channel,
-                    absolute_slot=next_absolute,
-                    outcome=fate,
-                    walk=wid,
-                )
-            )
-            if hopped:
-                tracer.emit(
-                    ChannelHop(
-                        key=target.label,
-                        from_channel=current_channel,
-                        to_channel=next_channel,
-                        absolute_slot=next_absolute,
-                        walk=wid,
-                    )
-                )
-        if hopped:
-            current_channel = next_channel
-        if fate != OK:
-            retries += 1
-            if fate == CORRUPT:
-                corrupt += 1
-            else:
-                lost += 1
-            if policy.mode == "next-cycle" or not good:
-                # Same bucket, one cycle later (the root, having no
-                # parent, always recovers this way).
-                next_absolute += cycle
-            else:
-                depth, next_channel, next_slot = good.pop()
-                next_absolute = _next_airing(next_slot, next_absolute, cycle)
+    walk = PointerWalk(
+        target.label, tune_slot, cycle,
+        policy=policy, tracer=tracer, walk_id=walk_id,
+    )
+    while (listen := walk.next_listen()) is not None:
+        if faults is not None:
+            fate = faults.outcome(listen.channel, listen.absolute_slot)
+            if fate != OK:
+                walk.on_loss(corrupt=fate == CORRUPT)
+                continue
+        slot = (listen.absolute_slot - 1) % cycle + 1
+        bucket = program.bucket_at(listen.channel, slot)
+        depth = walk.depth
+        if depth is None:
+            pointer = bucket.next_cycle_pointer
+            if pointer is None:
+                raise ScheduleError("channel-1 bucket lacks a next-cycle pointer")
+            # A probe reads nothing but the next-cycle offset.
+            walk.deliver(DecodedBucket("empty", next_cycle_offset=pointer.offset))
             continue
-
-        bucket = program.bucket_at(next_channel, next_slot)
         node = bucket.node
         if node is not path[depth]:
             raise ScheduleError(
                 f"pointer to {path[depth].label!r} landed on "
                 f"{node.label if node else 'an empty bucket'!r}"
             )
-        if depth == 0 and probe_wait == 0:
-            probe_wait = next_absolute - tune_slot + 1
-        if depth == len(path) - 1:
-            return record(next_absolute, abandoned=False)
-        assert isinstance(node, IndexNode)
-        good.append((depth, next_channel, next_slot))
-        pointer = _pointer_for(bucket, path[depth + 1])
-        depth += 1
-        next_channel, next_slot = pointer.channel, pointer.slot
-        next_absolute = _next_airing(pointer.slot, next_absolute, cycle)
+        if isinstance(node, IndexNode):
+            pointer = _pointer_for(bucket, path[depth + 1])
+            walk.deliver(
+                DecodedBucket(
+                    "index",
+                    label=node.label,
+                    pointers=[DecodedPointer(pointer.channel, pointer.offset, "")],
+                )
+            )
+        else:
+            walk.deliver(DecodedBucket("data", label=node.label))
+    return walk.result
 
 
-def _next_airing(slot: int, after: int, cycle: int) -> int:
-    """First absolute time strictly after ``after`` when ``slot`` airs.
+#: Record fields copied from the walk's result (all but ``target``).
+_RESULT_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.name != "target")
+    for cls in (AccessRecord, RecoveredAccessRecord)
+}
 
-    ``slot`` is cycle-relative (1-based); the broadcast repeats, so the
-    bucket airs at ``slot + j·cycle`` for every ``j ≥ 0``.
-    """
-    airing = after + (slot - after) % cycle
-    return airing if airing > after else airing + cycle
+
+def _record(cls, target: Node, result: WalkResult):
+    """``result`` re-labelled as a ``cls`` record of ``target``."""
+    return cls(
+        target=target.label,
+        **{name: getattr(result, name) for name in _RESULT_FIELDS[cls]},
+    )
 
 
 def _pointer_for(bucket, child: Node):

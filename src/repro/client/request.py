@@ -1,9 +1,9 @@
 """One request facade over every walk engine.
 
-The client grew three parallel entry points — the object-graph walk,
-its loss-recovering variant, and the frame-level wire walk — and the
-batch engine would have been a fourth. Mirroring :mod:`repro.planners`,
-this module replaces the spelling-per-engine API with a **registry**:
+A request can be served by the scalar walk over the object graph, by
+the same walk over the program's encoded frames, or by the vectorised
+batch engine. Mirroring :mod:`repro.planners`, this module names them
+in a **registry** instead of a spelling per engine:
 
 * :func:`request` — the one call: ``request(program, target, tune_slot,
   engine="object")``;
@@ -19,15 +19,18 @@ Built-in engines:
     ``recovery=`` is given.
 ``"wire"``
     :func:`~repro.io.wire_client.wire_walk` over the program encoded to
-    frames (cached on the program); lossless air only.
+    frames (cached on the program); lossless air only. Returns the
+    walk's :class:`~repro.client.walk.WalkResult`.
 ``"batch"``
     :func:`repro.engine.run_batch` over the dense compilation (cached
     on the program) — the vectorised engine, here running a batch of
     one so a single request and a 10⁶-walk sweep share one code path.
 
-Every engine measures the *same* walk: at loss 0 the returned access,
-tuning, probe and data times are bit-identical across all three, the
-invariant the differential tests lock.
+The ``"object"`` and ``"wire"`` engines both drive the one scalar walk,
+:class:`~repro.client.walk.PointerWalk`; only where its buckets come
+from differs. Every engine measures the *same* walk: at loss 0 the
+returned access, tuning, probe and data times are bit-identical across
+all three, the invariant the differential tests lock.
 """
 
 from __future__ import annotations

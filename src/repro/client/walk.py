@@ -1,19 +1,17 @@
-"""The sans-io pointer-walk state machine shared by every receiver.
+"""The sans-io pointer-walk state machine: the one scalar client walk.
 
-Three different clients walk the same broadcast: the in-process frame
-client (:func:`repro.io.wire_client.wire_walk`), the asyncio
-tuner of :mod:`repro.net` listening over real sockets, and — at the
-object level — :func:`repro.client.protocol.object_walk`. The first two
-see nothing but decoded frames, so their walk logic (probe channel 1,
-follow the next-cycle pointer to the root, route down the index by key
-comparison, recover from lost or corrupt airings per
-:class:`~repro.client.protocol.RecoveryPolicy`) is *identical* — and
-before this module existed it was duplicated, with the async copy about
-to become a third.
+Every scalar receiver walks the broadcast through :class:`PointerWalk`:
+the in-process frame client (:func:`repro.io.wire_client.wire_walk`),
+the asyncio tuner of :mod:`repro.net` listening over real sockets, and
+the object-level :func:`repro.client.protocol.object_walk` /
+:func:`~repro.client.protocol.recovering_walk`, which feed it buckets
+straight from a compiled program. The walk is the paper's protocol
+(§2.1): probe channel 1, follow the next-cycle pointer to the root,
+route down the index by key comparison, and recover from lost or
+corrupt airings per :class:`RecoveryPolicy`.
 
-:class:`PointerWalk` is that logic with the I/O factored out, in the
-sans-io style network protocol stacks use: the machine never reads a
-socket or an array. It tells its driver what to tune to next
+The machine never reads a socket or an array, in the sans-io style
+network protocol stacks use. It tells its driver what to tune to next
 (:meth:`next_listen` → a :class:`Listen` naming a channel and an
 absolute slot), the driver obtains that airing however it likes —
 indexing a frame grid, awaiting a datagram — and feeds back either the
@@ -21,11 +19,9 @@ decoded bucket (:meth:`deliver`) or the fact of its loss
 (:meth:`on_loss`). When :meth:`next_listen` returns ``None`` the walk is
 over and :attr:`result` holds the measured :class:`WalkResult`.
 
-The slot accounting mirrors
-:func:`~repro.client.protocol.recovering_walk` *exactly*: on a
-lossless channel every inherited number (access time, probe wait, data
-wait, tuning time, channel switches) is bit-identical to the object-level
-walk on the same compiled program — the invariant that lets the
+Because every driver shares this accounting, a lossless walk measures
+the same access time, probe wait, data wait, tuning time and channel
+switches whichever way its buckets arrive — the invariant that lets the
 :mod:`repro.net` loopback parity gate compare a live socket fleet
 against the in-process simulator and demand equality, not closeness.
 """
@@ -46,9 +42,63 @@ from ..obs.events import (
     WalkFinished,
 )
 from ..obs.spans import NO_TRACE, TraceContext, span_tracer_of
-from .protocol import RecoveryPolicy, _next_airing
 
-__all__ = ["Listen", "WalkResult", "LookupFailed", "PointerWalk"]
+__all__ = [
+    "Listen",
+    "WalkResult",
+    "LookupFailed",
+    "PointerWalk",
+    "RecoveryPolicy",
+]
+
+
+@dataclass(frozen=True)
+class RecoveryPolicy:
+    """What a client does when a tuned-to bucket is lost or corrupt.
+
+    Attributes
+    ----------
+    mode:
+        ``"retry-parent"`` — re-tune to the last successfully read index
+        node at its next airing and walk down from there (the client
+        distrusts its cached pointer after channel trouble);
+        ``"next-cycle"`` — keep the cached pointer and simply wait for
+        the lost bucket's next airing, one cycle later (cheapest in
+        tuning, a full cycle in access time per loss).
+    max_cycles:
+        Give-up bound: the walk abandons once it would have to read past
+        this many cycles from tune-in. Must be at least 2 — a lossless
+        walk needs two cycles (probe cycle + index cycle), so smaller
+        values would abandon requests no loss ever touched.
+    cutover:
+        What a frame-level walk does when a delivered envelope is
+        stamped with a *different* schedule version than the one it
+        adopted (the station replanned mid-walk — see
+        :mod:`repro.sched`). ``"restart-root"`` (default) re-probes
+        channel 1 from the very next slot and descends the *new*
+        version's index — accounted like a retry, never as a corrupt
+        read. ``"abandon"`` gives the walk up instead (for clients that
+        would rather fail fast than pay the restart).
+    """
+
+    mode: str = "retry-parent"
+    max_cycles: int = 8
+    cutover: str = "restart-root"
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("retry-parent", "next-cycle"):
+            raise ValueError(
+                f"unknown recovery mode {self.mode!r}; expected "
+                "'retry-parent' or 'next-cycle'"
+            )
+        if self.max_cycles < 2:
+            raise ValueError("max_cycles must be >= 2 (a lossless walk "
+                             "spans two cycles)")
+        if self.cutover not in ("restart-root", "abandon"):
+            raise ValueError(
+                f"unknown cutover outcome {self.cutover!r}; expected "
+                "'restart-root' or 'abandon'"
+            )
 
 
 class LookupFailed(ReproError):
@@ -119,7 +169,7 @@ class PointerWalk:
         or the frame grid's row length).
     policy:
         Loss-recovery behaviour; default
-        :class:`~repro.client.protocol.RecoveryPolicy` (retry-parent,
+        :class:`RecoveryPolicy` (retry-parent,
         give up after 8 cycles).
     tracer:
         Optional :class:`~repro.obs.events.Tracer`; when enabled the
@@ -205,6 +255,11 @@ class PointerWalk:
         if self._result is None:
             raise ReproError("walk is not finished; keep driving next_listen()")
         return self._result
+
+    @property
+    def depth(self) -> int | None:
+        """Index depth of the pending read (0 = root); ``None`` while probing."""
+        return None if self._state == _PROBE else self._depth
 
     def next_listen(self) -> Listen | None:
         """The airing to read next, or ``None`` once the walk finished."""
@@ -514,6 +569,16 @@ class PointerWalk:
                     walk=self.walk_id,
                 )
             )
+
+
+def _next_airing(slot: int, after: int, cycle: int) -> int:
+    """First absolute time strictly after ``after`` when ``slot`` airs.
+
+    ``slot`` is cycle-relative (1-based); the broadcast repeats, so the
+    bucket airs at ``slot + j·cycle`` for every ``j ≥ 0``.
+    """
+    airing = after + (slot - after) % cycle
+    return airing if airing > after else airing + cycle
 
 
 def _relative(absolute: int, cycle: int) -> int:

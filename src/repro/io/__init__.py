@@ -11,7 +11,6 @@ from .json_io import (
     tree_to_dict,
 )
 from .wire import (
-    WIRE_VERSION,
     AirFrame,
     DecodedBucket,
     DecodedPointer,
@@ -25,10 +24,9 @@ from .wire import (
     index_bucket_size,
     max_fanout_for_bucket_size,
 )
-from .wire_client import WireAccessRecord, wire_walk
+from .wire_client import wire_walk
 
 __all__ = [
-    "WIRE_VERSION",
     "WireFormatError",
     "DecodedBucket",
     "DecodedPointer",
@@ -41,7 +39,6 @@ __all__ = [
     "AirFrame",
     "encode_air_frame",
     "FrameStreamDecoder",
-    "WireAccessRecord",
     "wire_walk",
     "PersistenceError",
     "tree_to_dict",

@@ -14,7 +14,7 @@ size". This module makes that constraint concrete:
 * :func:`max_fanout_for_bucket_size` inverts the size arithmetic, the
   number [SV96] tunes the tree with.
 
-Version-1 frame layout (big-endian, ASCII-safe labels/keys):
+Frame layout (version 1, big-endian, ASCII-safe labels/keys):
 
 ====== ======================================================
 offset content
@@ -33,15 +33,12 @@ offset content
 pad    zeros up to ``bucket_size``
 ====== ======================================================
 
-A legacy *version-0* frame is the same body without the five-byte
-version/checksum header (its first byte is the bucket type, 0–2, which
-can never collide with the ``0xB1`` marker); :func:`decode_bucket`
-still reads those, so a v1 receiver interoperates with v0 archives.
-The checksum is what lets an unreliable channel's payload corruption
-(:mod:`repro.faults`) be *detected* instead of silently mis-routing a
-client: any flipped byte makes :func:`decode_bucket` raise
-:class:`WireFormatError` carrying the channel/offset the frame came
-from.
+This is the only bucket format: :func:`decode_bucket` rejects a frame
+whose first byte is not the ``0xB1`` marker. The checksum is what lets
+an unreliable channel's payload corruption (:mod:`repro.faults`) be
+*detected* instead of silently mis-routing a client: any flipped byte
+makes :func:`decode_bucket` raise :class:`WireFormatError` carrying the
+channel/offset the frame came from.
 
 Every frame is exactly ``bucket_size`` bytes; content that does not fit
 raises :class:`WireFormatError` instead of silently truncating — the
@@ -59,7 +56,6 @@ from ..exceptions import ReproError
 from ..tree.node import DataNode, IndexNode, Node
 
 __all__ = [
-    "WIRE_VERSION",
     "WireFormatError",
     "DecodedPointer",
     "DecodedBucket",
@@ -76,10 +72,7 @@ __all__ = [
 
 DEFAULT_BUCKET_SIZE = 96
 
-WIRE_VERSION = 1
-"""Frame version :func:`encode_bucket` emits by default."""
-
-_MAGIC_V1 = 0xB1  # outside the 0..2 v0 type-byte range, so self-identifying
+_MAGIC_V1 = 0xB1
 _V1_HEADER = 5  # marker byte + CRC-32
 
 _TYPE_EMPTY = 0
@@ -126,17 +119,8 @@ def _subtree_max_key(node: Node) -> str:
     return best
 
 
-def encode_bucket(
-    bucket, bucket_size: int = DEFAULT_BUCKET_SIZE, *, version: int = WIRE_VERSION
-) -> bytes:
-    """Serialise one :class:`~repro.broadcast.bucket.Bucket` to a frame.
-
-    ``version`` selects the frame format: 1 (default) prefixes the body
-    with the version marker and CRC-32 checksum, 0 emits the legacy
-    unchecksummed layout.
-    """
-    if version not in (0, 1):
-        raise WireFormatError(f"unknown wire version {version}")
+def encode_bucket(bucket, bucket_size: int = DEFAULT_BUCKET_SIZE) -> bytes:
+    """Serialise one :class:`~repro.broadcast.bucket.Bucket` to a frame."""
     next_offset = (
         bucket.next_cycle_pointer.offset if bucket.next_cycle_pointer else 0
     )
@@ -174,17 +158,14 @@ def encode_bucket(
             payload = f"item:{bucket.node.label}".encode()
             body = struct.pack(">H", len(payload)) + payload
 
-    header = _V1_HEADER if version == 1 else 0
     content = struct.pack(">BHB", kind, next_offset, len(label)) + label + body
-    if header + len(content) > bucket_size:
+    if _V1_HEADER + len(content) > bucket_size:
         raise WireFormatError(
-            f"bucket content ({header + len(content)} bytes) exceeds the "
+            f"bucket content ({_V1_HEADER + len(content)} bytes) exceeds the "
             f"{bucket_size}-byte frame; lower the tree fanout or raise "
             "the bucket size"
         )
-    padded = content + b"\x00" * (bucket_size - header - len(content))
-    if version == 0:
-        return padded
+    padded = content + b"\x00" * (bucket_size - _V1_HEADER - len(content))
     return struct.pack(">BI", _MAGIC_V1, zlib.crc32(padded)) + padded
 
 
@@ -210,10 +191,9 @@ def decode_bucket(
 ) -> DecodedBucket:
     """Parse one frame; raises :class:`WireFormatError` on corruption.
 
-    Both versions are accepted: a version-1 frame (marker ``0xB1``) has
-    its CRC-32 verified first — a mismatch means the channel damaged the
-    frame in flight — while a legacy version-0 frame (first byte 0–2) is
-    parsed structurally only. ``channel``/``offset`` are optional
+    The CRC-32 is verified first — a mismatch means the channel damaged
+    the frame in flight — and the body is then parsed with a length
+    guard before every field. ``channel``/``offset`` are optional
     provenance, included in every error so a receiver's logs say *which
     airing* was bad.
     """
@@ -234,27 +214,29 @@ def decode_bucket(
 def _decode_frame(frame: bytes, where: str) -> DecodedBucket:
     if not frame:
         raise WireFormatError(f"empty frame{where}")
-    if frame[0] == _MAGIC_V1:
-        if len(frame) < _V1_HEADER:
-            raise WireFormatError(
-                f"frame shorter than the version-1 header{where}"
-            )
-        (stored,) = struct.unpack(">I", frame[1:_V1_HEADER])
-        body = frame[_V1_HEADER:]
-        actual = zlib.crc32(body)
-        if stored != actual:
-            raise WireFormatError(
-                f"checksum mismatch{where}: stored {stored:#010x}, "
-                f"computed {actual:#010x} — frame corrupted in flight"
-            )
-        return _decode_body(body, where)
-    if frame[0] in (_TYPE_EMPTY, _TYPE_INDEX, _TYPE_DATA):
-        return _decode_body(frame, where)  # legacy version-0 frame
-    raise WireFormatError(f"unknown wire version byte {frame[0]:#04x}{where}")
+    if frame[0] != _MAGIC_V1:
+        raise WireFormatError(
+            f"unknown wire version byte {frame[0]:#04x}{where}"
+        )
+    if len(frame) < _V1_HEADER:
+        raise WireFormatError(f"frame shorter than the version-1 header{where}")
+    (stored,) = struct.unpack(">I", frame[1:_V1_HEADER])
+    body = frame[_V1_HEADER:]
+    actual = zlib.crc32(body)
+    if stored != actual:
+        raise WireFormatError(
+            f"checksum mismatch{where}: stored {stored:#010x}, "
+            f"computed {actual:#010x} — frame corrupted in flight"
+        )
+    return _decode_body(body, where)
 
 
 def _decode_body(frame: bytes, where: str = "") -> DecodedBucket:
-    """Parse the (un)checksummed body shared by both frame versions."""
+    """Parse a checksum-verified body, guarding every field's length.
+
+    A sender holding the CRC can still seal a malformed body, so every
+    read is bounds-checked before it happens.
+    """
     if len(frame) < 4:
         raise WireFormatError(f"frame shorter than the fixed header{where}")
     kind, next_offset, label_length = struct.unpack(">BHB", frame[:4])
@@ -309,20 +291,17 @@ def _decode_body(frame: bytes, where: str = "") -> DecodedBucket:
 
 
 def encode_program(
-    program: BroadcastProgram,
-    bucket_size: int = DEFAULT_BUCKET_SIZE,
-    *,
-    version: int = WIRE_VERSION,
+    program: BroadcastProgram, bucket_size: int = DEFAULT_BUCKET_SIZE
 ) -> list[list[bytes]]:
     """Serialise a whole cycle: ``frames[channel-1][slot-1]``."""
     return [
-        [encode_bucket(bucket, bucket_size, version=version) for bucket in row]
+        [encode_bucket(bucket, bucket_size) for bucket in row]
         for row in program.buckets
     ]
 
 
 def decode_cycle(frames: list[list[bytes]]) -> list[list[DecodedBucket]]:
-    """Parse every frame of an encoded cycle (either version)."""
+    """Parse every frame of an encoded cycle."""
     return [
         [
             decode_bucket(frame, channel=channel, offset=slot)
@@ -333,31 +312,21 @@ def decode_cycle(frames: list[list[bytes]]) -> list[list[DecodedBucket]]:
 
 
 def index_bucket_size(
-    fanout: int,
-    label_bytes: int = 8,
-    key_bytes: int = 8,
-    *,
-    version: int = WIRE_VERSION,
+    fanout: int, label_bytes: int = 8, key_bytes: int = 8
 ) -> int:
     """Frame bytes an index bucket with ``fanout`` pointers needs."""
-    header = _V1_HEADER if version == 1 else 0
-    return header + 4 + label_bytes + 1 + fanout * (4 + key_bytes)
+    return _V1_HEADER + 4 + label_bytes + 1 + fanout * (4 + key_bytes)
 
 
 def max_fanout_for_bucket_size(
-    bucket_size: int,
-    label_bytes: int = 8,
-    key_bytes: int = 8,
-    *,
-    version: int = WIRE_VERSION,
+    bucket_size: int, label_bytes: int = 8, key_bytes: int = 8
 ) -> int:
     """The largest tree fanout whose index bucket fits ``bucket_size``.
 
     This is the [SV96] tuning knob: pick the k-ary alphabetic tree whose
     nodes fill — but do not overflow — a wireless packet.
     """
-    header = _V1_HEADER if version == 1 else 0
-    budget = bucket_size - header - 4 - label_bytes - 1
+    budget = bucket_size - _V1_HEADER - 4 - label_bytes - 1
     per_pointer = 4 + key_bytes
     return max(0, budget // per_pointer)
 

@@ -1,7 +1,7 @@
 """A receiver that navigates the broadcast from raw frames only.
 
-Where :mod:`repro.client.protocol` walks the in-memory object graph,
-this client sees nothing but the byte stream of
+Where :mod:`repro.client.protocol` feeds the walk buckets from the
+in-memory object graph, this client sees nothing but the byte stream of
 :mod:`repro.io.wire`: it decodes each frame it tunes to, routes by
 comparing its search key against the pointer table's ``key_hi``
 separators (an alphabetic index tree is a search tree — the property
@@ -10,30 +10,21 @@ the paper insists on in §1), and dozes between frames.
 The walk itself lives in :class:`repro.client.walk.PointerWalk` — the
 sans-io state machine this module *drives* against an in-memory frame
 grid, exactly as the asyncio tuner of :mod:`repro.net` drives it
-against a socket. Agreement with the object-level protocol is asserted
-in the test suite, closing the serialisation loop.
+against a socket and :mod:`repro.client.protocol` against a compiled
+program. Agreement with the object-level protocol is asserted in the
+test suite, closing the serialisation loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .wire import decode_bucket
 
-__all__ = ["WireAccessRecord", "wire_walk"]
+if TYPE_CHECKING:
+    from ..client.walk import WalkResult
 
-
-@dataclass(frozen=True)
-class WireAccessRecord:
-    """Measured outcome of one frame-level request."""
-
-    key: str
-    tune_slot: int
-    access_time: int
-    data_wait: int
-    tuning_time: int
-    channel_switches: int
-    payload: bytes
+__all__ = ["wire_walk"]
 
 
 def wire_walk(
@@ -44,14 +35,16 @@ def wire_walk(
     tracer=None,
     walk_id: int | None = None,
     trace_context: tuple[int, int] | None = None,
-) -> WireAccessRecord:
+) -> WalkResult:
     """Fetch the item with search key ``key`` from an encoded cycle.
 
     ``frames[channel-1][slot-1]`` is the byte frame aired on that cell;
     the cycle repeats. The client tunes into channel 1 at ``tune_slot``,
     follows the next-cycle pointer to the root, then routes down the
-    index by key comparison. Raises :class:`WireFormatError` on corrupt
-    frames and :class:`ReproError` when the key routes nowhere.
+    index by key comparison, and returns the walk's
+    :class:`~repro.client.walk.WalkResult`. Raises
+    :class:`WireFormatError` on corrupt frames and :class:`ReproError`
+    when the key routes nowhere.
 
     ``tracer`` is an optional :class:`~repro.obs.events.Tracer` the walk
     narrates into — the hook the trace-diff tooling uses to replay a
@@ -79,13 +72,4 @@ def wire_walk(
             offset=slot,
         )
         walk.deliver(bucket)
-    result = walk.result
-    return WireAccessRecord(
-        key=key,
-        tune_slot=tune_slot,
-        access_time=result.access_time,
-        data_wait=result.data_wait,
-        tuning_time=result.tuning_time,
-        channel_switches=result.channel_switches,
-        payload=result.payload,
-    )
+    return walk.result

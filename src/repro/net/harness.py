@@ -33,7 +33,7 @@ from ..client.protocol import RecoveryPolicy, object_walk
 from ..client.walk import WalkResult
 from ..faults import FaultConfig
 from ..io.wire import DEFAULT_BUCKET_SIZE, encode_program
-from ..io.wire_client import WireAccessRecord, wire_walk
+from ..io.wire_client import wire_walk
 from ..obs.attrib import AttributionCollector
 from ..obs.events import TeeTracer, Tracer
 from ..obs.metrics import MetricsRegistry, slot_buckets
@@ -162,7 +162,7 @@ def trace_simulator(
     *,
     tracer: Tracer | None = None,
     bucket_size: int = DEFAULT_BUCKET_SIZE,
-) -> list[WireAccessRecord]:
+) -> list[WalkResult]:
     """Replay ``trace`` through the frame-level simulator, narrating it.
 
     Encodes ``program`` once and drives the same

@@ -24,11 +24,12 @@ decomposes **additively and exactly** into five phases,
 
 The decomposition is driven purely by the ``slot_read`` /
 ``walk_finished`` trace vocabulary of :mod:`repro.obs.events`, which
-all three walk paths emit (:func:`~repro.client.protocol.object_walk`,
-:func:`~repro.client.protocol.recovering_walk`, and the
-frame/socket walks driving :class:`~repro.client.walk.PointerWalk`), so
-one attributor serves live JSONL traces, ring buffers, and in-process
-runs alike.
+the one scalar walk, :class:`~repro.client.walk.PointerWalk`, emits
+whichever driver feeds it (:func:`~repro.client.protocol.object_walk`,
+:func:`~repro.client.protocol.recovering_walk`, the frame grid of
+:func:`~repro.io.wire_client.wire_walk` or a socket tuner), so one
+attributor serves live JSONL traces, ring buffers, and in-process runs
+alike.
 
 **Exactness invariant** — for every walk::
 
@@ -38,7 +39,7 @@ holds *bit-identically* against the measured record, by construction:
 each read claims its preceding doze gap plus its own slot, the gaps
 partition the walk's timeline, and an abandoned walk's trailing slots
 (from its last read to the deadline) are charged to ``retry``. The
-differential suite locks this across all three paths, under injected
+differential suite locks this across those drivers, under injected
 loss, and for abandoned walks; :class:`WalkAttribution.exact` is the
 per-walk check and the ``obs attrib`` CLI exits non-zero if any walk
 violates it.

@@ -7,6 +7,7 @@ import pytest
 from repro.broadcast.pointers import compile_program
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.core.optimal import solve
+from repro.planners import available_planners, plan_catalog
 
 
 class TestCompileProgram:
@@ -68,3 +69,27 @@ class TestCompileProgram:
         # 2 channels x 5 slots - 9 nodes = 1 idle bucket.
         assert len(empty) == 1
         assert not empty[0].is_index and not empty[0].is_data
+
+
+class TestCycleLength:
+    def test_grid_row_length_matches_the_schedule_for_every_planner(self):
+        """The program reads its cycle off the bucket grid; it must agree
+        with the schedule's own placement scan whatever planned it."""
+        labels = [f"d{i:02d}" for i in range(14)]
+        weights = [float(1 + (7 * i) % 11) for i in range(len(labels))]
+        for method in available_planners():
+            program = None
+            # Some planners decline some widths (the data-tree solver
+            # is single-channel only, corollary 1 needs a channel per
+            # node of the widest level); take the first width accepted.
+            for channels in (2, 1, len(labels)):
+                try:
+                    result = plan_catalog(
+                        labels, weights, channels, method=method
+                    )
+                except ValueError:
+                    continue
+                program = compile_program(result.schedule)
+                break
+            assert program is not None, method
+            assert program.cycle_length == program.schedule.cycle_length, method

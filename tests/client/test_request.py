@@ -19,9 +19,9 @@ from repro.client import (
     unregister_engine,
 )
 from repro.client.protocol import AccessRecord, RecoveryPolicy
+from repro.client.walk import WalkResult
 from repro.core.optimal import solve
 from repro.faults import FaultConfig
-from repro.io.wire_client import WireAccessRecord
 from repro.obs.events import RingBufferTracer
 from repro.tree.builders import paper_example_tree
 
@@ -109,7 +109,7 @@ class TestWireEngine:
     def test_matches_object_times_on_lossless_air(self, program, leaf):
         record = request(program, leaf, 3, engine="wire")
         baseline = request(program, leaf, 3)
-        assert isinstance(record, WireAccessRecord)
+        assert isinstance(record, WalkResult)
         assert record.access_time == baseline.access_time
         assert record.tuning_time == baseline.tuning_time
         assert record.data_wait == baseline.data_wait

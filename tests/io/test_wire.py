@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,21 @@ from repro.io.wire import (
     WireFormatError,
     decode_bucket,
     decode_cycle,
-    encode_bucket,
     encode_program,
     index_bucket_size,
     max_fanout_for_bucket_size,
 )
 from repro.tree.alphabetic import optimal_alphabetic_tree
 from repro.workloads.catalogs import stock_catalog
+
+
+def reseal(body: bytes) -> bytes:
+    """A version-1 frame around ``body`` with a valid CRC-32.
+
+    Structural attacks must reach the body parser, so the mutated body
+    is re-sealed; an unsealed mutation trips the checksum first.
+    """
+    return bytes([0xB1]) + zlib.crc32(body).to_bytes(4, "big") + body
 
 
 @pytest.fixture
@@ -108,60 +118,56 @@ class TestSizeConstraints:
 class TestCorruption:
     """Failure injection: every malformed frame fails loudly.
 
-    Structural attacks use version-0 frames — on a version-1 frame the
-    checksum trips first, which TestVersioning covers separately.
+    Structural attacks mutate the body and re-seal it (:func:`reseal`)
+    — an unsealed mutation trips the checksum first, which
+    TestVersioning covers separately.
     """
 
     def test_truncated_frame(self):
         with pytest.raises(WireFormatError, match="shorter"):
-            decode_bucket(b"\x01")
+            decode_bucket(b"\xb1\x00")
 
     def test_unknown_version_byte(self, program):
-        frame = bytearray(encode_program(program, version=0)[0][0])
+        frame = bytearray(encode_program(program)[0][0])
         frame[0] = 9
         with pytest.raises(WireFormatError, match="unknown wire version"):
             decode_bucket(bytes(frame))
 
     def test_label_overrun(self):
         # type=index, next=0, label_len=200 but only 4 header bytes exist.
-        frame = b"\x01\x00\x00\xc8" + b"\x00" * 10
+        frame = reseal(b"\x01\x00\x00\xc8" + b"\x00" * 10)
         with pytest.raises(WireFormatError, match="label overruns"):
             decode_bucket(frame)
 
     def test_pointer_record_overrun(self, program, fig1_tree):
         root_channel, root_slot = program.schedule.position(fig1_tree.root)
-        frames = encode_program(program, version=0)
-        frame = bytearray(frames[root_channel - 1][root_slot - 1])
+        frames = encode_program(program)
+        body = bytearray(frames[root_channel - 1][root_slot - 1][5:])
         # Inflate the pointer count byte past the actual records.
-        label_length = frame[3]
-        frame[4 + label_length] = 250
+        label_length = body[3]
+        body[4 + label_length] = 250
         with pytest.raises(WireFormatError, match="overruns"):
-            decode_bucket(bytes(frame))
+            decode_bucket(reseal(bytes(body)))
 
     def test_data_payload_overrun(self, program, fig1_tree):
         target = fig1_tree.find("A")
         channel, slot = program.schedule.position(target)
-        frames = encode_program(program, version=0)
-        frame = bytearray(frames[channel - 1][slot - 1])
-        label_length = frame[3]
+        frames = encode_program(program)
+        body = bytearray(frames[channel - 1][slot - 1][5:])
+        label_length = body[3]
         # Corrupt the payload length to exceed the frame.
-        frame[4 + label_length] = 0xFF
-        frame[5 + label_length] = 0xFF
+        body[4 + label_length] = 0xFF
+        body[5 + label_length] = 0xFF
         with pytest.raises(WireFormatError, match="payload overruns"):
-            decode_bucket(bytes(frame))
+            decode_bucket(reseal(bytes(body)))
 
 
 class TestVersioning:
-    """The version-1 header: marker byte, checksum, v0 interop."""
+    """The version-1 header: marker byte and checksum."""
 
     def test_default_frames_are_version_1(self, program):
         frame = encode_program(program)[0][0]
         assert frame[0] == 0xB1
-
-    def test_version_0_frames_still_decode(self, program):
-        old = decode_cycle(encode_program(program, version=0))
-        new = decode_cycle(encode_program(program))
-        assert old == new
 
     def test_any_flipped_body_byte_trips_the_checksum(self, program):
         frames = encode_program(program)
@@ -179,8 +185,3 @@ class TestVersioning:
             WireFormatError, match=r"channel 2, offset 5"
         ):
             decode_bucket(bytes(frame), channel=2, offset=5)
-
-    def test_rejected_encode_version(self, program):
-        bucket = program.buckets[0][0]
-        with pytest.raises(WireFormatError, match="unknown wire version"):
-            encode_bucket(bucket, version=7)

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.broadcast.bucket import Bucket
 from repro.broadcast.pointers import compile_program
 from repro.client.protocol import object_walk
 from repro.core.optimal import solve
-from repro.io.wire import WireFormatError, encode_program
+from repro.io.wire import WireFormatError, encode_bucket, encode_program
 from repro.io.wire_client import wire_walk
 from repro.tree.alphabetic import optimal_alphabetic_tree
 from repro.workloads.catalogs import stock_catalog
@@ -91,6 +92,7 @@ class TestFailureModes:
         _, program, frames = alphabetic_setup
         frames = [list(row) for row in frames]
         size = len(frames[0][0])
-        frames[0][2] = b"\x00" * size  # empty frame with no next pointer
+        # A well-formed empty frame that lacks the next-cycle pointer.
+        frames[0][2] = encode_bucket(Bucket(channel=1, slot=3), size)
         with pytest.raises(WireFormatError, match="next-cycle"):
             wire_walk(frames, "AAPL", 3)

@@ -3,8 +3,7 @@
 Satellite coverage beyond the structured property tests in
 ``test_wire_properties.py``: single-bucket encode/decode round-trips
 over arbitrary labels (up to the 255-byte limit), bucket-size edges
-(exact fit passes, one byte under raises), v0/v1 interop on the same
-content, and the stream decoder reassembling envelopes from arbitrary
+(exact fit passes, one byte under raises), and the stream decoder reassembling envelopes from arbitrary
 chunkings.
 """
 
@@ -60,25 +59,16 @@ class TestDataBucketRoundTrip:
     @given(
         label=labels,
         next_offset=st.integers(min_value=0, max_value=0xFFFF),
-        version=st.sampled_from([0, 1]),
     )
-    def test_round_trip(self, label, next_offset, version):
+    def test_round_trip(self, label, next_offset):
         bucket = data_bucket(label, next_offset)
-        frame = encode_bucket(bucket, 1024, version=version)
+        frame = encode_bucket(bucket, 1024)
         assert len(frame) == 1024
         decoded = decode_bucket(frame)
         assert decoded.kind == "data"
         assert decoded.label == label
         assert decoded.next_cycle_offset == next_offset
         assert decoded.payload == f"item:{label}".encode()
-
-    @settings(max_examples=60, **COMMON)
-    @given(label=labels, version=st.sampled_from([0, 1]))
-    def test_v0_and_v1_agree_on_content(self, label, version):
-        bucket = data_bucket(label, 7)
-        v0 = decode_bucket(encode_bucket(bucket, 1024, version=0))
-        v1 = decode_bucket(encode_bucket(bucket, 1024, version=1))
-        assert v0 == v1  # one receiver, both archives
 
     def test_255_byte_label_is_the_edge(self):
         frame = encode_bucket(data_bucket("L" * 255), 1024)
@@ -89,19 +79,19 @@ class TestDataBucketRoundTrip:
 
 class TestBucketSizeEdges:
     @settings(max_examples=80, **COMMON)
-    @given(label=labels, version=st.sampled_from([0, 1]))
-    def test_exact_fit_passes_one_byte_under_raises(self, label, version):
+    @given(label=labels)
+    def test_exact_fit_passes_one_byte_under_raises(self, label):
         bucket = data_bucket(label)
-        header = 5 if version == 1 else 0
-        # content = fixed header (4) + label + payload length (2) + payload
-        exact = header + 4 + len(label.encode()) + 2 + len(
+        # frame = marker + CRC (5) + fixed header (4) + label
+        #         + payload length (2) + payload
+        exact = 5 + 4 + len(label.encode()) + 2 + len(
             f"item:{label}".encode()
         )
-        frame = encode_bucket(bucket, exact, version=version)
+        frame = encode_bucket(bucket, exact)
         assert len(frame) == exact
         assert decode_bucket(frame).label == label
         with pytest.raises(WireFormatError, match="exceeds"):
-            encode_bucket(bucket, exact - 1, version=version)
+            encode_bucket(bucket, exact - 1)
 
     @settings(max_examples=40, **COMMON)
     @given(
