@@ -1,59 +1,17 @@
 PYTHON ?= python
 
-# Bench-envelope stamps (see src/repro/bench_envelope.py): every
-# BENCH_*.json written through the bench-* targets carries the git
-# revision and a UTC timestamp, supplied here so the benches themselves
-# never read clocks they do not own.
-# := (immediate) so one make invocation stamps every suite with the
-# same values — bench-merge checks envelope consistency across files.
+# Envelope stamps for every BENCH_<suite>.json that bench-all writes:
+# the git revision and a UTC timestamp, supplied here so the suites
+# never read clocks they do not own. := (immediate) so one make
+# invocation stamps every suite with the same values.
 ifeq ($(origin GIT_REV), undefined)
 GIT_REV := $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 endif
 ifeq ($(origin BENCH_TIMESTAMP), undefined)
 BENCH_TIMESTAMP := $(shell date -u +%Y-%m-%dT%H:%M:%SZ)
 endif
-BENCH_META = --rev $(GIT_REV) --timestamp $(BENCH_TIMESTAMP)
-BENCH_REPEATS ?= 3
-BENCH_TUNERS ?= 1000
 
-# bench-engine trace length: the batch paths run the full trace; the
-# scalar baseline and the per-walk differential gate use ENGINE_SAMPLE.
-# The engine suite keeps its own repeat knob (instead of BENCH_REPEATS /
-# HISTORY_REPEATS) so its config fingerprint is identical across
-# bench-engine, bench-all smoke runs, and bench-history — the regress
-# sentinel refuses to compare mismatched configs.
-ENGINE_WALKS ?= 200000
-ENGINE_SAMPLE ?= 2000
-ENGINE_REPEATS ?= 3
-
-# bench-cluster pacing: real air time (slots of CLUSTER_SLOT seconds)
-# is what makes aggregate walks/sec scale with the shard count —
-# sharding shortens each shard's cycle, so a paced walk finishes in
-# ~1/N of the wall-clock even on one core.
-CLUSTER_TUNERS ?= 100
-CLUSTER_SLOT ?= 0.02
-CLUSTER_SWEEP ?= 1,2,4
-
-# bench-sched history depth: enough versions that the snapshot+delta
-# encoding (not the snapshot floor) dominates bytes-per-version.
-SCHED_VERSIONS ?= 40
-
-# bench-approx catalog sizes: the committed approx baseline was seeded
-# at this smoke scale (quality ratios are seed-deterministic, so the
-# gate is exact); sweep 100000,1000000 by hand for the paper-scale
-# frontier.
-APPROX_SIZES ?= 1000,10000
-
-# The regression trajectory (benchmarks/history/) is recorded at a
-# small fixed scale so it runs everywhere, including CI smoke runs; the
-# committed baseline.jsonl was seeded at exactly this scale — the
-# sentinel refuses to compare mismatched configs.
-HISTORY_DIR ?= benchmarks/history
-HISTORY_TUNERS ?= 50
-HISTORY_REPEATS ?= 1
-HISTORY_TOLERANCE ?= 0.15
-
-.PHONY: install test bench bench-json bench-server bench-net bench-cluster bench-engine bench-sched bench-approx bench-all bench-history examples experiments clean
+.PHONY: install test bench bench-all examples experiments clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -64,66 +22,13 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-bench-json:
-	$(PYTHON) -m repro.cli bench --repeats $(BENCH_REPEATS) --json BENCH_search.json $(BENCH_META)
-
-bench-server:
-	$(PYTHON) -m repro.cli bench-server --json BENCH_server.json $(BENCH_META)
-
-bench-net:
-	$(PYTHON) -m repro.cli loadtest --tuners $(BENCH_TUNERS) --check-parity --json BENCH_net.json $(BENCH_META)
-
-# Shard-count scaling sweep with per-shard accounting + parity gates,
-# appended to its own trajectory and gated against the committed
-# cluster baseline (--bootstrap seeds it on first run).
-bench-cluster:
-	mkdir -p $(HISTORY_DIR)
-	$(PYTHON) -m repro.cli cluster loadtest --tuners $(CLUSTER_TUNERS) --sweep $(CLUSTER_SWEEP) --slot-duration $(CLUSTER_SLOT) --check-parity --json BENCH_cluster.json $(BENCH_META)
-	$(PYTHON) -m repro.cli obs regress --baseline $(HISTORY_DIR)/cluster-baseline.jsonl --candidate BENCH_cluster.json --tolerance $(HISTORY_TOLERANCE) --append $(HISTORY_DIR)/cluster-trajectory.jsonl --bootstrap
-
-# Batch-engine suite: throughput plus the built-in bit-identity gates,
-# appended to its own trajectory and gated against the committed engine
-# baseline (--bootstrap seeds it on first run).
-bench-engine:
-	mkdir -p $(HISTORY_DIR)
-	$(PYTHON) -m repro.cli engine bench --walks $(ENGINE_WALKS) --sample $(ENGINE_SAMPLE) --repeats $(ENGINE_REPEATS) --json BENCH_engine.json $(BENCH_META)
-	$(PYTHON) -m repro.cli obs regress --baseline $(HISTORY_DIR)/engine-baseline.jsonl --candidate BENCH_engine.json --tolerance $(HISTORY_TOLERANCE) --append $(HISTORY_DIR)/engine-trajectory.jsonl --bootstrap
-
-# Versioned-store suite: publish/load/rollback latency and the
-# bytes-per-version the delta encoding buys, appended to its own
-# trajectory and gated against the committed sched baseline
-# (--bootstrap seeds it on first run).
-bench-sched:
-	mkdir -p $(HISTORY_DIR)
-	$(PYTHON) -m repro.cli sched bench --versions $(SCHED_VERSIONS) --json BENCH_sched.json $(BENCH_META)
-	$(PYTHON) -m repro.cli obs regress --baseline $(HISTORY_DIR)/sched-baseline.jsonl --candidate BENCH_sched.json --tolerance $(HISTORY_TOLERANCE) --append $(HISTORY_DIR)/sched-trajectory.jsonl --bootstrap
-
-# Approximation-frontier suite: quality-vs-time points for the
-# repro.approx planners (ptas / sorting / meta) across APPROX_SIZES,
-# appended to its own trajectory and gated against the committed
-# approx baseline (--bootstrap seeds it on first run).
-bench-approx:
-	mkdir -p $(HISTORY_DIR)
-	$(PYTHON) -m repro.cli approx frontier --sizes $(APPROX_SIZES) --json BENCH_approx.json $(BENCH_META)
-	$(PYTHON) -m repro.cli obs regress --baseline $(HISTORY_DIR)/approx-baseline.jsonl --candidate BENCH_approx.json --tolerance $(HISTORY_TOLERANCE) --append $(HISTORY_DIR)/approx-trajectory.jsonl --bootstrap
-
-bench-all: bench-json bench-server bench-net bench-engine bench-approx
-	$(PYTHON) -m repro.cli bench-merge BENCH_search.json BENCH_server.json BENCH_net.json BENCH_engine.json BENCH_approx.json --out BENCH_all.json
-
-# Run the merged suites at history scale (scratch output under
-# $(HISTORY_DIR)/tmp so the full-scale BENCH_*.json records stay
-# untouched), append the run to the trajectory, and gate it against
-# the committed baseline — non-zero exit names the first regressed
-# metric.
-bench-history:
-	mkdir -p $(HISTORY_DIR)/tmp
-	$(PYTHON) -m repro.cli bench --repeats $(HISTORY_REPEATS) --json $(HISTORY_DIR)/tmp/search.json $(BENCH_META)
-	$(PYTHON) -m repro.cli bench-server --json $(HISTORY_DIR)/tmp/server.json $(BENCH_META)
-	$(PYTHON) -m repro.cli loadtest --tuners $(HISTORY_TUNERS) --check-parity --json $(HISTORY_DIR)/tmp/net.json $(BENCH_META)
-	$(PYTHON) -m repro.cli engine bench --walks $(ENGINE_WALKS) --sample $(ENGINE_SAMPLE) --repeats $(ENGINE_REPEATS) --json $(HISTORY_DIR)/tmp/engine.json $(BENCH_META)
-	$(PYTHON) -m repro.cli approx frontier --sizes $(APPROX_SIZES) --json $(HISTORY_DIR)/tmp/approx.json $(BENCH_META)
-	$(PYTHON) -m repro.cli bench-merge $(HISTORY_DIR)/tmp/search.json $(HISTORY_DIR)/tmp/server.json $(HISTORY_DIR)/tmp/net.json $(HISTORY_DIR)/tmp/engine.json $(HISTORY_DIR)/tmp/approx.json --out $(HISTORY_DIR)/tmp/all.json
-	$(PYTHON) -m repro.cli obs regress --baseline $(HISTORY_DIR)/baseline.jsonl --candidate $(HISTORY_DIR)/tmp/all.json --tolerance $(HISTORY_TOLERANCE) --append $(HISTORY_DIR)/trajectory.jsonl --bootstrap
+# Every registered suite (repro.bench.SUITES) at its one fixed config:
+# writes BENCH_<suite>.json and gates it against
+# benchmarks/history/<suite>.jsonl; exits non-zero naming the first
+# regression. To append a run to the history, call
+# `repro bench --record` with the same stamps.
+bench-all:
+	$(PYTHON) -m repro.cli bench --rev $(GIT_REV) --timestamp $(BENCH_TIMESTAMP)
 
 examples:
 	@for script in examples/*.py; do \

@@ -23,11 +23,11 @@ scale layer:
   exact / dfs-bnb / shrinking / sorting / ptas, recording the decision
   trace in perf counters, plan stats and
   :class:`~repro.obs.events.PlannerDecision` trace events.
-* :mod:`repro.approx.bench` — the scale bench (``make bench-approx`` →
-  ``BENCH_approx.json``): sweeps catalog sizes and records
+* :mod:`repro.approx.bench` — the ``approx-frontier`` bench suite
+  (``repro bench approx-frontier``): sweeps catalog sizes and records
   quality-vs-time frontier points (data-wait ratio vs best-known, plan
-  wall time), gated by :mod:`repro.obs.regress` against the committed
-  ``benchmarks/history/approx-baseline.jsonl``.
+  wall time), gated by :mod:`repro.bench` against the committed
+  ``benchmarks/history/approx-frontier.jsonl``.
 
 Importing this package registers ``"ptas"`` and ``"meta"`` in the
 :mod:`repro.planners` registry; :mod:`repro.planners` itself imports it,
@@ -35,7 +35,7 @@ so both names resolve through ``plan()`` / ``plan_catalog()`` without
 any caller importing :mod:`repro.approx` explicitly.
 """
 
-from .bench import DEFAULT_SIZES, run_frontier_bench, write_approx_bench_json
+from .bench import DEFAULT_SIZES, run_frontier_bench
 from .meta import (
     DEFAULT_THRESHOLDS,
     CatalogFeatures,
@@ -65,5 +65,4 @@ __all__ = [
     "plan_meta",
     "DEFAULT_SIZES",
     "run_frontier_bench",
-    "write_approx_bench_json",
 ]

@@ -1,307 +1,482 @@
-"""Search-core benchmark: the overhauled search vs the frozen seed.
+"""One bench harness: a registry of suites, one runner, one gate.
 
-``python -m repro.cli bench --json BENCH_search.json`` runs a fixed,
-fully seeded suite of allocation instances through three solvers —
+``repro bench [SUITE ...] [--record]`` (``make bench-all``) runs each
+selected suite of :data:`SUITES`, all of them by default. A
+:class:`Suite` is a name, one fixed config, a ``run(config)`` and the
+metrics it declares. ``run`` returns a dict with flat ``metrics`` and
+``checks``, optionally ``timings`` (:class:`repro.perf.Timing` dicts
+from :func:`repro.perf.measure`) and a free-form ``detail`` block. For
+every suite the runner then
 
-* the **seed** best-first search (:mod:`repro.core.reference`, frozen
-  bug-for-bug: from-scratch bounds, ``<`` pop-time dominance, no
-  children memo),
-* the **overhauled** best-first search (incremental bounds, push+pop
-  transposition pruning, memoised ``reduced_children``), and
-* the **DFS branch-and-bound** mode —
+1. writes ``BENCH_<suite>.json`` (:func:`write_record`, the one writer
+   of a bench record): the envelope (``schema_version``, ``suite``,
+   ``rev``, ``timestamp`` — passed in by the caller, never sampled
+   here), the config and the run's result;
+2. prints every metric against its baseline, and the checks;
+3. gates the run against ``benchmarks/history/<suite>.jsonl``.
 
-and emits a JSON perf record with nodes expanded/generated, best-of-N
-wall seconds and the optimal cost per case, plus suite aggregates. The
-acceptance gate lives in ``aggregate.checks``: over the ablation-A2
-cases the overhaul must expand strictly fewer nodes and take less wall
-time than the seed at equal optimal cost.
-
-The suite deliberately mixes three regimes:
-
-* the **A2 ladder** — the pruning-ablation rule sets (none → +P1 →
-  +filter → +subset → paper) on the two A2 experiment trees, so the
-  numbers line up with ``benchmarks/test_bench_ablation_pruning.py``;
-* the **Fig. 1 paper example**, where equal-cost duplicate states make
-  the ``<=`` dedup fix directly visible (30 vs 32 expansions at k=1
-  without pruning);
-* **tied-weight and larger trees**, where transpositions abound and the
-  incremental bound's memoisation pays most.
-
-Timing uses best-of-``repeats`` (min of repeated runs) — the standard
-way to strip scheduler noise from sub-millisecond measurements.
+**The gate.** The baseline is the earliest history entry recorded at
+the suite's config fingerprint, so a run is only ever compared with one
+measured at the same scale. A failed check regresses first. Then every
+declared metric, in declaration order: ``quality`` metrics are
+deterministic functions of the seeds (slot-denominated latencies, node
+counts, bytes) and regress when they move worse-ward by more than
+:data:`TOLERANCE`, or go missing; ``timing`` metrics are machine
+clocks, tracked in every entry but not gated. ``--record`` appends the
+run to the history, which seeds the baseline of a config that has none.
+Exit codes: 0 clean, 1 regression, 2 no baseline to gate against or an
+unreadable history.
 """
 
 from __future__ import annotations
 
 import json
-from time import perf_counter
-from typing import Callable
+import os
+import sys
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
-import numpy as np
+from .approx.bench import run_frontier_bench
+from .cluster.harness import run_cluster_bench
+from .core.bench import run_search_bench
+from .engine.bench import run_engine_bench
+from .net.harness import run_loadtest_bench
+from .sched.harness import run_store_bench
+from .server.bench import run_server_bench
 
-from .core.candidates import PruningConfig
-from .core.problem import AllocationProblem
-from .core.reference import seed_best_first_search
-from .core.search import SearchResult, best_first_search, dfs_branch_and_bound
-from .tree.builders import balanced_tree, paper_example_tree, random_tree
+__all__ = [
+    "QUALITY",
+    "TIMING",
+    "LOWER",
+    "HIGHER",
+    "TOLERANCE",
+    "HISTORY_DIR",
+    "Metric",
+    "Suite",
+    "SUITES",
+    "register",
+    "write_record",
+    "history_entry",
+    "load_history",
+    "find_baseline",
+    "Reading",
+    "Verdict",
+    "judge",
+    "run_suites",
+]
 
-__all__ = ["build_suite", "run_bench", "format_bench", "write_bench_json"]
+QUALITY = "quality"
+TIMING = "timing"
+LOWER = "lower"
+HIGHER = "higher"
 
-_COST_TOLERANCE = 1e-9
+#: Relative worse-ward drift a quality metric may show before it regresses.
+TOLERANCE = 0.15
 
-# The cumulative §3.2 rule ladder of ablation A2 (analysis/comparisons.py).
-_LADDER: tuple[tuple[str, PruningConfig], ...] = (
-    ("none", PruningConfig.none()),
-    ("p1", PruningConfig.none().without(forced_completion=True)),
-    (
-        "p1+filter",
-        PruningConfig.none().without(
-            forced_completion=True, candidate_filter=True
-        ),
+#: Where the per-suite history files live, relative to the working directory.
+HISTORY_DIR = os.path.join("benchmarks", "history")
+
+SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One metric a suite reports: which way is better, and its kind."""
+
+    name: str
+    better: str = LOWER
+    kind: str = QUALITY
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A named bench workload at one fixed config."""
+
+    name: str
+    config: Mapping
+    run: Callable[[dict], dict]
+    metrics: tuple[Metric, ...]
+
+    @property
+    def fingerprint(self) -> dict:
+        """The config as history entries record it, JSON-normalised."""
+        return json.loads(json.dumps({self.name: dict(self.config)}))
+
+
+SUITES: dict[str, Suite] = {}
+
+
+def register(suite: Suite) -> Suite:
+    """Add ``suite`` to :data:`SUITES`; a name may be registered once."""
+    if suite.name in SUITES:
+        raise ValueError(f"bench suite {suite.name!r} is already registered")
+    SUITES[suite.name] = suite
+    return suite
+
+
+def _quality(*names: str) -> tuple[Metric, ...]:
+    return tuple(Metric(name) for name in names)
+
+
+def _timing(*names: str, better: str = LOWER) -> tuple[Metric, ...]:
+    return tuple(Metric(name, better, TIMING) for name in names)
+
+
+# Each config is the scale its suite's committed baseline was seeded at;
+# editing one leaves the suite without a baseline until --record.
+register(Suite(
+    "search-overhaul",
+    {"repeats": 1},
+    lambda config: run_search_bench(**config),
+    _quality("best_first_nodes_expanded", "a2_best_first_nodes_expanded")
+    + _timing("best_first_seconds", "dfs_bnb_seconds")
+    + _timing("speedup", better=HIGHER),
+))
+register(Suite(
+    "server-faults",
+    {
+        "items": 12, "channels": 2, "cycles": 30,
+        "mean_requests_per_cycle": 30.0, "seed": 2000,
+        "planner": "budgeted",
+    },
+    lambda config: run_server_bench(**config),
+    _quality("lossless_mean_access", "lossy_mean_access", "degradation_slots"),
+))
+register(Suite(
+    "net-loadtest",
+    {
+        "items": 24, "channels": 3, "fanout": 3, "planner": "sorting",
+        "tuners": 50, "arrival_rate": 5000.0, "max_open": 256,
+        "slot_duration": 0.0, "loss": 0.0, "corruption": 0.0,
+        "check_parity": True, "seed": 2000,
+    },
+    lambda config: run_loadtest_bench(**config),
+    _quality("mean_access_time", "mean_tuning_time", "access_p99")
+    + _timing("walks_per_second", better=HIGHER),
+))
+register(Suite(
+    "engine-batch",
+    {
+        "items": 24, "channels": 3, "fanout": 3, "planner": "sorting",
+        "walks": 200_000, "sample": 2000, "loss": 0.05,
+        "corruption": 0.01, "seed": 2000, "repeats": 3,
+    },
+    lambda config: run_engine_bench(**config),
+    _quality("mean_access_time", "mean_tuning_time", "faulty_mean_access_time")
+    + _timing(
+        "batch_walks_per_second", "faulty_walks_per_second",
+        "speedup_vs_scalar", better=HIGHER,
     ),
-    (
-        "p1+filter+subset",
-        PruningConfig.none().without(
-            forced_completion=True, candidate_filter=True, subset_rules=True
-        ),
+))
+register(Suite(
+    "approx-frontier",
+    {
+        "sizes": [1000, 10000], "channels": 4, "fanout": 3,
+        "theta": 0.95, "seed": 2000,
+    },
+    lambda config: run_frontier_bench(**config),
+    _quality(
+        "ptas_ratio_small", "ptas_ratio_large", "ptas_bound_slack_large",
+        "sorting_ratio_large", "meta_ratio_small", "meta_ratio_large",
+    )
+    + _timing(
+        "ptas_plan_seconds_large", "sorting_plan_seconds_large",
+        "meta_plan_seconds_large",
     ),
-    ("paper", PruningConfig.paper()),
-)
-
-
-def build_suite() -> list[dict]:
-    """The fixed bench instances: name, problem, rule set, A2 membership."""
-    cases: list[dict] = []
-
-    def add(name, tree, channels, pruning_name, pruning, ablation_a2):
-        cases.append(
-            {
-                "name": name,
-                "problem": AllocationProblem(tree, channels=channels),
-                "channels": channels,
-                "pruning": pruning_name,
-                "config": pruning,
-                "ablation_a2": ablation_a2,
-            }
-        )
-
-    # Ablation-A2 suite: the full rule ladder on the two A2 trees
-    # (benchmarks/test_bench_ablation_pruning.py uses seed 8; the
-    # regenerated artifact uses seed 2000) plus the paper's Fig. 1
-    # example and a tied-weight tree under the ladder endpoints —
-    # weight ties are what create the equal-cost duplicate states the
-    # dedup fix removes.
-    a2_tree_bench = random_tree(np.random.default_rng(8), 8)
-    a2_tree_artifact = random_tree(
-        np.random.default_rng(2000), 8, max_fanout=3
+))
+register(Suite(
+    "sched-bench",
+    {
+        "versions": 40, "items": 24, "channels": 3, "fanout": 3,
+        "seed": 2000, "snapshot_every": 8,
+    },
+    lambda config: run_store_bench(**config),
+    _quality("store_bytes_per_version", "store_bytes_total")
+    + _timing("publish_ms_mean", "load_ms_mean", "rollback_ms"),
+))
+register(Suite(
+    "cluster-loadtest",
+    {
+        "items": 32, "channels": 3, "fanout": 3, "planner": "meta",
+        "partitioner": "hash", "shard_counts": [1, 2, 4], "tuners": 100,
+        "refit_rounds": 0, "arrival_rate": 0.0, "max_open": 256,
+        "slot_duration": 0.02, "check_parity": True, "seed": 2000,
+    },
+    lambda config: run_cluster_bench(**config),
+    _quality(
+        "mean_access_time_1shard", "mean_access_time_2shards",
+        "mean_access_time_4shards",
     )
-    for label, config in _LADDER:
-        add(f"a2/rng8-n8/k2/{label}", a2_tree_bench, 2, label, config, True)
-        add(
-            f"a2/rng2000-n8/k2/{label}",
-            a2_tree_artifact, 2, label, config, True,
-        )
-    fig1 = paper_example_tree()
-    for channels in (1, 2):
-        for label in ("none", "paper"):
-            config = dict(_LADDER)[label]
-            add(
-                f"a2/fig1/k{channels}/{label}",
-                fig1, channels, label, config, True,
-            )
-    tied = balanced_tree(3, depth=3, weights=[10.0] * 9)
-    for label in ("none", "paper"):
-        add(
-            f"a2/tied-3x3/k2/{label}",
-            tied, 2, label, dict(_LADDER)[label], True,
-        )
-
-    # Larger trees, paper rules only — the production configuration.
-    add(
-        "large/rng7-n13/k2/paper",
-        random_tree(np.random.default_rng(7), 13, max_fanout=3),
-        2, "paper", PruningConfig.paper(), False,
-    )
-    add(
-        "large/rng11-n14/k3/paper",
-        random_tree(np.random.default_rng(11), 14, max_fanout=4),
-        3, "paper", PruningConfig.paper(), False,
-    )
-    return cases
+    + _timing(
+        "walks_per_second_1shard", "speedup_2shards", "speedup_4shards",
+        better=HIGHER,
+    ),
+))
 
 
-def _measure(
-    search: Callable[..., SearchResult],
-    problem: AllocationProblem,
-    config: PruningConfig,
-    repeats: int,
-) -> tuple[SearchResult, float]:
-    """Run ``search`` ``repeats`` times; return (result, best wall time)."""
-    best = float("inf")
-    result: SearchResult | None = None
-    for _ in range(repeats):
-        started = perf_counter()
-        result = search(problem, config)
-        best = min(best, perf_counter() - started)
-    assert result is not None
-    return result, best
+# -- records and history ------------------------------------------------------
+
+def write_record(
+    suite: Suite,
+    result: dict,
+    *,
+    rev: str | None = None,
+    timestamp: str | None = None,
+    out_dir: str = ".",
+) -> dict:
+    """Write ``BENCH_<suite>.json`` in the envelope; return the document."""
+    declared = {metric.name for metric in suite.metrics}
+    undeclared = sorted(set(result["metrics"]) - declared)
+    if undeclared:
+        raise ValueError(
+            f"suite {suite.name!r} reported undeclared metric(s): "
+            f"{', '.join(undeclared)}"
+        )
+    document = {
+        "schema_version": SCHEMA_VERSION,
+        "suite": suite.name,
+        "rev": rev,
+        "timestamp": timestamp,
+        "config": dict(suite.config),
+        "metrics": result["metrics"],
+        "checks": {name: bool(ok) for name, ok in result["checks"].items()},
+        "timings": result.get("timings", {}),
+        "detail": result.get("detail", {}),
+    }
+    with open(os.path.join(out_dir, f"BENCH_{suite.name}.json"), "w") as handle:
+        json.dump(document, handle, indent=2)
+        handle.write("\n")
+    return document
 
 
-def run_bench(repeats: int = 3) -> dict:
-    """Run the suite; return the JSON-ready record (see module docstring)."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    records: list[dict] = []
-    for case in build_suite():
-        problem, config = case["problem"], case["config"]
-        seed_result, seed_time = _measure(
-            seed_best_first_search, problem, config, repeats
-        )
-        new_result, new_time = _measure(
-            best_first_search, problem, config, repeats
-        )
-        dfs_result, dfs_time = _measure(
-            dfs_branch_and_bound, problem, config, repeats
-        )
-        for other in (new_result, dfs_result):
-            if abs(other.cost - seed_result.cost) > _COST_TOLERANCE * max(
-                1.0, seed_result.cost
-            ):
-                raise AssertionError(
-                    f"{case['name']}: cost mismatch — seed "
-                    f"{seed_result.cost} vs {other.stats.get('mode')} "
-                    f"{other.cost}"
+def history_entry(suite: Suite, document: dict) -> dict:
+    """The history line of one written record: names qualified by suite."""
+    prefix = f"{suite.name}."
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "rev": document["rev"],
+        "timestamp": document["timestamp"],
+        "fingerprint": suite.fingerprint,
+        "metrics": {
+            prefix + name: float(value)
+            for name, value in document["metrics"].items()
+        },
+        "checks": {
+            prefix + name: ok for name, ok in sorted(document["checks"].items())
+        },
+        "timings": {
+            prefix + name: timing
+            for name, timing in document["timings"].items()
+        },
+    }
+
+
+def load_history(path: str) -> list[dict]:
+    """Read a history file; entries in file (chronological) order."""
+    entries: list[dict] = []
+    with open(path, encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            entry = json.loads(line)
+            version = entry.get("schema_version")
+            if version != SCHEMA_VERSION:
+                raise ValueError(
+                    f"{path}:{line_number}: history schema_version "
+                    f"{version!r}; this tooling speaks {SCHEMA_VERSION}"
                 )
-        records.append(
-            {
-                "name": case["name"],
-                "channels": case["channels"],
-                "pruning": case["pruning"],
-                "data_count": len(problem.data_ids),
-                "ablation_a2": case["ablation_a2"],
-                "cost": seed_result.cost,
-                "seed": {
-                    "nodes_expanded": seed_result.nodes_expanded,
-                    "nodes_generated": seed_result.nodes_generated,
-                    "seconds": seed_time,
-                },
-                "best_first": {
-                    "nodes_expanded": new_result.nodes_expanded,
-                    "nodes_generated": new_result.nodes_generated,
-                    "seconds": new_time,
-                    "duplicates_suppressed": new_result.stats[
-                        "duplicates_suppressed"
-                    ],
-                    "children_memo_hits": new_result.stats[
-                        "children_memo_hits"
-                    ],
-                },
-                "dfs_bnb": {
-                    "nodes_expanded": dfs_result.nodes_expanded,
-                    "nodes_generated": dfs_result.nodes_generated,
-                    "seconds": dfs_time,
-                },
-                "speedup": seed_time / new_time if new_time else float("inf"),
-                "nodes_saved": (
-                    seed_result.nodes_expanded - new_result.nodes_expanded
-                ),
-            }
-        )
-
-    def _sum(rows, solver, key):
-        return sum(row[solver][key] for row in rows)
-
-    a2_rows = [row for row in records if row["ablation_a2"]]
-    aggregate = {
-        "repeats": repeats,
-        "cases": len(records),
-        "a2_cases": len(a2_rows),
-        "seed_nodes_expanded": _sum(records, "seed", "nodes_expanded"),
-        "best_first_nodes_expanded": _sum(
-            records, "best_first", "nodes_expanded"
-        ),
-        "seed_seconds": _sum(records, "seed", "seconds"),
-        "best_first_seconds": _sum(records, "best_first", "seconds"),
-        "dfs_bnb_seconds": _sum(records, "dfs_bnb", "seconds"),
-        "a2_seed_nodes_expanded": _sum(a2_rows, "seed", "nodes_expanded"),
-        "a2_best_first_nodes_expanded": _sum(
-            a2_rows, "best_first", "nodes_expanded"
-        ),
-        "a2_seed_seconds": _sum(a2_rows, "seed", "seconds"),
-        "a2_best_first_seconds": _sum(a2_rows, "best_first", "seconds"),
-    }
-    aggregate["speedup"] = (
-        aggregate["seed_seconds"] / aggregate["best_first_seconds"]
-    )
-    aggregate["a2_speedup"] = (
-        aggregate["a2_seed_seconds"] / aggregate["a2_best_first_seconds"]
-    )
-    aggregate["checks"] = {
-        "equal_cost": True,  # run_bench raised otherwise
-        "a2_fewer_nodes": (
-            aggregate["a2_best_first_nodes_expanded"]
-            < aggregate["a2_seed_nodes_expanded"]
-        ),
-        "a2_faster": (
-            aggregate["a2_best_first_seconds"] < aggregate["a2_seed_seconds"]
-        ),
-    }
-    return {"suite": "search-overhaul", "cases": records, "aggregate": aggregate}
+            entries.append(entry)
+    return entries
 
 
-def format_bench(record: dict) -> str:
-    """Human-readable table of a :func:`run_bench` record."""
+def find_baseline(suite: Suite, history: list[dict]) -> dict | None:
+    """The earliest entry recorded at the suite's config fingerprint."""
+    fingerprint = suite.fingerprint
+    for entry in history:
+        if entry.get("fingerprint") == fingerprint:
+            return entry
+    return None
+
+
+# -- the gate -------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Reading:
+    """One metric's run-vs-baseline judgement."""
+
+    metric: Metric
+    name: str
+    baseline: float | None
+    value: float | None
+    delta: float | None  # signed relative change, run vs baseline
+    regressed: bool
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Everything :func:`judge` decided, in gate order."""
+
+    readings: list[Reading] = field(default_factory=list)
+    failed_checks: list[str] = field(default_factory=list)
+
+    @property
+    def first_regressed(self) -> str | None:
+        """Name of the first regression — checks gate before metrics."""
+        if self.failed_checks:
+            return f"checks.{self.failed_checks[0]}"
+        for reading in self.readings:
+            if reading.regressed:
+                return reading.name
+        return None
+
+    @property
+    def ok(self) -> bool:
+        return self.first_regressed is None
+
+
+def judge(suite: Suite, baseline: dict | None, entry: dict) -> Verdict:
+    """Gate one history ``entry`` against ``baseline`` (None: checks only)."""
+    failed = sorted(name for name, ok in entry["checks"].items() if not ok)
+    base_metrics = (baseline or {}).get("metrics", {})
+    readings: list[Reading] = []
+    for metric in suite.metrics:
+        name = f"{suite.name}.{metric.name}"
+        base = base_metrics.get(name)
+        value = entry["metrics"].get(name)
+        if value is None:
+            missing = base is not None and metric.kind == QUALITY
+            readings.append(
+                Reading(metric, name, base, None, None, missing, "missing")
+            )
+        elif base is None:
+            readings.append(
+                Reading(metric, name, None, value, None, False, "no baseline")
+            )
+        else:
+            if base == 0.0:
+                delta = 0.0 if value == 0.0 else float("inf")
+            else:
+                delta = (value - base) / abs(base)
+            worse = delta if metric.better == LOWER else -delta
+            regressed = metric.kind == QUALITY and worse > TOLERANCE
+            readings.append(
+                Reading(metric, name, base, value, delta, regressed)
+            )
+    return Verdict(readings, failed)
+
+
+def _format(suite: Suite, document: dict, verdict: Verdict, baseline) -> str:
+    base_rev = (baseline or {}).get("rev") or "?"
     lines = [
-        f"{'case':<28} {'cost':>9} {'seed':>7} {'new':>7} {'dfs':>7} "
-        f"{'speedup':>8}",
-        "-" * 70,
+        f"== {suite.name} (rev {document['rev'] or '?'} vs baseline rev "
+        f"{base_rev}; quality gated at {TOLERANCE:.0%}, timing tracked)",
+        f"{'metric':<32} {'value':>12} {'baseline':>12} {'delta':>8}  verdict",
     ]
-    for row in record["cases"]:
+    for r in verdict.readings:
+        value = "-" if r.value is None else f"{r.value:.4g}"
+        base = "-" if r.baseline is None else f"{r.baseline:.4g}"
+        delta = "-" if r.delta is None else f"{r.delta:+.1%}"
+        if r.regressed:
+            verdict_text = "REGRESSED"
+        elif r.note:
+            verdict_text = r.note
+        else:
+            verdict_text = "ok" if r.metric.kind == QUALITY else "tracked"
         lines.append(
-            f"{row['name']:<28} {row['cost']:>9.4f} "
-            f"{row['seed']['nodes_expanded']:>7} "
-            f"{row['best_first']['nodes_expanded']:>7} "
-            f"{row['dfs_bnb']['nodes_expanded']:>7} "
-            f"{row['speedup']:>7.2f}x"
+            f"{r.metric.name:<32} {value:>12} {base:>12} {delta:>8}  "
+            f"{verdict_text}"
         )
-    agg = record["aggregate"]
-    lines.append("-" * 70)
+    for name, timing in document["timings"].items():
+        lines.append(
+            f"timing {name}: min {timing['min']:.4g}s, median "
+            f"{timing['median']:.4g}s, IQR {timing['iqr']:.2g}s "
+            f"({timing['repeats']} samples, {timing['calls']} calls)"
+        )
     lines.append(
-        f"total nodes expanded: seed {agg['seed_nodes_expanded']} -> "
-        f"new {agg['best_first_nodes_expanded']}; "
-        f"wall speedup {agg['speedup']:.2f}x "
-        f"(A2 subset: {agg['a2_seed_nodes_expanded']} -> "
-        f"{agg['a2_best_first_nodes_expanded']}, "
-        f"{agg['a2_speedup']:.2f}x)"
+        "checks: "
+        + " ".join(
+            f"{name}={'ok' if ok else 'FAILED'}"
+            for name, ok in document["checks"].items()
+        )
     )
-    checks = agg["checks"]
+    first = verdict.first_regressed
     lines.append(
-        "checks: equal_cost="
-        f"{checks['equal_cost']} a2_fewer_nodes={checks['a2_fewer_nodes']} "
-        f"a2_faster={checks['a2_faster']}"
+        f"result: ok — nothing regressed in {suite.name}"
+        if first is None
+        else f"result: REGRESSION — first regressed metric: {first}"
     )
     return "\n".join(lines)
 
 
-def write_bench_json(
-    path: str,
-    repeats: int = 3,
+def _run_one(
+    suite: Suite,
     *,
+    record: bool,
+    rev: str | None,
+    timestamp: str | None,
+    history_dir: str,
+    out_dir: str,
+) -> int:
+    history_path = os.path.join(history_dir, f"{suite.name}.jsonl")
+    try:
+        history = (
+            load_history(history_path) if os.path.exists(history_path) else []
+        )
+    except (OSError, ValueError) as error:
+        print(f"error: cannot read history: {error}", file=sys.stderr)
+        return 2
+    result = suite.run(dict(suite.config))
+    document = write_record(
+        suite, result, rev=rev, timestamp=timestamp, out_dir=out_dir
+    )
+    entry = history_entry(suite, document)
+    baseline = find_baseline(suite, history)
+    verdict = judge(suite, baseline, entry)
+    print(_format(suite, document, verdict, baseline))
+    print(f"record written to {os.path.join(out_dir, f'BENCH_{suite.name}.json')}")
+    if record:
+        os.makedirs(history_dir, exist_ok=True)
+        with open(history_path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        print(
+            f"run appended to {history_path}"
+            + ("" if baseline else " (baseline seeded)")
+        )
+    elif baseline is None:
+        print(
+            f"error: {history_path} has no baseline at this config; "
+            "seed one with --record",
+            file=sys.stderr,
+        )
+        return 2
+    return 0 if verdict.ok else 1
+
+
+def run_suites(
+    names: list[str] | None = None,
+    *,
+    record: bool = False,
     rev: str | None = None,
     timestamp: str | None = None,
-) -> dict:
-    """Run the bench and write the record to ``path``; returns the record.
+    history_dir: str = HISTORY_DIR,
+    out_dir: str = ".",
+) -> int:
+    """Run, write, print and gate each named suite (default: all).
 
-    ``rev``/``timestamp`` stamp the shared :mod:`repro.bench_envelope`
-    fields — passed in by the caller (the Makefile's ``bench-all``)
-    rather than sampled here, so the bench itself stays deterministic.
+    Every suite runs even after one fails; the exit code is the worst.
     """
-    from .bench_envelope import stamp_record
-
-    record = stamp_record(
-        run_bench(repeats=repeats), rev=rev, timestamp=timestamp
-    )
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    return record
+    code = 0
+    for name in names or list(SUITES):
+        code = max(
+            code,
+            _run_one(
+                SUITES[name],
+                record=record,
+                rev=rev,
+                timestamp=timestamp,
+                history_dir=history_dir,
+                out_dir=out_dir,
+            ),
+        )
+    return code

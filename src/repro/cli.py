@@ -8,13 +8,13 @@ Subcommands regenerate each experiment on demand:
 * ``compare``  — heuristics/baselines vs optimal on random trees;
 * ``channels`` — data wait vs channel count (Corollary 1 regime);
 * ``ablation`` — pruning-rule search-effort ablation;
-* ``bench``    — search-core perf suite (seed vs overhauled vs DFS B&B),
-  optionally emitting a JSON perf record via ``--json``;
+* ``bench``    — the one bench harness (:mod:`repro.bench`): run the
+  registered suites, write each ``BENCH_<suite>.json`` and gate it
+  against ``benchmarks/history/<suite>.jsonl``; ``--record`` appends
+  the run to the history;
 * ``faults``   — loss-probability sweep over registry planners on
   unreliable channels, including the loss=0 differential gate (the
   command exits non-zero when the gate fails);
-* ``bench-server`` — full-stack serving-loop bench under perfect and
-  lossy air, writing ``BENCH_server.json`` via ``--json``;
 * ``serve``    — put a compiled plan on the air over real sockets
   (:mod:`repro.net`); Ctrl-C shuts down cleanly and flushes stats;
   ``--metrics-port`` additionally mounts the :mod:`repro.obs` HTTP
@@ -27,9 +27,8 @@ Subcommands regenerate each experiment on demand:
 * ``sched``    — the versioned schedule store (:mod:`repro.sched`):
   ``sched log/show/diff`` inspect history, ``sched rollback`` restores
   an old version byte-exactly as a new head, ``sched gc`` drops
-  unreferenced objects, ``sched bench`` times publish/load/rollback
-  (``BENCH_sched.json`` via ``--json``) and ``sched loadtest`` gates
-  the live replan-and-roll-back cutover under a tuner fleet;
+  unreferenced objects, and ``sched loadtest`` gates the live
+  replan-and-roll-back cutover under a tuner fleet;
 * ``tune``     — one live client walk against a running station;
 * ``loadtest`` — the concurrent tuner-fleet harness; with
   ``--check-parity`` it exits non-zero unless the socket fleet's
@@ -38,17 +37,12 @@ Subcommands regenerate each experiment on demand:
   (``PREFIX.live.jsonl``) alongside a lossless simulator replay of the
   identical request trace (``PREFIX.sim.jsonl``) — the input pair for
   ``obs diff``;
-* ``engine``   — the vectorised batch walk engine (:mod:`repro.engine`):
-  ``engine bench`` measures batch-vs-scalar throughput with the
-  per-walk bit-identity differential gates built into the record's
-  checks, writing ``BENCH_engine.json`` via ``--json``; ``loadtest
-  --engine batch`` runs the fleet's request trace through the batch
-  simulator instead of sockets;
+* ``loadtest --engine batch`` runs the fleet's request trace through
+  the vectorised batch simulator (:mod:`repro.engine`) instead of
+  sockets;
 * ``obs``      — trace tooling: ``obs timeline`` reconstructs the
   per-(channel, slot) view of one JSONL trace, ``obs diff`` compares
-  two traces and names the first divergent slot;
-* ``bench-merge`` — fold stamped ``BENCH_*.json`` records into one
-  ``BENCH_all.json`` (see :mod:`repro.bench_envelope`).
+  two traces and names the first divergent slot.
 
 Installed as the ``repro`` console script (``broadcast-alloc`` remains
 as the historical alias).
@@ -75,22 +69,6 @@ from .core.optimal import solve
 from .tree.builders import paper_example_tree
 
 __all__ = ["main", "build_parser"]
-
-
-def _add_envelope_options(sub: argparse.ArgumentParser) -> None:
-    """``--rev``/``--timestamp`` stamps for JSON-writing bench commands."""
-    sub.add_argument(
-        "--rev",
-        default=None,
-        help="git revision to stamp into the bench envelope "
-        "(the Makefile passes `git rev-parse --short HEAD`)",
-    )
-    sub.add_argument(
-        "--timestamp",
-        default=None,
-        help="ISO timestamp to stamp into the bench envelope "
-        "(the Makefile passes `date -u`)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,23 +121,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench",
-        help="search-core perf suite: seed vs overhauled vs DFS B&B",
+        help="run bench suites, write BENCH_<suite>.json and gate each "
+        "against its history; exit 1 naming the first regression",
     )
     bench.add_argument(
-        "--json",
-        dest="json_path",
+        "suites",
+        nargs="*",
+        metavar="SUITE",
+        help="registered suite names (default: all)",
+    )
+    bench.add_argument(
+        "--record",
+        action="store_true",
+        help="append the run to benchmarks/history/<suite>.jsonl "
+        "(seeds a missing baseline)",
+    )
+    bench.add_argument(
+        "--rev",
         default=None,
-        metavar="PATH",
-        help="also write the full JSON perf record to PATH",
+        help="git revision to stamp into each record "
+        "(the Makefile passes `git rev-parse --short HEAD`)",
     )
     bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timing repeats per case; wall time is the best-of-N "
-        "(default 3)",
+        "--timestamp",
+        default=None,
+        help="ISO timestamp to stamp into each record "
+        "(the Makefile passes `date -u`)",
     )
-    _add_envelope_options(bench)
 
     spaces = commands.add_parser(
         "spaces", help="render the reduced search trees (Figs. 9-12)"
@@ -214,36 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="also write the full sweep record to PATH",
-    )
-
-    bench_server = commands.add_parser(
-        "bench-server",
-        help="full-stack serving-loop bench (lossless vs lossy air)",
-    )
-    bench_server.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="also write the JSON perf record to PATH",
-    )
-    _add_envelope_options(bench_server)
-
-    bench_merge = commands.add_parser(
-        "bench-merge",
-        help="merge stamped BENCH_*.json records into BENCH_all.json",
-    )
-    bench_merge.add_argument(
-        "inputs",
-        nargs="+",
-        metavar="BENCH_JSON",
-        help="stamped bench records (BENCH_search/server/net.json)",
-    )
-    bench_merge.add_argument(
-        "--out",
-        required=True,
-        metavar="PATH",
-        help="path of the merged BENCH_all.json document",
     )
 
     def add_program_options(sub: argparse.ArgumentParser) -> None:
@@ -368,13 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         "require exact access/tuning-time equality (lossless air only)",
     )
     loadtest.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="write the BENCH_net.json loadtest record to PATH",
-    )
-    loadtest.add_argument(
         "--trace",
         dest="trace_prefix",
         default=None,
@@ -393,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-parity compares it walk-for-walk against the scalar "
         "protocol)",
     )
-    _add_envelope_options(loadtest)
 
     cluster = commands.add_parser(
         "cluster",
@@ -481,20 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="per-shard simulator replay with exact-equality gate",
     )
-    cluster_loadtest.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="write the BENCH_cluster.json sweep record to PATH",
-    )
-    _add_envelope_options(cluster_loadtest)
 
     approx = commands.add_parser(
         "approx",
         help="approximation planners for million-item catalogs: ptas "
-        "plan card, quality-vs-time frontier bench, meta-planner "
-        "explain (repro.approx)",
+        "plan card and meta-planner explain (repro.approx)",
     )
     approx_commands = approx.add_subparsers(
         dest="approx_command", required=True
@@ -529,30 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="repro.planners registry name (default 'ptas')",
     )
 
-    approx_frontier = approx_commands.add_parser(
-        "frontier",
-        help="sweep catalog sizes, plan each with ptas/sorting/meta, "
-        "record the quality-vs-time frontier (BENCH_approx.json)",
-    )
-    approx_frontier.add_argument(
-        "--sizes",
-        default="1000,10000",
-        metavar="SIZES",
-        help="comma-separated catalog sizes (default '1000,10000'; "
-        "the committed baseline scale)",
-    )
-    approx_frontier.add_argument("--channels", type=int, default=4)
-    approx_frontier.add_argument("--fanout", type=int, default=3)
-    approx_frontier.add_argument("--theta", type=float, default=0.95)
-    approx_frontier.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="write the BENCH_approx.json frontier record to PATH",
-    )
-    _add_envelope_options(approx_frontier)
-
     approx_explain = approx_commands.add_parser(
         "explain",
         help="print the meta-planner's measured features and its "
@@ -569,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     sched = commands.add_parser(
         "sched",
         help="versioned schedule store: history, diffs, zero-downtime "
-        "rollback, gc, bench and cutover loadtest (repro.sched)",
+        "rollback, gc and cutover loadtest (repro.sched)",
     )
     sched_commands = sched.add_subparsers(
         dest="sched_command", required=True
@@ -642,30 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_store_option(sched_gc)
 
-    sched_bench = sched_commands.add_parser(
-        "bench",
-        help="store micro-bench: publish/load/rollback timings and "
-        "bytes-per-version, writing BENCH_sched.json via --json",
-    )
-    sched_bench.add_argument("--versions", type=int, default=40)
-    sched_bench.add_argument("--items", type=int, default=24)
-    sched_bench.add_argument("--channels", type=int, default=3)
-    sched_bench.add_argument("--fanout", type=int, default=3)
-    sched_bench.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=8,
-        help="full-snapshot period in versions (default 8)",
-    )
-    sched_bench.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="write the BENCH_sched.json record to PATH",
-    )
-    _add_envelope_options(sched_bench)
-
     sched_loadtest = sched_commands.add_parser(
         "loadtest",
         help="live cutover loadtest: a tuner fleet rides through a "
@@ -677,13 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     sched_loadtest.add_argument("--channels", type=int, default=3)
     sched_loadtest.add_argument("--fanout", type=int, default=3)
     sched_loadtest.add_argument("--max-open", type=int, default=128)
-    sched_loadtest.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="write the BENCH_sched.json loadtest record to PATH",
-    )
     sched_loadtest.add_argument(
         "--trace",
         dest="trace_path",
@@ -700,55 +586,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach an always-on flight recorder dumping postmortem "
         "bundles to DIR whenever an acceptance gate fails",
     )
-    _add_envelope_options(sched_loadtest)
-
-    engine = commands.add_parser(
-        "engine",
-        help="vectorised batch walk engine: bench and differential gate "
-        "(repro.engine)",
-    )
-    engine_commands = engine.add_subparsers(
-        dest="engine_command", required=True
-    )
-    engine_bench = engine_commands.add_parser(
-        "bench",
-        help="batch-vs-scalar throughput suite with built-in "
-        "bit-identity gates, writing BENCH_engine.json via --json",
-    )
-    engine_bench.add_argument("--items", type=int, default=24)
-    engine_bench.add_argument("--channels", type=int, default=3)
-    engine_bench.add_argument("--fanout", type=int, default=3)
-    engine_bench.add_argument("--planner", default="sorting")
-    engine_bench.add_argument(
-        "--walks",
-        type=int,
-        default=200_000,
-        help="trace length for the batch paths (default 200000)",
-    )
-    engine_bench.add_argument(
-        "--sample",
-        type=int,
-        default=2000,
-        help="scalar-walk sample for the timing baseline and the "
-        "per-walk differential gate (default 2000)",
-    )
-    engine_bench.add_argument("--loss", type=float, default=0.05)
-    engine_bench.add_argument("--corruption", type=float, default=0.01)
-    engine_bench.add_argument("--repeats", type=int, default=3)
-    engine_bench.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="write the BENCH_engine.json record to PATH",
-    )
-    _add_envelope_options(engine_bench)
 
     obs = commands.add_parser(
         "obs",
         help="trace tooling: timelines, diffs, latency attribution, "
-        "causal span trees, postmortem bundles, and the "
-        "bench-regression sentinel",
+        "causal span trees and postmortem bundles",
     )
     obs_commands = obs.add_subparsers(dest="obs_command", required=True)
     timeline = obs_commands.add_parser(
@@ -826,58 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the bundle's full span trees",
     )
-    regress = obs_commands.add_parser(
-        "regress",
-        help="gate a BENCH_all.json candidate against a committed "
-        "baseline trajectory; exit 1 naming the first regressed metric",
-    )
-    regress.add_argument(
-        "--baseline",
-        required=True,
-        metavar="PATH",
-        help="JSONL history file whose last entry is the baseline",
-    )
-    regress.add_argument(
-        "--candidate",
-        default="BENCH_all.json",
-        metavar="PATH",
-        help="merged bench record to judge (default BENCH_all.json)",
-    )
-    regress.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.1,
-        help="relative worse-ward tolerance on quality metrics "
-        "(default 0.1)",
-    )
-    regress.add_argument(
-        "--timing-tolerance",
-        type=float,
-        default=None,
-        help="also gate machine-dependent timing metrics at this "
-        "relative tolerance (default: tracked but ungated)",
-    )
-    regress.add_argument(
-        "--append",
-        dest="append_path",
-        default=None,
-        metavar="PATH",
-        help="also append the candidate's history entry to this "
-        "JSONL trajectory file",
-    )
-    regress.add_argument(
-        "--bootstrap",
-        action="store_true",
-        help="if the baseline file does not exist yet, seed it with "
-        "the candidate's entry and exit 0",
-    )
-    regress.add_argument(
-        "--allow-config-mismatch",
-        action="store_true",
-        help="compare runs even when their config fingerprints differ "
-        "(normally a hard error: different scales are incomparable)",
-    )
-
     sensitivity = commands.add_parser(
         "sensitivity", help="fanout and skew sensitivity sweeps"
     )
@@ -962,25 +752,20 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "bench":
-        from .bench import format_bench, run_bench, write_bench_json
+        from .bench import SUITES, run_suites
 
-        if args.repeats < 1:
-            print("error: --repeats must be >= 1", file=sys.stderr)
-            return 2
-        if args.json_path:
-            record = write_bench_json(
-                args.json_path,
-                repeats=args.repeats,
-                rev=args.rev,
-                timestamp=args.timestamp,
+        unknown = [name for name in args.suites if name not in SUITES]
+        if unknown:
+            print(
+                f"error: unknown bench suite(s): {', '.join(unknown)} "
+                f"(known: {', '.join(SUITES)})",
+                file=sys.stderr,
             )
-        else:
-            record = run_bench(repeats=args.repeats)
-        print(format_bench(record))
-        if args.json_path:
-            print(f"perf record written to {args.json_path}")
-        checks = record["aggregate"]["checks"]
-        return 0 if all(checks.values()) else 1
+            return 2
+        return run_suites(
+            args.suites, record=args.record, rev=args.rev,
+            timestamp=args.timestamp,
+        )
 
     if args.command == "solve":
         import json
@@ -1063,25 +848,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
 
-    if args.command == "bench-server":
-        from .server.bench import (
-            format_server_bench,
-            run_server_bench,
-            write_server_bench_json,
-        )
-
-        if args.json_path:
-            record = write_server_bench_json(
-                args.json_path, rev=args.rev, timestamp=args.timestamp
-            )
-        else:
-            record = run_server_bench()
-        print(format_server_bench(record))
-        if args.json_path:
-            print(f"perf record written to {args.json_path}")
-        checks = record["aggregate"]["checks"]
-        return 0 if all(checks.values()) else 1
-
     if args.command == "serve":
         return _cmd_serve(args)
 
@@ -1102,14 +868,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "sched":
         return _cmd_sched(args)
 
-    if args.command == "engine":
-        return _cmd_engine(args)
-
     if args.command == "obs":
         return _cmd_obs(args)
-
-    if args.command == "bench-merge":
-        return _cmd_bench_merge(args)
 
     if args.command == "sensitivity":
         from .analysis.sensitivity import (
@@ -1385,53 +1145,6 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _cmd_engine(args) -> int:
-    from .engine import (
-        format_engine_bench,
-        run_engine_bench,
-        write_engine_bench_json,
-    )
-
-    if args.engine_command == "bench":
-        if args.repeats < 1 or args.walks < 1:
-            print(
-                "error: --walks and --repeats must be >= 1", file=sys.stderr
-            )
-            return 2
-        record = run_engine_bench(
-            items=args.items,
-            channels=args.channels,
-            fanout=args.fanout,
-            planner=args.planner,
-            walks=args.walks,
-            sample=args.sample,
-            loss=args.loss,
-            corruption=args.corruption,
-            seed=args.seed,
-            repeats=args.repeats,
-        )
-        if args.json_path:
-            record = write_engine_bench_json(
-                args.json_path,
-                record,
-                rev=args.rev,
-                timestamp=args.timestamp,
-            )
-        print(format_engine_bench(record))
-        if args.json_path:
-            print(f"perf record written to {args.json_path}")
-        checks = record["aggregate"]["checks"]
-        if not all(checks.values()):
-            failed = [name for name, ok in checks.items() if not ok]
-            print(
-                f"error: engine bench checks failed: {', '.join(failed)}",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    raise AssertionError(f"unhandled engine command {args.engine_command}")
-
-
 def _cmd_loadtest_batch(args) -> int:
     """``loadtest --engine batch``: the trace, minus the sockets.
 
@@ -1442,10 +1155,8 @@ def _cmd_loadtest_batch(args) -> int:
     equality — unlike the fleet, parity here works under faults too,
     because both sides draw from the same seeded outcome streams.
     """
-    import json
     from time import perf_counter
 
-    from .bench_envelope import stamp_record
     from .client.protocol import object_walk, recovering_walk
     from .engine import compile_dense, run_batch
     from .net import build_demo_program, make_request_trace
@@ -1516,45 +1227,6 @@ def _cmd_loadtest_batch(args) -> int:
             "parity vs scalar protocol: "
             + ("EXACT" if parity_exact else "MISMATCH")
         )
-    if args.json_path:
-        checks = {}
-        if parity_exact is not None:
-            checks["parity_exact"] = parity_exact
-        record = {
-            "suite": "engine-loadtest",
-            "config": {
-                "items": args.items,
-                "channels": args.channels,
-                "fanout": args.fanout,
-                "planner": args.planner,
-                "tuners": args.tuners,
-                "loss": args.loss,
-                "corruption": args.corruption,
-                "policy": args.policy,
-                "max_cycles": args.max_cycles,
-                "check_parity": args.check_parity,
-                "seed": args.seed,
-            },
-            "result": {
-                "walks": len(batch),
-                "abandoned": abandoned,
-                "seconds": seconds,
-                "walks_per_second": walks_per_second,
-            },
-            "aggregate": {
-                "mean_access_time": summary.mean_access_time,
-                "mean_tuning_time": summary.mean_tuning_time,
-                "walks_per_second": walks_per_second,
-                "checks": checks,
-            },
-        }
-        stamped = stamp_record(
-            record, rev=args.rev, timestamp=args.timestamp
-        )
-        with open(args.json_path, "w") as handle:
-            json.dump(stamped, handle, indent=2)
-            handle.write("\n")
-        print(f"loadtest record written to {args.json_path}")
     if parity_exact is False:
         print(
             "error: batch engine does not reproduce the scalar protocol",
@@ -1573,7 +1245,6 @@ def _cmd_loadtest(args) -> int:
         make_request_trace,
         run_loadtest,
         trace_simulator,
-        write_loadtest_json,
     )
 
     faults = _net_faults(args)
@@ -1674,29 +1345,6 @@ def _cmd_loadtest(args) -> int:
             f"tuning {report.parity['fleet_mean_tuning_time']:.4f} "
             f"vs {report.parity['simulator_mean_tuning_time']:.4f})"
         )
-    if args.json_path:
-        config = {
-            "items": args.items,
-            "channels": args.channels,
-            "fanout": args.fanout,
-            "planner": args.planner,
-            "tuners": args.tuners,
-            "arrival_rate": args.arrival_rate,
-            "max_open": args.max_open,
-            "slot_duration": args.slot_duration,
-            "loss": args.loss,
-            "corruption": args.corruption,
-            "check_parity": args.check_parity,
-            "seed": args.seed,
-        }
-        write_loadtest_json(
-            args.json_path,
-            report,
-            config,
-            rev=args.rev,
-            timestamp=args.timestamp,
-        )
-        print(f"loadtest record written to {args.json_path}")
     ok = report.accounting_ok and report.parity_ok
     if not report.accounting_ok:
         print(
@@ -1712,25 +1360,11 @@ def _cmd_loadtest(args) -> int:
     return 0 if ok else 1
 
 
-def _cluster_catalog(items: int, seed: int) -> list[tuple[str, float]]:
-    """The demo catalog every cluster subcommand shares.
-
-    Same shape as :func:`repro.net.harness.build_demo_program`'s input
-    (Zipf-weighted ``K%03d`` keys), so a 1-shard cluster airs the same
-    catalog the single-station commands do.
-    """
-    from .workloads.weights import zipf_weights
-
-    rng = np.random.default_rng(seed)
-    labels = [f"K{index:03d}" for index in range(items)]
-    return list(zip(labels, (float(w) for w in zipf_weights(rng, items))))
-
-
 def _build_cluster(args, shards: int):
-    from .cluster import StationCluster
+    from .cluster import StationCluster, demo_catalog
 
     return StationCluster(
-        _cluster_catalog(args.items, args.seed),
+        demo_catalog(args.items, args.seed),
         shards,
         partitioner=args.partitioner,
         planner=args.planner,
@@ -1849,7 +1483,7 @@ def _cmd_cluster_serve(args) -> int:
 
 
 def _cmd_cluster_loadtest(args) -> int:
-    from .cluster import run_cluster_sweep, write_cluster_bench_json
+    from .cluster import demo_catalog, run_cluster_sweep, sweep_summary
     from .exceptions import ReproError
 
     if args.sweep:
@@ -1870,7 +1504,7 @@ def _cmd_cluster_loadtest(args) -> int:
         counts = [args.shards]
     try:
         results = run_cluster_sweep(
-            _cluster_catalog(args.items, args.seed),
+            demo_catalog(args.items, args.seed),
             counts,
             tuners=args.tuners,
             partitioner=args.partitioner,
@@ -1904,39 +1538,9 @@ def _cmd_cluster_loadtest(args) -> int:
             f"mean access {report.mean_access_time:.3f}, "
             f"{unaccounted} unaccounted frames)"
         )
-    record = None
-    config = {
-        "items": args.items,
-        "channels": args.channels,
-        "fanout": args.fanout,
-        "planner": args.planner,
-        "partitioner": args.partitioner,
-        "shard_counts": counts,
-        "tuners": args.tuners,
-        "refit_rounds": args.refit_rounds,
-        "arrival_rate": args.arrival_rate,
-        "max_open": args.max_open,
-        "slot_duration": args.slot_duration,
-        "check_parity": args.check_parity,
-        "seed": args.seed,
-    }
-    if args.json_path:
-        record = write_cluster_bench_json(
-            args.json_path,
-            results,
-            config,
-            rev=args.rev,
-            timestamp=args.timestamp,
-        )
-        print(f"cluster record written to {args.json_path}")
-    else:
-        record = write_cluster_bench_json(
-            "/dev/null", results, config
-        )
-    speedups = record["aggregate"]["speedups"]
+    speedups, checks = sweep_summary(results)
     for count, speedup in sorted(speedups.items(), key=lambda kv: int(kv[0])):
         print(f"speedup at {count} shards vs 1: {speedup:.2f}x")
-    checks = record["aggregate"]["checks"]
     failed = sorted(name for name, ok in checks.items() if not ok)
     for name in failed:
         print(f"error: cluster check failed: {name}", file=sys.stderr)
@@ -1961,8 +1565,6 @@ def _approx_catalog(
 def _cmd_approx(args) -> int:
     if args.approx_command == "plan":
         return _cmd_approx_plan(args)
-    if args.approx_command == "frontier":
-        return _cmd_approx_frontier(args)
     if args.approx_command == "explain":
         return _cmd_approx_explain(args)
     raise AssertionError(
@@ -2021,58 +1623,6 @@ def _cmd_approx_plan(args) -> int:
     return 0
 
 
-def _cmd_approx_frontier(args) -> int:
-    from .approx import run_frontier_bench, write_approx_bench_json
-
-    try:
-        sizes = tuple(
-            int(piece) for piece in args.sizes.split(",") if piece.strip()
-        )
-    except ValueError:
-        print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
-        return 1
-    if not sizes:
-        print("error: --sizes must name at least one size", file=sys.stderr)
-        return 1
-    record = run_frontier_bench(
-        sizes,
-        channels=args.channels,
-        fanout=args.fanout,
-        theta=args.theta,
-        seed=args.seed,
-    )
-    if args.json_path:
-        write_approx_bench_json(
-            args.json_path,
-            record,
-            rev=args.rev,
-            timestamp=args.timestamp,
-        )
-    header = (
-        f"{'size':>9} {'planner':>8} {'data_wait':>12} "
-        f"{'vs lower':>8} {'vs best':>8} {'plan s':>8}"
-    )
-    print(header)
-    for key in sorted(record["result"], key=int):
-        row = record["result"][key]
-        for name in ("ptas", "sorting", "meta"):
-            point = row["frontier"][name]
-            print(
-                f"{row['items']:>9} {name:>8} "
-                f"{point['data_wait']:>12.2f} "
-                f"{point['ratio_to_lower']:>8.2f} "
-                f"{point['ratio_to_best']:>8.2f} "
-                f"{point['plan_seconds']:>8.3f}"
-            )
-    if args.json_path:
-        print(f"approx record written to {args.json_path}")
-    checks = record["aggregate"]["checks"]
-    failed = sorted(name for name, ok in checks.items() if not ok)
-    for name in failed:
-        print(f"error: approx check failed: {name}", file=sys.stderr)
-    return 0 if not failed else 1
-
-
 def _cmd_approx_explain(args) -> int:
     from .approx import decide, extract_features
 
@@ -2096,8 +1646,6 @@ def _cmd_approx_explain(args) -> int:
 
 
 def _cmd_sched(args) -> int:
-    if args.sched_command == "bench":
-        return _cmd_sched_bench(args)
     if args.sched_command == "loadtest":
         return _cmd_sched_loadtest(args)
 
@@ -2226,46 +1774,11 @@ def _cmd_sched_gc(args, store) -> int:
     return 0
 
 
-def _cmd_sched_bench(args) -> int:
-    from .sched.harness import run_store_bench, write_sched_json
-
-    try:
-        record = run_store_bench(
-            versions=args.versions,
-            items=args.items,
-            channels=args.channels,
-            fanout=args.fanout,
-            seed=args.seed,
-            snapshot_every=args.snapshot_every,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    result = record["result"]
-    print(
-        f"{result['versions_published']} version(s) "
-        f"({result['snapshots']} snapshot(s), {result['deltas']} "
-        f"delta(s)): publish {result['publish_ms_mean']:.2f} ms mean, "
-        f"load {result['load_ms_mean']:.2f} ms mean, "
-        f"rollback {result['rollback_ms']:.2f} ms"
-    )
-    print(
-        f"store size {result['store_bytes_total']} bytes "
-        f"({result['store_bytes_per_version']:.0f} bytes/version)"
-    )
-    if args.json_path:
-        write_sched_json(
-            args.json_path, record, rev=args.rev, timestamp=args.timestamp
-        )
-        print(f"sched record written to {args.json_path}")
-    return _sched_checks_verdict(record)
-
-
 def _cmd_sched_loadtest(args) -> int:
     import asyncio
     from contextlib import ExitStack
 
-    from .sched.harness import run_cutover_loadtest, write_sched_json
+    from .sched.harness import run_cutover_loadtest
 
     try:
         with ExitStack() as stack:
@@ -2315,15 +1828,6 @@ def _cmd_sched_loadtest(args) -> int:
         f"{result['store']['verified_versions']} verified, "
         f"{result['store']['size_bytes']} bytes"
     )
-    if args.json_path:
-        write_sched_json(
-            args.json_path, record, rev=args.rev, timestamp=args.timestamp
-        )
-        print(f"sched record written to {args.json_path}")
-    return _sched_checks_verdict(record)
-
-
-def _sched_checks_verdict(record: dict) -> int:
     failed = sorted(
         name for name, ok in record["checks"].items() if not ok
     )
@@ -2341,7 +1845,7 @@ def _cmd_obs(args) -> int:
     )
 
     # Exit codes are uniform across every obs subcommand: 0 clean,
-    # 1 divergence/regression/violation, 2 usage or I/O error.
+    # 1 divergence/violation, 2 usage or I/O error.
     if args.obs_command == "timeline":
         try:
             timeline = load_timeline(args.trace)
@@ -2377,11 +1881,8 @@ def _cmd_obs(args) -> int:
     if args.obs_command == "spans":
         return _cmd_obs_spans(args)
 
-    if args.obs_command == "postmortem":
-        return _cmd_obs_postmortem(args)
-
-    assert args.obs_command == "regress"
-    return _cmd_obs_regress(args)
+    assert args.obs_command == "postmortem"
+    return _cmd_obs_postmortem(args)
 
 
 def _cmd_obs_spans(args) -> int:
@@ -2497,93 +1998,6 @@ def _cmd_obs_attrib(args) -> int:
         )
         return 1
     return 0
-
-
-def _cmd_obs_regress(args) -> int:
-    import json as _json
-    import os
-
-    from .obs import (
-        RegressError,
-        append_history,
-        compare_runs,
-        extract_metrics,
-        format_report,
-        load_history,
-    )
-
-    try:
-        with open(args.candidate) as handle:
-            merged = _json.load(handle)
-        entry = extract_metrics(merged)
-    except OSError as error:
-        print(f"error: cannot read candidate: {error}", file=sys.stderr)
-        return 2
-    except (ValueError, RegressError) as error:
-        print(f"error: bad candidate record: {error}", file=sys.stderr)
-        return 2
-    if args.append_path:
-        append_history(args.append_path, entry)
-        print(f"candidate entry appended to {args.append_path}")
-    if not os.path.exists(args.baseline):
-        if args.bootstrap:
-            append_history(args.baseline, entry)
-            print(
-                f"baseline seeded at {args.baseline} from "
-                f"{args.candidate} (rev {entry.get('rev') or '?'})"
-            )
-            return 0
-        print(
-            f"error: baseline {args.baseline} does not exist "
-            "(seed it with --bootstrap)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        history = load_history(args.baseline)
-        if not history:
-            print(
-                f"error: baseline {args.baseline} is empty",
-                file=sys.stderr,
-            )
-            return 2
-        report = compare_runs(
-            history[-1],
-            entry,
-            tolerance=args.tolerance,
-            timing_tolerance=args.timing_tolerance,
-            allow_config_mismatch=args.allow_config_mismatch,
-        )
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except RegressError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(
-        format_report(
-            report,
-            tolerance=args.tolerance,
-            timing_tolerance=args.timing_tolerance,
-        )
-    )
-    return 0 if report.ok else 1
-
-
-def _cmd_bench_merge(args) -> int:
-    from .bench_envelope import load_records, write_merged_json
-
-    try:
-        records = load_records(args.inputs)
-        merged = write_merged_json(args.out, records)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    checks = merged["aggregate"]["checks"]
-    for name in sorted(checks):
-        print(f"{'ok  ' if checks[name] else 'FAIL'} {name}")
-    print(f"merged record written to {args.out}")
-    return 0 if all(checks.values()) else 1
 
 
 if __name__ == "__main__":

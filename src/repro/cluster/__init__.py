@@ -15,11 +15,13 @@ per-shard frame accounting and parity gates.
 from .core import RefitReport, RefitRound, ShardPlan, StationCluster
 from .harness import (
     ClusterLoadReport,
+    demo_catalog,
     make_cluster_trace,
+    run_cluster_bench,
     run_cluster_loadtest,
     run_cluster_sweep,
     serve_cluster,
-    write_cluster_bench_json,
+    sweep_summary,
 )
 from .partition import (
     PartitionerNotFound,
@@ -53,5 +55,7 @@ __all__ = [
     "serve_cluster",
     "run_cluster_loadtest",
     "run_cluster_sweep",
-    "write_cluster_bench_json",
+    "run_cluster_bench",
+    "demo_catalog",
+    "sweep_summary",
 ]

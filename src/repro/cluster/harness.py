@@ -14,18 +14,17 @@ Why sharding scales walks/sec: every shard airs only its slice of the
 catalog, so its cycle is ~``1/N`` of the monolithic cycle, and a paced
 walk (``slot_duration > 0`` — real air time) finishes in ~``1/N`` of
 the wall-clock. ``run_cluster_sweep`` measures exactly that curve
-(aggregate walks/sec at 1, 2, 4 shards) and
-:func:`write_cluster_bench_json` lands it in the BENCH envelope for
-``obs regress`` to gate.
+(aggregate walks/sec at 1, 2, 4 shards), and :func:`run_cluster_bench`
+is the ``cluster-loadtest`` suite of :mod:`repro.bench` that gates it.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from ..obs.attrib import AttributionCollector
 from ..obs.events import TeeTracer, Tracer
 from ..obs.metrics import MetricsRegistry
 from ..perf import PerfRecorder
+from ..workloads.weights import zipf_weights
 from .core import StationCluster
 
 __all__ = [
@@ -44,7 +44,9 @@ __all__ = [
     "serve_cluster",
     "run_cluster_loadtest",
     "run_cluster_sweep",
-    "write_cluster_bench_json",
+    "run_cluster_bench",
+    "demo_catalog",
+    "sweep_summary",
 ]
 
 
@@ -345,11 +347,12 @@ def run_cluster_sweep(
 ) -> dict[int, ClusterLoadReport]:
     """Loadtest the same catalog and workload at several shard counts.
 
-    The scaling experiment behind ``make bench-cluster``: every shard
-    count sees the identical catalog, seed, fleet size and pacing, so
-    the aggregate walks/sec curve isolates the effect of sharding
-    alone. ``refit_rounds > 0`` runs the measuring refit loop before
-    each loadtest.
+    The scaling experiment behind ``cluster loadtest --sweep`` and the
+    ``cluster-loadtest`` bench suite: every shard count sees the
+    identical catalog, seed, fleet size and pacing, so the aggregate
+    walks/sec curve isolates the effect of sharding alone.
+    ``refit_rounds > 0`` runs the measuring refit loop before each
+    loadtest.
     """
     results: dict[int, ClusterLoadReport] = {}
     for count in shard_counts:
@@ -380,32 +383,27 @@ def run_cluster_sweep(
     return results
 
 
-def write_cluster_bench_json(
-    path: str,
-    results: dict[int, ClusterLoadReport],
-    config: dict,
-    *,
-    rev: str | None = None,
-    timestamp: str | None = None,
-) -> dict:
-    """Persist one shard-count sweep as the ``BENCH_cluster.json`` record.
+def demo_catalog(items: int, seed: int) -> list[tuple[str, float]]:
+    """The Zipf-weighted ``K%03d`` catalog every cluster command airs.
 
-    The aggregate block carries the regress-gated series: per-count
-    walks/sec and mean access time, plus ``speedup_2`` / ``speedup_4``
-    (aggregate throughput relative to the 1-shard run, when the sweep
-    includes it). ``checks.scaling_2shard`` asserts the ISSUE's ≥1.7×
-    bar whenever both the 1- and 2-shard points were measured.
+    Same shape as :func:`repro.net.harness.build_demo_program`'s input,
+    so a 1-shard cluster airs the catalog the single-station commands do.
     """
-    from ..bench_envelope import stamp_record
+    rng = np.random.default_rng(seed)
+    labels = [f"K{index:03d}" for index in range(items)]
+    return list(zip(labels, (float(w) for w in zipf_weights(rng, items))))
 
-    walks_by_shards = {
-        str(count): report.aggregate_walks_per_second
-        for count, report in sorted(results.items())
-    }
-    access_by_shards = {
-        str(count): report.mean_access_time
-        for count, report in sorted(results.items())
-    }
+
+def sweep_summary(
+    results: dict[int, ClusterLoadReport],
+) -> tuple[dict[str, float], dict[str, bool]]:
+    """A sweep's speedups and checks.
+
+    Speedups are aggregate walks/sec relative to the 1-shard run, keyed
+    by shard count (none when the sweep has no 1-shard point).
+    ``scaling_2shard`` asserts a ≥1.7× speedup whenever both the 1- and
+    2-shard points were measured.
+    """
     base = results.get(1)
     speedups: dict[str, float] = {}
     if base is not None and base.aggregate_walks_per_second > 0:
@@ -425,30 +423,68 @@ def write_cluster_bench_json(
     }
     if "2" in speedups:
         checks["scaling_2shard"] = speedups["2"] >= 1.7
-    aggregate = {
-        "walks_per_second_by_shards": walks_by_shards,
-        "mean_access_time_by_shards": access_by_shards,
-        "speedups": speedups,
-        "checks": checks,
-    }
-    if "2" in speedups:
-        aggregate["speedup_2shards"] = speedups["2"]
-    if "4" in speedups:
-        aggregate["speedup_4shards"] = speedups["4"]
-    record = stamp_record(
-        {
-            "suite": "cluster-loadtest",
-            "config": config,
-            "result": {
-                str(count): report.to_dict()
-                for count, report in sorted(results.items())
-            },
-            "aggregate": aggregate,
-        },
-        rev=rev,
-        timestamp=timestamp,
+    return speedups, checks
+
+
+def run_cluster_bench(
+    *,
+    items: int = 32,
+    channels: int = 3,
+    fanout: int = 3,
+    planner: str = "meta",
+    partitioner: str = "hash",
+    shard_counts: Sequence[int] = (1, 2, 4),
+    tuners: int = 100,
+    refit_rounds: int = 0,
+    arrival_rate: float = 0.0,
+    max_open: int = 256,
+    slot_duration: float = 0.02,
+    check_parity: bool = True,
+    seed: int = 2000,
+) -> dict:
+    """The ``cluster-loadtest`` bench suite: one paced shard-count sweep.
+
+    Per shard count, the mean access time (seed-deterministic) and, for
+    the 1-shard run, the aggregate walks/sec; the speedups of the other
+    counts over it. The walks/sec come from each loadtest's own wall
+    clock: with paced air (``slot_duration > 0``) they measure air time,
+    not CPU.
+    """
+    results = run_cluster_sweep(
+        demo_catalog(items, seed),
+        list(shard_counts),
+        tuners=tuners,
+        partitioner=partitioner,
+        planner=planner,
+        channels=channels,
+        fanout=fanout,
+        seed=seed,
+        refit_rounds=refit_rounds,
+        slot_duration=slot_duration,
+        arrival_rate=arrival_rate,
+        max_open=max_open,
+        check_parity=check_parity,
     )
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    return record
+    speedups, checks = sweep_summary(results)
+
+    def shards(count) -> str:
+        return "1shard" if int(count) == 1 else f"{count}shards"
+
+    metrics = {
+        f"mean_access_time_{shards(count)}": report.mean_access_time
+        for count, report in sorted(results.items())
+    }
+    if 1 in results:
+        metrics["walks_per_second_1shard"] = (
+            results[1].aggregate_walks_per_second
+        )
+    for count, speedup in speedups.items():
+        metrics[f"speedup_{shards(count)}"] = speedup
+    return {
+        "metrics": metrics,
+        "checks": checks,
+        "detail": {
+            str(count): report.to_dict()
+            for count, report in sorted(results.items())
+        },
+    }

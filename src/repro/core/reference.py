@@ -5,9 +5,10 @@ behaviour (from-scratch O(n) lower bound per generated successor,
 pop-time-only duplicate detection with a strict ``<`` dominance test) so
 that
 
-* the benchmark runner (:mod:`repro.bench`) can measure the overhauled
-  :mod:`repro.core.search` against a fixed baseline — the per-PR perf
-  trajectory the ROADMAP asks for needs an anchored zero point;
+* the ``search-overhaul`` bench suite (:mod:`repro.core.bench`) can
+  measure the overhauled :mod:`repro.core.search` against a fixed
+  baseline — the per-PR perf trajectory the ROADMAP asks for needs an
+  anchored zero point;
 * differential tests can assert the overhaul returns identical optimal
   costs (the hypothesis property suite runs this oracle against both the
   incremental-bound best-first search and the DFS branch-and-bound).

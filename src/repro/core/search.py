@@ -18,8 +18,8 @@ order (precomputed by :class:`~repro.core.problem.AllocationProblem`),
 so generating a successor updates the bound with a per-group delta plus
 a memoised packing-term lookup instead of rescanning every data node —
 the seed's from-scratch O(n) loop per successor (kept verbatim in
-:mod:`repro.core.reference`) is the baseline the ``bench --json`` runner
-measures this module against.
+:mod:`repro.core.reference`) is the baseline the ``search-overhaul``
+bench suite (:mod:`repro.core.bench`) measures this module against.
 
 States are de-duplicated on ``(available-mask, last-group, slot)``: the
 available mask determines the placed set, the last group gates the §3.2

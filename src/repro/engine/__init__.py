@@ -11,12 +11,7 @@ engine of the :func:`repro.client.request` facade.
 """
 
 from .batch import run_batch
-from .bench import (
-    ENVELOPE_WALKS_PER_SECOND,
-    format_engine_bench,
-    run_engine_bench,
-    write_engine_bench_json,
-)
+from .bench import ENVELOPE_WALKS_PER_SECOND, run_engine_bench
 from .dense import DenseProgram, compile_dense
 from .masks import materialise_outcomes
 from .records import BatchRecords
@@ -29,6 +24,4 @@ __all__ = [
     "materialise_outcomes",
     "ENVELOPE_WALKS_PER_SECOND",
     "run_engine_bench",
-    "format_engine_bench",
-    "write_engine_bench_json",
 ]

@@ -1,6 +1,6 @@
-"""Engine benchmark: the batch walk engine vs the scalar walks.
+"""The ``engine-batch`` bench suite: the batch walk engine vs the scalar walks.
 
-``python -m repro.cli engine bench --json BENCH_engine.json`` builds the
+``repro bench engine-batch`` builds the
 standard demo program (the same Zipf catalog ``loadtest`` airs), draws a
 seeded request trace, and measures three regimes:
 
@@ -11,26 +11,27 @@ seeded request trace, and measures three regimes:
 * **faulty** — the batch recovery path under a seeded
   :class:`~repro.faults.FaultConfig`.
 
-Correctness is part of the bench, not a separate step: the record's
-``aggregate.checks`` carry the differential gates (batch bit-identical
+Correctness is part of the bench, not a separate step: the suite's
+checks carry the differential gates (batch bit-identical
 to the scalar walks on every compared walk, lossless and faulty) next
 to the throughput gate — ``batch_walks_per_second`` must beat the
 rev-d77d042 fleet envelope (~1.16k walks/sec) by ≥ 50×, the ROADMAP's
-"raw speed" target. Timing uses best-of-``repeats``; every
-slot-denominated aggregate is a pure function of the seeds, which is
-what lets ``repro.cli obs regress`` gate this suite.
+"raw speed" target. Every regime is timed by
+:func:`repro.perf.measure` over ``repeats`` samples; the throughputs
+use its ``min``, so they stay comparable with the best-of-N figures
+recorded before it. Every slot-denominated metric is a pure function
+of the seeds, which is what lets the bench gate this suite.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import fields as dataclass_fields
-from time import perf_counter
 
 import numpy as np
 
 from ..client.protocol import RecoveryPolicy, object_walk, recovering_walk
 from ..faults import FaultConfig
+from ..perf import measure
 from .dense import compile_dense
 from .batch import run_batch
 
@@ -38,8 +39,6 @@ __all__ = [
     "ENVELOPE_WALKS_PER_SECOND",
     "SPEEDUP_TARGET",
     "run_engine_bench",
-    "format_engine_bench",
-    "write_engine_bench_json",
 ]
 
 #: The 1k-tuner fleet throughput recorded in BENCH_all.json at rev
@@ -63,17 +62,6 @@ def _draw_trace(program, walks: int, seed: int):
     ids = rng.choice(len(targets), size=walks, p=probabilities)
     slots = rng.integers(1, program.cycle_length + 1, size=walks)
     return targets, ids.astype(np.int64), slots.astype(np.int64)
-
-
-def _best_of(repeats: int, run) -> tuple[object, float]:
-    """Run ``run`` ``repeats`` times; return (last result, best seconds)."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        started = perf_counter()
-        result = run()
-        best = min(best, perf_counter() - started)
-    return result, best
 
 
 def _records_equal(batch_records, scalar_records) -> bool:
@@ -102,7 +90,7 @@ def run_engine_bench(
     seed: int = 2000,
     repeats: int = 3,
 ) -> dict:
-    """Run the engine suite; returns the JSON-ready record.
+    """Run the engine suite; return its metrics, checks and detail.
 
     ``sample`` bounds the scalar-walk comparisons (timing baseline and
     per-walk differential) — the scalar side is exactly what the engine
@@ -124,23 +112,23 @@ def run_engine_bench(
     policy = RecoveryPolicy()
 
     # -- throughput --------------------------------------------------------
-    batch_result, batch_seconds = _best_of(
-        repeats, lambda: run_batch(dense, ids, slots)
+    batch_result, batch = measure(
+        lambda: run_batch(dense, ids, slots), repeats=repeats
     )
-    faulty_result, faulty_seconds = _best_of(
-        repeats,
+    faulty_result, faulty = measure(
         lambda: run_batch(
             dense, ids, slots, faults=fault_config, recovery=policy
         ),
+        repeats=repeats,
     )
     sample_ids = ids[:sample]
     sample_slots = slots[:sample]
-    scalar_records, scalar_seconds = _best_of(
-        repeats,
+    scalar_records, scalar = measure(
         lambda: [
             object_walk(program, targets[int(d)], int(s))
             for d, s in zip(sample_ids, sample_slots)
         ],
+        repeats=repeats,
     )
 
     # -- differential gates (part of the bench, not an afterthought) -------
@@ -158,24 +146,21 @@ def run_engine_bench(
     ]
     differential_faulty_exact = _records_equal(faulty_sample, scalar_faulty)
 
-    # -- aggregates --------------------------------------------------------
+    # -- metrics ---------------------------------------------------------
     summary = batch_result.summarise()
     faulty_summary = faulty_result.summarise()
-    batch_wps = walks / batch_seconds if batch_seconds > 0 else 0.0
-    faulty_wps = walks / faulty_seconds if faulty_seconds > 0 else 0.0
-    scalar_wps = sample / scalar_seconds if scalar_seconds > 0 else 0.0
-    aggregate = {
-        "mean_access_time": summary.mean_access_time,
-        "mean_tuning_time": summary.mean_tuning_time,
-        "faulty_mean_access_time": faulty_summary.mean_access_time,
-        "faulty_abandoned": faulty_summary.abandoned,
-        "batch_walks_per_second": batch_wps,
-        "faulty_walks_per_second": faulty_wps,
-        "scalar_walks_per_second": scalar_wps,
-        "speedup_vs_scalar": (
-            batch_wps / scalar_wps if scalar_wps > 0 else float("inf")
-        ),
-        "speedup_vs_envelope": batch_wps / ENVELOPE_WALKS_PER_SECOND,
+    batch_wps = walks / batch.min
+    faulty_wps = walks / faulty.min
+    scalar_wps = sample / scalar.min
+    return {
+        "metrics": {
+            "mean_access_time": summary.mean_access_time,
+            "mean_tuning_time": summary.mean_tuning_time,
+            "faulty_mean_access_time": faulty_summary.mean_access_time,
+            "batch_walks_per_second": batch_wps,
+            "faulty_walks_per_second": faulty_wps,
+            "speedup_vs_scalar": batch_wps / scalar_wps,
+        },
         "checks": {
             "differential_exact": differential_exact,
             "differential_faulty_exact": differential_faulty_exact,
@@ -183,82 +168,18 @@ def run_engine_bench(
                 batch_wps >= SPEEDUP_TARGET * ENVELOPE_WALKS_PER_SECOND
             ),
         },
+        "timings": {
+            "batch_seconds": batch.to_dict(),
+            "faulty_seconds": faulty.to_dict(),
+            "scalar_seconds": scalar.to_dict(),
+        },
+        "detail": {
+            "scalar_walks": sample,
+            "scalar_walks_per_second": scalar_wps,
+            "speedup_vs_envelope": batch_wps / ENVELOPE_WALKS_PER_SECOND,
+            "faulty_abandoned": faulty_summary.abandoned,
+            "faulty_lost_buckets": faulty_summary.lost_buckets,
+            "faulty_corrupt_buckets": faulty_summary.corrupt_buckets,
+            "faulty_retries": faulty_summary.retries,
+        },
     }
-    return {
-        "suite": "engine-batch",
-        "config": {
-            "items": items,
-            "channels": channels,
-            "fanout": fanout,
-            "planner": planner,
-            "walks": walks,
-            "sample": sample,
-            "loss": loss,
-            "corruption": corruption,
-            "seed": seed,
-            "repeats": repeats,
-        },
-        "scalar": {
-            "walks": sample,
-            "seconds": scalar_seconds,
-            "walks_per_second": scalar_wps,
-        },
-        "batch": {
-            "walks": walks,
-            "seconds": batch_seconds,
-            "walks_per_second": batch_wps,
-        },
-        "faulty": {
-            "walks": walks,
-            "seconds": faulty_seconds,
-            "walks_per_second": faulty_wps,
-            "abandoned": faulty_summary.abandoned,
-            "lost_buckets": faulty_summary.lost_buckets,
-            "corrupt_buckets": faulty_summary.corrupt_buckets,
-            "retries": faulty_summary.retries,
-        },
-        "aggregate": aggregate,
-    }
-
-
-def format_engine_bench(record: dict) -> str:
-    """Human-readable summary of one :func:`run_engine_bench` record."""
-    config = record["config"]
-    aggregate = record["aggregate"]
-    checks = aggregate["checks"]
-    lines = [
-        f"engine bench: {config['walks']} walks on "
-        f"{config['items']} items x {config['channels']} channels "
-        f"({config['planner']})",
-        f"  scalar   {record['scalar']['walks_per_second']:>12.0f} walks/s "
-        f"(sample of {record['scalar']['walks']})",
-        f"  batch    {record['batch']['walks_per_second']:>12.0f} walks/s "
-        f"({aggregate['speedup_vs_scalar']:.1f}x scalar, "
-        f"{aggregate['speedup_vs_envelope']:.1f}x the d77d042 envelope)",
-        f"  faulty   {record['faulty']['walks_per_second']:>12.0f} walks/s "
-        f"(loss {config['loss']}, corruption {config['corruption']}, "
-        f"{record['faulty']['abandoned']} abandoned)",
-        f"  mean access {aggregate['mean_access_time']:.4f} slots, "
-        f"mean tuning {aggregate['mean_tuning_time']:.4f} reads "
-        f"(faulty access {aggregate['faulty_mean_access_time']:.4f})",
-        "  checks: "
-        + " ".join(f"{name}={ok}" for name, ok in checks.items()),
-    ]
-    return "\n".join(lines)
-
-
-def write_engine_bench_json(
-    path: str,
-    record: dict,
-    *,
-    rev: str | None = None,
-    timestamp: str | None = None,
-) -> dict:
-    """Stamp the shared bench envelope onto ``record`` and write it."""
-    from ..bench_envelope import stamp_record
-
-    stamped = stamp_record(record, rev=rev, timestamp=timestamp)
-    with open(path, "w") as handle:
-        json.dump(stamped, handle, indent=2)
-        handle.write("\n")
-    return stamped

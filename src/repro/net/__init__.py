@@ -27,9 +27,9 @@ from .harness import (
     build_demo_program,
     make_request_trace,
     run_loadtest,
+    run_loadtest_bench,
     simulator_baseline,
     trace_simulator,
-    write_loadtest_json,
 )
 from .station import BroadcastStation
 from .tuner import TunerClient, TunerProtocolError
@@ -44,7 +44,7 @@ __all__ = [
     "build_demo_program",
     "make_request_trace",
     "run_loadtest",
+    "run_loadtest_bench",
     "simulator_baseline",
     "trace_simulator",
-    "write_loadtest_json",
 ]

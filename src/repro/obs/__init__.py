@@ -28,10 +28,7 @@ A second layer *explains* what the first records:
 * :mod:`repro.obs.digest` — deterministic, mergeable integer quantile
   digests backing the registry's :class:`~repro.obs.metrics.Summary`
   series (p50/p95/p99 access, tuning and per-phase times on
-  ``/metrics``);
-* :mod:`repro.obs.regress` — the bench-regression sentinel: append
-  each ``BENCH_all.json`` to a history trajectory and gate against a
-  committed baseline (``repro obs regress`` / ``make bench-history``).
+  ``/metrics``).
 
 A third layer turns records into *diagnosis*:
 
@@ -94,16 +91,6 @@ from .metrics import (
     Summary,
     declare_perf_baseline,
     slot_buckets,
-)
-from .regress import (
-    MetricReading,
-    RegressError,
-    RegressionReport,
-    append_history,
-    compare_runs,
-    extract_metrics,
-    format_report,
-    load_history,
 )
 from .recorder import (
     FlightRecorder,
@@ -184,15 +171,6 @@ __all__ = [
     "attribute_events",
     "attribute_walk",
     "format_attribution",
-    # regression sentinel
-    "MetricReading",
-    "RegressError",
-    "RegressionReport",
-    "extract_metrics",
-    "append_history",
-    "load_history",
-    "compare_runs",
-    "format_report",
     # timeline
     "SlotCell",
     "Timeline",

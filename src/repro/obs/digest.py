@@ -13,7 +13,7 @@ Answering that from ``/metrics`` needs a quantile sketch that is
   most real scrapes live in);
 * **deterministic and order-independent** — two scrapes of the same
   multiset render byte-identical exposition regardless of arrival
-  order, which is what lets the bench-regression sentinel diff them;
+  order, which is what lets two runs' scrapes be diffed;
 * **mergeable across shards** — a fleet of stations can each keep a
   digest and the merged digest is *exactly* the digest of the
   concatenated stream, not an approximation of it.

@@ -23,8 +23,9 @@ plans durable, versioned and reversible:
   mid-walk restarts from the new root per its
   :class:`~repro.client.protocol.RecoveryPolicy` — accounted like a
   retry, never a corrupt read;
-* :mod:`repro.sched.harness` — the live-cutover loadtest and the store
-  benchmark behind ``repro.cli sched`` and the CI gates.
+* :mod:`repro.sched.harness` — the live-cutover loadtest behind
+  ``repro.cli sched loadtest`` and the store benchmark, the
+  ``sched-bench`` suite of :mod:`repro.bench`.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ Two executable proofs back the subsystem's claims:
   abandoned, every delivered payload is intact, and the rolled-back
   version's document is byte-identical to the original's.
 * :func:`run_store_bench` — publish/load/rollback latency and on-disk
-  size against version count, the numbers ``make bench-sched`` tracks
-  through the regression sentinel.
+  size against version count: the ``sched-bench`` suite of
+  :mod:`repro.bench`.
 
 Both are deterministic in their measured (non-timing) numbers: plans,
 activation slots and walks are pure functions of the seed, because
@@ -25,8 +25,8 @@ of (timeline, coordinates).
 from __future__ import annotations
 
 import asyncio
-import json
 import os
+import shutil
 import tempfile
 from contextlib import ExitStack
 from time import perf_counter
@@ -40,13 +40,13 @@ from ..net.station import BroadcastStation
 from ..net.tuner import TunerClient
 from ..obs.events import TeeTracer, Tracer
 from ..obs.spans import SpanTracer
-from ..perf import PerfRecorder
+from ..perf import PerfRecorder, measure
 from ..planners import plan_catalog
 from ..workloads.weights import zipf_weights
 from .delta import canonical_bytes, plan_to_doc
 from .store import ScheduleStore
 
-__all__ = ["run_cutover_loadtest", "run_store_bench", "write_sched_json"]
+__all__ = ["run_cutover_loadtest", "run_store_bench"]
 
 
 async def run_cutover_loadtest(
@@ -350,119 +350,100 @@ def run_store_bench(
     fanout: int = 3,
     seed: int = 2000,
     snapshot_every: int = 8,
-    store_dir: str | os.PathLike | None = None,
-    perf: PerfRecorder | None = None,
 ) -> dict:
     """Measure publish/load/rollback latency and store growth.
 
-    Publishes ``versions`` distinct plans (the same catalog under a
+    Plans ``versions`` distinct catalogs (the same catalog under a
     per-version reshuffled Zipf weighting — consecutive versions are
     similar, which is the workload the delta encoding exists for), then
-    times an integrity-checked load of every version through a *fresh*
-    store handle (cold document cache) and one rollback to version 1.
-    Size metrics are deterministic; the ``*_ms`` timings are what the
-    regression sentinel watches.
+    times, with :func:`repro.perf.measure`: publishing all of them into
+    a fresh store, an integrity-checked load of every version through a
+    fresh store handle (cold document cache), and one rollback to
+    version 1 on a fresh copy of the published store. The ``*_ms``
+    figures are the primitive's ``min``; the size metrics, read off the
+    rolled-back store, are deterministic.
     """
     if versions < 2:
         raise ValueError("bench needs at least 2 versions")
-    recorder = perf if perf is not None else PerfRecorder()
     labels = [f"K{index:03d}" for index in range(items)]
-
-    with ExitStack() as stack:
-        if store_dir is None:
-            store_dir = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-sched-bench-")
-            )
-        store = ScheduleStore(
-            store_dir, snapshot_every=snapshot_every, perf=recorder
-        )
-        publish_seconds: list[float] = []
-        for version in range(versions):
-            rng = np.random.default_rng([seed, version])
-            weights = zipf_weights(rng, items, theta=0.95)
-            shuffled = np.asarray(weights)[rng.permutation(items)]
-            result = plan_catalog(
+    plans = []
+    for version in range(versions):
+        rng = np.random.default_rng([seed, version])
+        weights = zipf_weights(rng, items, theta=0.95)
+        shuffled = np.asarray(weights)[rng.permutation(items)]
+        plans.append(
+            plan_catalog(
                 labels,
                 [float(w) for w in shuffled],
                 channels,
                 method="sorting",
                 fanout=fanout,
             )
-            began = perf_counter()
-            store.publish(result, note=f"bench version {version + 1}")
-            publish_seconds.append(perf_counter() - began)
-
-        reader = ScheduleStore(
-            store_dir, snapshot_every=snapshot_every, perf=recorder
-        )
-        load_seconds: list[float] = []
-        round_trip = True
-        for version in range(1, versions + 1):
-            began = perf_counter()
-            loaded = reader.load(version)
-            load_seconds.append(perf_counter() - began)
-            round_trip = round_trip and (
-                canonical_bytes(plan_to_doc(loaded))
-                == canonical_bytes(reader.doc(version))
-            )
-
-        began = perf_counter()
-        rollback_record = store.rollback(1, note="bench rollback")
-        rollback_seconds = perf_counter() - began
-        rollback_exact = (
-            rollback_record.content_id == store.record(1).content_id
         )
 
+    with tempfile.TemporaryDirectory(prefix="repro-sched-bench-") as scratch:
+        published = os.path.join(scratch, "published")
+        work = os.path.join(scratch, "work")
+
+        def empty_dir() -> str:
+            shutil.rmtree(published, ignore_errors=True)
+            return published
+
+        def publish_all(store_dir: str) -> None:
+            store = ScheduleStore(store_dir, snapshot_every=snapshot_every)
+            for version, result in enumerate(plans, 1):
+                store.publish(result, note=f"bench version {version}")
+
+        def fresh_reader() -> ScheduleStore:
+            return ScheduleStore(published, snapshot_every=snapshot_every)
+
+        def load_all(reader: ScheduleStore):
+            loaded = [reader.load(v) for v in range(1, versions + 1)]
+            return reader, loaded
+
+        def fresh_copy() -> ScheduleStore:
+            shutil.rmtree(work, ignore_errors=True)
+            shutil.copytree(published, work)
+            return ScheduleStore(work, snapshot_every=snapshot_every)
+
+        def rollback(store: ScheduleStore):
+            return store, store.rollback(1, note="bench rollback")
+
+        _, publish = measure(publish_all, setup=empty_dir)
+        (reader, loaded), load = measure(load_all, setup=fresh_reader)
+        (store, rolled_back), rollback_timing = measure(
+            rollback, setup=fresh_copy
+        )
+        round_trip = all(
+            canonical_bytes(plan_to_doc(result))
+            == canonical_bytes(reader.doc(version))
+            for version, result in enumerate(loaded, 1)
+        )
         records = store.versions()
-        snapshots = sum(1 for r in records if r.kind == "snapshot")
-        deltas = sum(1 for r in records if r.kind == "delta")
         size = store.size_bytes()
-        verified = store.verify()
-
-        checks = {
-            "round_trip_exact": round_trip,
-            "rollback_byte_exact": rollback_exact,
-            "all_versions_verified": verified == len(records),
-        }
         return {
-            "suite": "sched-bench",
-            "config": {
-                "versions": versions,
-                "items": items,
-                "channels": channels,
-                "fanout": fanout,
-                "seed": seed,
-                "snapshot_every": snapshot_every,
-            },
-            "result": {
-                "publish_ms_mean": 1e3 * sum(publish_seconds) / versions,
-                "publish_ms_max": 1e3 * max(publish_seconds),
-                "load_ms_mean": 1e3 * sum(load_seconds) / versions,
-                "load_ms_max": 1e3 * max(load_seconds),
-                "rollback_ms": 1e3 * rollback_seconds,
-                "store_bytes_total": size,
+            "metrics": {
                 "store_bytes_per_version": size / len(records),
-                "versions_published": len(records),
-                "snapshots": snapshots,
-                "deltas": deltas,
+                "store_bytes_total": size,
+                "publish_ms_mean": 1e3 * publish.min / versions,
+                "load_ms_mean": 1e3 * load.min / versions,
+                "rollback_ms": 1e3 * rollback_timing.min,
             },
-            "checks": checks,
-            "ok": all(checks.values()),
+            "checks": {
+                "round_trip_exact": round_trip,
+                "rollback_byte_exact": (
+                    rolled_back.content_id == store.record(1).content_id
+                ),
+                "all_versions_verified": store.verify() == len(records),
+            },
+            "timings": {
+                "publish_seconds": publish.to_dict(),
+                "load_seconds": load.to_dict(),
+                "rollback_seconds": rollback_timing.to_dict(),
+            },
+            "detail": {
+                "versions_published": len(records),
+                "snapshots": sum(r.kind == "snapshot" for r in records),
+                "deltas": sum(r.kind == "delta" for r in records),
+            },
         }
-
-
-def write_sched_json(
-    path: str,
-    record: dict,
-    *,
-    rev: str | None = None,
-    timestamp: str | None = None,
-) -> dict:
-    """Persist one sched harness record with the shared bench envelope."""
-    from ..bench_envelope import stamp_record
-
-    stamped = stamp_record(dict(record), rev=rev, timestamp=timestamp)
-    with open(path, "w") as handle:
-        json.dump(stamped, handle, indent=2)
-        handle.write("\n")
-    return stamped

@@ -2,11 +2,7 @@
 Poisson request arrivals, protocol-level measurement and periodic
 re-planning — the integration layer a deployment runs."""
 
-from .bench import (
-    format_server_bench,
-    run_server_bench,
-    write_server_bench_json,
-)
+from .bench import run_server_bench
 from .loop import BroadcastServer, CycleStats, ServerReport
 
 __all__ = [
@@ -14,6 +10,4 @@ __all__ = [
     "CycleStats",
     "ServerReport",
     "run_server_bench",
-    "format_server_bench",
-    "write_server_bench_json",
 ]

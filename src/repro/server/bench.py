@@ -1,7 +1,6 @@
-"""Server-level benchmark: the serving loop under perfect and lossy air.
+"""The ``server-faults`` bench suite: the serving loop under perfect and lossy air.
 
-``python -m repro.cli bench-server --json BENCH_server.json`` (or
-``make bench-server``) runs the full stack — estimator, registry
+``repro bench server-faults`` runs the full stack — estimator, registry
 planner, pointer compilation, client walks — through three fixed,
 seeded scenarios:
 
@@ -14,47 +13,23 @@ seeded scenarios:
 * **lossy** — Gilbert–Elliott burst losses plus payload corruption,
   exercising retries, wasted probes and abandonment accounting.
 
-The record's ``aggregate.checks`` gate: the differential must hold
-exactly, the lossy run must not beat the lossless mean access time
-(loss can't help), and the lossy run must actually observe faults.
+The suite's checks: the differential must hold exactly, the lossy run
+must not beat the lossless mean access time (loss can't help), and the
+lossy run must actually observe faults. Each scenario is timed by
+:func:`repro.perf.measure`; its requests/second rides in the detail
+block, untracked.
 """
 
 from __future__ import annotations
-
-import json
-from time import perf_counter
 
 import numpy as np
 
 from ..client.protocol import RecoveryPolicy
 from ..faults import BurstConfig, FaultConfig
+from ..perf import measure
 from .loop import BroadcastServer, ServerReport
 
-__all__ = ["run_server_bench", "format_server_bench", "write_server_bench_json"]
-
-_ITEMS = [f"K{index:02d}" for index in range(12)]
-_CYCLES = 30
-_MEAN_REQUESTS = 30.0
-_SEED = 2000
-
-
-def _run(faults: FaultConfig | None, recovery: RecoveryPolicy | None):
-    server = BroadcastServer(
-        _ITEMS,
-        channels=2,
-        replan_every=10,
-        planner="budgeted",
-        faults=faults,
-        recovery=recovery,
-    )
-    start = perf_counter()
-    report = server.run(
-        np.random.default_rng(_SEED),
-        cycles=_CYCLES,
-        mean_requests_per_cycle=_MEAN_REQUESTS,
-    )
-    seconds = perf_counter() - start
-    return report, seconds
+__all__ = ["run_server_bench"]
 
 
 def _cycle_signature(report: ServerReport) -> list[tuple]:
@@ -83,97 +58,68 @@ def _record(name: str, report: ServerReport, seconds: float) -> dict:
         "corrupt_buckets": report.corrupt_buckets,
         "retries": report.retries,
         "seconds": seconds,
-        "requests_per_second": (
-            report.requests_served / seconds if seconds > 0 else 0.0
-        ),
+        "requests_per_second": report.requests_served / seconds,
     }
 
 
-def run_server_bench() -> dict:
-    """Run the three scenarios and assemble the JSON perf record."""
-    lossless, lossless_seconds = _run(None, None)
-    faultpath, faultpath_seconds = _run(FaultConfig(loss=0.0, seed=7), None)
-    lossy, lossy_seconds = _run(
-        FaultConfig(
-            loss=0.12, corruption=0.02, burst=BurstConfig(), seed=7
-        ),
+def run_server_bench(
+    *,
+    items: int = 12,
+    channels: int = 2,
+    cycles: int = 30,
+    mean_requests_per_cycle: float = 30.0,
+    seed: int = 2000,
+    planner: str = "budgeted",
+) -> dict:
+    """Run the three scenarios; return the suite's metrics and checks."""
+    labels = [f"K{index:02d}" for index in range(items)]
+
+    def scenario(faults: FaultConfig | None, recovery: RecoveryPolicy | None):
+        def run() -> ServerReport:
+            server = BroadcastServer(
+                labels,
+                channels=channels,
+                replan_every=10,
+                planner=planner,
+                faults=faults,
+                recovery=recovery,
+            )
+            return server.run(
+                np.random.default_rng(seed),
+                cycles=cycles,
+                mean_requests_per_cycle=mean_requests_per_cycle,
+            )
+
+        report, timing = measure(run)
+        return report, timing.min
+
+    lossless, lossless_seconds = scenario(None, None)
+    faultpath, faultpath_seconds = scenario(FaultConfig(loss=0.0, seed=7), None)
+    lossy, lossy_seconds = scenario(
+        FaultConfig(loss=0.12, corruption=0.02, burst=BurstConfig(), seed=7),
         RecoveryPolicy(mode="retry-parent", max_cycles=6),
     )
-
     differential_ok = _cycle_signature(lossless) == _cycle_signature(faultpath)
-    checks = {
-        "p0_differential": differential_ok,
-        "loss_does_not_help": (
-            lossy.mean_access_time >= lossless.mean_access_time
-        ),
-        "faults_observed": lossy.lost_buckets > 0 and lossy.retries > 0,
-    }
     return {
-        "suite": "server-faults",
-        "config": {
-            "items": len(_ITEMS),
-            "channels": 2,
-            "cycles": _CYCLES,
-            "mean_requests_per_cycle": _MEAN_REQUESTS,
-            "seed": _SEED,
-            "planner": "budgeted",
-        },
-        "scenarios": [
-            _record("lossless", lossless, lossless_seconds),
-            _record("lossless-faultpath", faultpath, faultpath_seconds),
-            _record("lossy-burst", lossy, lossy_seconds),
-        ],
-        "aggregate": {
+        "metrics": {
             "lossless_mean_access": lossless.mean_access_time,
             "lossy_mean_access": lossy.mean_access_time,
             "degradation_slots": (
                 lossy.mean_access_time - lossless.mean_access_time
             ),
-            "checks": checks,
+        },
+        "checks": {
+            "p0_differential": differential_ok,
+            "loss_does_not_help": (
+                lossy.mean_access_time >= lossless.mean_access_time
+            ),
+            "faults_observed": lossy.lost_buckets > 0 and lossy.retries > 0,
+        },
+        "detail": {
+            "scenarios": [
+                _record("lossless", lossless, lossless_seconds),
+                _record("lossless-faultpath", faultpath, faultpath_seconds),
+                _record("lossy-burst", lossy, lossy_seconds),
+            ],
         },
     }
-
-
-def format_server_bench(record: dict) -> str:
-    lines = [
-        "server bench (full stack, seeded):",
-        f"{'scenario':<20} {'req':>5} {'access':>8} {'aband':>6} "
-        f"{'lost':>6} {'retry':>6} {'req/s':>10}",
-    ]
-    for scenario in record["scenarios"]:
-        lines.append(
-            f"{scenario['scenario']:<20} {scenario['requests']:>5} "
-            f"{scenario['mean_access_time']:>8.3f} "
-            f"{scenario['abandoned']:>6} {scenario['lost_buckets']:>6} "
-            f"{scenario['retries']:>6} "
-            f"{scenario['requests_per_second']:>10.0f}"
-        )
-    checks = record["aggregate"]["checks"]
-    lines.append(
-        "checks: p0_differential="
-        f"{checks['p0_differential']} "
-        f"loss_does_not_help={checks['loss_does_not_help']} "
-        f"faults_observed={checks['faults_observed']}"
-    )
-    return "\n".join(lines)
-
-
-def write_server_bench_json(
-    path: str,
-    *,
-    rev: str | None = None,
-    timestamp: str | None = None,
-) -> dict:
-    """Run the bench and write the stamped record to ``path``.
-
-    ``rev``/``timestamp`` fill the shared :mod:`repro.bench_envelope`
-    fields; they are supplied by the caller (``make bench-all``), never
-    sampled here.
-    """
-    from ..bench_envelope import stamp_record
-
-    record = stamp_record(run_server_bench(), rev=rev, timestamp=timestamp)
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    return record

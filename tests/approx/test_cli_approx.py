@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+from repro.bench import SUITES
 from repro.cli import main
 
 
@@ -30,23 +32,26 @@ class TestApproxPlan:
 
 
 class TestApproxFrontier:
-    def test_writes_the_stamped_record(self, capsys, tmp_path):
-        path = tmp_path / "BENCH_approx.json"
+    def test_writes_the_stamped_record(self, capsys, tmp_path, monkeypatch):
+        suite = SUITES["approx-frontier"]
+        config = {**suite.config, "sizes": [60, 150]}
+        monkeypatch.setitem(
+            SUITES, "approx-frontier", dataclasses.replace(suite, config=config)
+        )
+        monkeypatch.chdir(tmp_path)
         assert main([
-            "approx", "frontier", "--sizes", "60,150",
-            "--json", str(path),
+            "bench", "approx-frontier", "--record",
             "--rev", "abc1234", "--timestamp", "2026-01-01T00:00:00Z",
         ]) == 0
         out = capsys.readouterr().out
-        assert "ptas" in out and "sorting" in out and "meta" in out
-        record = json.loads(path.read_text())
+        assert "ptas_ratio_large" in out and "sorting_ratio_large" in out
+        assert "meta_decided=ok" in out
+        record = json.loads(
+            (tmp_path / "BENCH_approx-frontier.json").read_text()
+        )
         assert record["suite"] == "approx-frontier"
         assert record["rev"] == "abc1234"
-        assert all(record["aggregate"]["checks"].values())
-
-    def test_bad_sizes_fail_cleanly(self, capsys):
-        assert main(["approx", "frontier", "--sizes", "abc"]) == 1
-        assert "bad --sizes" in capsys.readouterr().err
+        assert all(record["checks"].values())
 
 
 class TestApproxExplain:

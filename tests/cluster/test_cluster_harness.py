@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import numpy as np
 import pytest
+
+from repro.bench import SUITES, history_entry
 
 from repro.cluster import (
     StationCluster,
@@ -13,7 +16,7 @@ from repro.cluster import (
     run_cluster_loadtest,
     run_cluster_sweep,
     serve_cluster,
-    write_cluster_bench_json,
+    sweep_summary,
 )
 from repro.net.tuner import TunerClient
 from repro.obs.metrics import MetricsRegistry
@@ -112,47 +115,46 @@ class TestServeCluster:
         assert cluster.endpoints == {}
 
 
+def _sweep_config(counts, tuners):
+    return {
+        **SUITES["cluster-loadtest"].config,
+        "items": 24, "shard_counts": counts, "tuners": tuners,
+        "slot_duration": 0.0,
+    }
+
+
 class TestSweepRecord:
-    def test_sweep_records_speedups_and_checks(self, tmp_path):
-        results = run_cluster_sweep(
-            demo_catalog(),
-            [1, 2],
-            tuners=40,
-            check_parity=True,
+    def test_sweep_records_speedups_and_checks(self):
+        record = SUITES["cluster-loadtest"].run(_sweep_config([1, 2], 40))
+        metrics = record["metrics"]
+        assert set(record["detail"]) == {"1", "2"}
+        assert "mean_access_time_1shard" in metrics
+        assert "mean_access_time_2shards" in metrics
+        assert metrics["walks_per_second_1shard"] > 0
+        assert metrics["speedup_2shards"] == pytest.approx(
+            record["detail"]["2"]["aggregate_walks_per_second"]
+            / metrics["walks_per_second_1shard"]
         )
-        path = tmp_path / "BENCH_cluster.json"
-        record = write_cluster_bench_json(
-            str(path), results, {"tuners": 40}, rev="abc", timestamp="t"
-        )
-        aggregate = record["aggregate"]
-        assert set(aggregate["walks_per_second_by_shards"]) == {"1", "2"}
-        assert set(aggregate["mean_access_time_by_shards"]) == {"1", "2"}
-        assert "2" in aggregate["speedups"]
-        assert aggregate["speedup_2shards"] == aggregate["speedups"]["2"]
-        assert aggregate["checks"]["zero_unaccounted_frames"] is True
-        assert aggregate["checks"]["parity_exact"] is True
-        assert "scaling_2shard" in aggregate["checks"]
-        assert record["suite"] == "cluster-loadtest"
-        assert path.exists()
+        assert record["checks"]["zero_unaccounted_frames"] is True
+        assert record["checks"]["parity_exact"] is True
+        assert "scaling_2shard" in record["checks"]
 
-    def test_sweep_without_baseline_has_no_speedups(self, tmp_path):
+    def test_sweep_without_baseline_has_no_speedups(self):
         results = run_cluster_sweep(demo_catalog(), [2], tuners=30)
-        record = write_cluster_bench_json(
-            str(tmp_path / "r.json"), results, {}
-        )
-        assert record["aggregate"]["speedups"] == {}
-        assert "scaling_2shard" not in record["aggregate"]["checks"]
+        speedups, checks = sweep_summary(results)
+        assert speedups == {}
+        assert "scaling_2shard" not in checks
 
-    def test_regress_extracts_cluster_metrics(self, tmp_path):
-        from repro.obs.regress import extract_metrics
-
-        results = run_cluster_sweep(demo_catalog(), [1, 2], tuners=30)
-        record = write_cluster_bench_json(
-            str(tmp_path / "r.json"), results, {"tuners": 30}
+    def test_regress_extracts_cluster_metrics(self):
+        config = _sweep_config([1, 2], 30)
+        record = SUITES["cluster-loadtest"].run(config)
+        suite = dataclasses.replace(SUITES["cluster-loadtest"], config=config)
+        entry = history_entry(
+            suite,
+            {"rev": None, "timestamp": None, "timings": {}, **record},
         )
-        entry = extract_metrics(record)
         metrics = entry["metrics"]
         assert "cluster-loadtest.mean_access_time_1shard" in metrics
         assert "cluster-loadtest.mean_access_time_2shards" in metrics
         assert "cluster-loadtest.speedup_2shards" in metrics
-        assert entry["fingerprint"]["cluster-loadtest"] == {"tuners": 30}
+        assert entry["fingerprint"]["cluster-loadtest"]["tuners"] == 30

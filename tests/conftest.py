@@ -29,6 +29,20 @@ def postmortem_dir(tmp_path_factory):
     os.environ.pop("REPRO_POSTMORTEM_DIR", None)
 
 
+@pytest.fixture(autouse=True)
+def one_call_timings(monkeypatch):
+    """Time each bench measurement with one call, not seconds of calls.
+
+    The suites' numbers are asserted, not their clocks; the timing
+    primitive itself is tested with an injected clock in
+    ``tests/test_bench.py``.
+    """
+    import repro.perf
+
+    monkeypatch.setattr(repro.perf, "MIN_TIME", 0.0)
+    monkeypatch.setattr(repro.perf, "REPEATS", 1)
+
+
 @pytest.fixture
 def fig1_tree():
     """The paper's Fig. 1(a) running example."""

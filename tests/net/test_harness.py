@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from repro.bench import SUITES, write_record
 from repro.client.protocol import RecoveryPolicy, recovering_walk
 from repro.faults import FaultConfig, FaultInjector
 from repro.net import (
@@ -15,7 +17,6 @@ from repro.net import (
     make_request_trace,
     run_loadtest,
     simulator_baseline,
-    write_loadtest_json,
 )
 
 
@@ -126,28 +127,22 @@ class TestLossyFleet:
 
 
 class TestReportRecord:
-    def test_write_loadtest_json(self, program, tmp_path):
-        report = asyncio.run(
-            run_loadtest(
-                program,
-                tuners=20,
-                rng=np.random.default_rng(1),
-                arrival_rate=0.0,
-                check_parity=True,
-            )
-        )
-        path = tmp_path / "BENCH_net.json"
-        record = write_loadtest_json(str(path), report, {"tuners": 20})
-        on_disk = json.loads(path.read_text())
+    def test_write_loadtest_json(self, tmp_path):
+        suite = SUITES["net-loadtest"]
+        config = {**suite.config, "items": 10, "tuners": 20, "seed": 1}
+        suite = dataclasses.replace(suite, config=config)
+        result = suite.run(config)
+        record = write_record(suite, result, out_dir=str(tmp_path))
+        on_disk = json.loads((tmp_path / "BENCH_net-loadtest.json").read_text())
         assert on_disk == record
         assert on_disk["suite"] == "net-loadtest"
-        assert on_disk["config"] == {"tuners": 20}
-        assert on_disk["aggregate"]["checks"] == {
+        assert on_disk["config"]["tuners"] == 20
+        assert on_disk["checks"] == {
             "zero_unaccounted_frames": True,
             "parity_exact": True,
         }
-        assert on_disk["result"]["tuners"] == 20
-
+        assert on_disk["detail"]["tuners"] == 20
+        assert on_disk["metrics"]["walks_per_second"] > 0
 
 class TestPercentileConvention:
     """_percentiles is nearest-rank, bit-identical to QuantileDigest."""

@@ -1,4 +1,8 @@
-"""The bench-regression sentinel: extraction, gating, history, CLI."""
+"""The regression gate of the bench harness: entries, gating, history, CLI.
+
+The gate lives in :mod:`repro.bench`; these tests drive it through a
+tiny registered suite whose run returns canned numbers.
+"""
 
 from __future__ import annotations
 
@@ -7,250 +11,208 @@ import json
 
 import pytest
 
-from repro.bench_envelope import merge_records, stamp_record, suite_records
-from repro.cli import main
-from repro.obs.regress import (
-    HISTORY_SCHEMA_VERSION,
-    RegressError,
-    append_history,
-    compare_runs,
-    extract_metrics,
-    format_report,
+from repro.bench import (
+    HIGHER,
+    SUITES,
+    TIMING,
+    Metric,
+    Suite,
+    find_baseline,
+    history_entry,
+    judge,
     load_history,
+    run_suites,
+)
+from repro.cli import main
+
+TOY = Suite(
+    "toy",
+    {"tuners": 50, "seed": 2000},
+    run=None,
+    metrics=(
+        Metric("mean_access_time"),
+        Metric("best_first_nodes_expanded"),
+        Metric("walks_per_second", HIGHER, TIMING),
+    ),
 )
 
 
-def _merged(rev="abc1234", access=14.0, nodes=1000, checks_ok=True):
-    """A minimal but envelope-correct BENCH_all.json document."""
-    net = stamp_record(
-        {
-            "suite": "net-loadtest",
-            "config": {"tuners": 50, "seed": 2000},
-            "aggregate": {
-                "mean_access_time": access,
-                "mean_tuning_time": 4.7,
-                "walks_per_second": 1200.0,
-                "checks": {"parity_exact": checks_ok},
-            },
-            "result": {"access_percentiles": {"p99": access + 11.0}},
+def _result(access=14.0, nodes=1000, walks=1200.0, checks_ok=True):
+    return {
+        "metrics": {
+            "mean_access_time": access,
+            "best_first_nodes_expanded": nodes,
+            "walks_per_second": walks,
         },
-        rev=rev,
-        timestamp="2026-08-06T00:00:00Z",
-    )
-    search = stamp_record(
+        "checks": {"parity_exact": checks_ok},
+    }
+
+
+def _entry(rev="abc1234", suite=TOY, **kwargs):
+    result = _result(**kwargs)
+    return history_entry(
+        suite,
         {
-            "suite": "search-overhaul",
-            "config": {},
-            "aggregate": {
-                "repeats": 1,
-                "best_first_nodes_expanded": nodes,
-                "a2_best_first_nodes_expanded": nodes - 300,
-                "best_first_seconds": 0.02,
-                "dfs_bnb_seconds": 0.018,
-                "speedup": 2.5,
-                "checks": {"equal_cost": True},
-            },
+            "rev": rev,
+            "timestamp": "2026-08-06T00:00:00Z",
+            "metrics": result["metrics"],
+            "checks": result["checks"],
+            "timings": {},
         },
-        rev=rev,
-        timestamp="2026-08-06T00:00:00Z",
     )
-    return merge_records({"net-loadtest": net, "search-overhaul": search})
 
 
 class TestExtraction:
     def test_entry_carries_metrics_checks_and_fingerprint(self):
-        entry = extract_metrics(_merged())
-        assert entry["schema_version"] == HISTORY_SCHEMA_VERSION
+        entry = _entry()
+        assert entry["schema_version"] == 1
         assert entry["rev"] == "abc1234"
-        assert entry["metrics"]["net-loadtest.mean_access_time"] == 14.0
-        assert entry["metrics"]["net-loadtest.access_p99"] == 25.0
-        assert entry["metrics"]["search-overhaul.best_first_nodes_expanded"] == 1000
-        assert entry["fingerprint"]["net-loadtest"]["tuners"] == 50
-        # repeats lives in the search aggregate but identifies scale,
-        # so it joins the fingerprint.
-        assert entry["fingerprint"]["search-overhaul"]["repeats"] == 1
-        assert entry["checks"]["net-loadtest.parity_exact"] is True
-
-    def test_single_suite_record_is_accepted(self):
-        net = stamp_record(
-            {
-                "suite": "net-loadtest",
-                "config": {"tuners": 50},
-                "aggregate": {"mean_access_time": 14.0, "checks": {}},
-            },
-            rev="abc1234",
-            timestamp="t",
-        )
-        assert suite_records(net) == [("net-loadtest", net)]
-        entry = extract_metrics(net)
-        assert entry["metrics"] == {"net-loadtest.mean_access_time": 14.0}
-
-    def test_unenveloped_document_is_rejected(self):
-        with pytest.raises(ValueError, match="envelope"):
-            extract_metrics({"suite": "all", "suites": {}})
+        assert entry["metrics"]["toy.mean_access_time"] == 14.0
+        assert entry["metrics"]["toy.best_first_nodes_expanded"] == 1000
+        assert entry["fingerprint"] == {"toy": {"tuners": 50, "seed": 2000}}
+        assert entry["checks"] == {"toy.parity_exact": True}
 
 
 class TestGating:
     def test_identical_runs_pass(self):
-        entry = extract_metrics(_merged())
-        report = compare_runs(entry, copy.deepcopy(entry))
-        assert report.ok
-        assert report.first_regressed is None
-        assert "no tracked metric regressed" in format_report(
-            report, tolerance=0.1
-        )
+        entry = _entry()
+        verdict = judge(TOY, entry, copy.deepcopy(entry))
+        assert verdict.ok
+        assert verdict.first_regressed is None
 
     def test_quality_regression_beyond_tolerance_names_first_metric(self):
-        baseline = extract_metrics(_merged())
-        candidate = extract_metrics(_merged(access=14.0 * 1.2))
-        report = compare_runs(baseline, candidate, tolerance=0.1)
-        assert not report.ok
-        assert report.first_regressed == "net-loadtest.mean_access_time"
-        rendered = format_report(report, tolerance=0.1)
-        assert "REGRESSED" in rendered
-        assert (
-            "first regressed metric: net-loadtest.mean_access_time"
-            in rendered
-        )
+        verdict = judge(TOY, _entry(), _entry(access=14.0 * 1.2))
+        assert not verdict.ok
+        assert verdict.first_regressed == "toy.mean_access_time"
 
     def test_drift_within_tolerance_passes(self):
-        baseline = extract_metrics(_merged())
-        candidate = extract_metrics(_merged(access=14.0 * 1.05))
-        assert compare_runs(baseline, candidate, tolerance=0.1).ok
+        assert judge(TOY, _entry(), _entry(access=14.0 * 1.1)).ok
 
     def test_improvement_never_regresses(self):
-        baseline = extract_metrics(_merged())
-        candidate = extract_metrics(_merged(access=9.0, nodes=500))
-        assert compare_runs(baseline, candidate, tolerance=0.1).ok
+        assert judge(TOY, _entry(), _entry(access=9.0, nodes=500)).ok
 
-    def test_timing_metrics_gate_only_on_request(self):
-        baseline = extract_metrics(_merged())
-        candidate = extract_metrics(_merged())
-        candidate["metrics"]["net-loadtest.walks_per_second"] = 300.0
-        assert compare_runs(baseline, candidate).ok  # tracked, ungated
-        gated = compare_runs(baseline, candidate, timing_tolerance=0.25)
-        assert gated.first_regressed == "net-loadtest.walks_per_second"
+    def test_timing_metrics_are_tracked_not_gated(self):
+        verdict = judge(TOY, _entry(), _entry(walks=300.0))
+        assert verdict.ok
+        reading = verdict.readings[-1]
+        assert reading.name == "toy.walks_per_second"
+        assert reading.delta == pytest.approx(-0.75)
 
     def test_quality_metric_missing_from_candidate_regresses(self):
-        baseline = extract_metrics(_merged())
-        candidate = extract_metrics(_merged())
-        del candidate["metrics"]["search-overhaul.best_first_nodes_expanded"]
-        report = compare_runs(baseline, candidate)
-        assert (
-            report.first_regressed
-            == "search-overhaul.best_first_nodes_expanded"
-        )
+        candidate = _entry()
+        del candidate["metrics"]["toy.best_first_nodes_expanded"]
+        verdict = judge(TOY, _entry(), candidate)
+        assert verdict.first_regressed == "toy.best_first_nodes_expanded"
 
     def test_failed_candidate_checks_gate_before_metrics(self):
-        baseline = extract_metrics(_merged())
-        candidate = extract_metrics(
-            _merged(access=14.0 * 1.5, checks_ok=False)
+        verdict = judge(
+            TOY, _entry(), _entry(access=14.0 * 1.5, checks_ok=False)
         )
-        report = compare_runs(baseline, candidate)
-        assert (
-            report.first_regressed == "checks.net-loadtest.parity_exact"
-        )
+        assert verdict.first_regressed == "checks.toy.parity_exact"
 
     def test_fingerprint_mismatch_is_a_hard_error(self):
-        baseline = extract_metrics(_merged())
-        candidate = extract_metrics(_merged())
-        candidate["fingerprint"]["net-loadtest"]["tuners"] = 1000
-        with pytest.raises(RegressError, match="net-loadtest"):
-            compare_runs(baseline, candidate)
-        waived = compare_runs(
-            baseline, candidate, allow_config_mismatch=True
-        )
-        assert waived.ok
+        # An entry measured at another scale is never a baseline.
+        other = _entry()
+        other["fingerprint"]["toy"]["tuners"] = 1000
+        assert find_baseline(TOY, [other]) is None
+        assert find_baseline(TOY, [other, _entry("later")])["rev"] == "later"
 
 
 class TestHistory:
-    def test_append_then_load_roundtrips_in_order(self, tmp_path):
-        path = tmp_path / "nested" / "trajectory.jsonl"
-        first = extract_metrics(_merged(rev="aaaa111"))
-        second = extract_metrics(_merged(rev="bbbb222"))
-        append_history(str(path), first)
-        append_history(str(path), second)
-        history = load_history(str(path))
+    def test_append_then_load_roundtrips_in_order(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        _register_toy(monkeypatch)
+        for rev in ("aaaa111", "bbbb222"):
+            assert run_suites(
+                ["toy"], record=True, rev=rev,
+                history_dir=str(tmp_path / "nested"), out_dir=str(tmp_path),
+            ) == 0
+        history = load_history(str(tmp_path / "nested" / "toy.jsonl"))
         assert [entry["rev"] for entry in history] == ["aaaa111", "bbbb222"]
-        assert history[-1] == second
+        assert history[-1]["metrics"] == _entry()["metrics"]
 
     def test_unknown_schema_version_is_rejected(self, tmp_path):
         path = tmp_path / "h.jsonl"
         path.write_text('{"schema_version": 99}\n')
-        with pytest.raises(RegressError, match="schema_version"):
+        with pytest.raises(ValueError, match="schema_version"):
             load_history(str(path))
 
 
+def _register_toy(monkeypatch, **kwargs):
+    suite = Suite(
+        TOY.name, TOY.config, lambda config: _result(**kwargs), TOY.metrics
+    )
+    monkeypatch.setitem(SUITES, "toy", suite)
+
+
+def _seed_history(tmp_path, entry):
+    history = tmp_path / "benchmarks" / "history"
+    history.mkdir(parents=True)
+    (history / "toy.jsonl").write_text(json.dumps(entry) + "\n")
+    return history / "toy.jsonl"
+
+
 class TestRegressCli:
-    def _write_candidate(self, tmp_path, name="cand.json", **kwargs):
-        path = tmp_path / name
-        path.write_text(json.dumps(_merged(**kwargs)))
-        return str(path)
+    @pytest.fixture(autouse=True)
+    def in_tmp(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
 
-    def test_bootstrap_seeds_a_missing_baseline(self, tmp_path, capsys):
-        candidate = self._write_candidate(tmp_path)
-        baseline = str(tmp_path / "baseline.jsonl")
-        assert main(
-            ["obs", "regress", "--baseline", baseline,
-             "--candidate", candidate, "--bootstrap"]
-        ) == 0
+    def test_bootstrap_seeds_a_missing_baseline(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        _register_toy(monkeypatch)
+        assert main(["bench", "toy", "--record"]) == 0
         assert "baseline seeded" in capsys.readouterr().out
-        assert len(load_history(baseline)) == 1
+        path = tmp_path / "benchmarks" / "history" / "toy.jsonl"
+        assert len(load_history(str(path))) == 1
+        assert (tmp_path / "BENCH_toy.json").exists()
 
-    def test_clean_candidate_exits_zero_and_appends(self, tmp_path, capsys):
-        candidate = self._write_candidate(tmp_path)
-        baseline = str(tmp_path / "baseline.jsonl")
-        append_history(baseline, extract_metrics(_merged()))
-        trajectory = str(tmp_path / "trajectory.jsonl")
-        assert main(
-            ["obs", "regress", "--baseline", baseline,
-             "--candidate", candidate, "--append", trajectory]
-        ) == 0
-        assert "no tracked metric regressed" in capsys.readouterr().out
-        assert len(load_history(trajectory)) == 1
+    def test_clean_candidate_exits_zero_and_appends(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        _register_toy(monkeypatch)
+        path = _seed_history(tmp_path, _entry())
+        assert main(["bench", "toy", "--record"]) == 0
+        assert "nothing regressed in toy" in capsys.readouterr().out
+        assert len(load_history(str(path))) == 2
 
     def test_degraded_candidate_exits_one_naming_the_metric(
-        self, tmp_path, capsys
+        self, tmp_path, monkeypatch, capsys
     ):
-        candidate = self._write_candidate(tmp_path, access=14.0 * 1.5)
-        baseline = str(tmp_path / "baseline.jsonl")
-        append_history(baseline, extract_metrics(_merged()))
-        assert main(
-            ["obs", "regress", "--baseline", baseline,
-             "--candidate", candidate, "--tolerance", "0.15"]
-        ) == 1
+        _register_toy(monkeypatch, access=14.0 * 1.5)
+        path = _seed_history(tmp_path, _entry())
+        assert main(["bench", "toy"]) == 1
         out = capsys.readouterr().out
-        assert (
-            "first regressed metric: net-loadtest.mean_access_time" in out
-        )
+        assert "first regressed metric: toy.mean_access_time" in out
+        assert "REGRESSED" in out
+        assert len(load_history(str(path))) == 1  # no --record, no append
 
     def test_missing_baseline_without_bootstrap_is_usage_error(
-        self, tmp_path, capsys
+        self, monkeypatch, capsys
     ):
-        candidate = self._write_candidate(tmp_path)
-        assert main(
-            ["obs", "regress",
-             "--baseline", str(tmp_path / "nope.jsonl"),
-             "--candidate", candidate]
-        ) == 2
-        assert "--bootstrap" in capsys.readouterr().err
+        _register_toy(monkeypatch)
+        assert main(["bench", "toy"]) == 2
+        assert "--record" in capsys.readouterr().err
 
-    def test_scale_mismatch_is_reported_not_raised(self, tmp_path, capsys):
-        candidate = self._write_candidate(tmp_path)
-        baseline = str(tmp_path / "baseline.jsonl")
-        mismatched = extract_metrics(_merged())
-        mismatched["fingerprint"]["net-loadtest"]["tuners"] = 1000
-        append_history(baseline, mismatched)
-        assert main(
-            ["obs", "regress", "--baseline", baseline,
-             "--candidate", candidate]
-        ) == 2
-        assert "fingerprint mismatch" in capsys.readouterr().err
+    def test_scale_mismatch_is_reported_not_raised(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        _register_toy(monkeypatch)
+        mismatched = _entry()
+        mismatched["fingerprint"]["toy"]["tuners"] = 1000
+        _seed_history(tmp_path, mismatched)
+        assert main(["bench", "toy"]) == 2
+        assert "no baseline at this config" in capsys.readouterr().err
 
-    def test_unreadable_candidate_is_usage_error(self, tmp_path, capsys):
-        assert main(
-            ["obs", "regress",
-             "--baseline", str(tmp_path / "baseline.jsonl"),
-             "--candidate", str(tmp_path / "missing.json")]
-        ) == 2
-        assert "cannot read candidate" in capsys.readouterr().err
+    def test_unreadable_history_is_usage_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        _register_toy(monkeypatch)
+        _seed_history(tmp_path, {"schema_version": 99})
+        assert main(["bench", "toy"]) == 2
+        assert "cannot read history" in capsys.readouterr().err
+
+    def test_unknown_suite_is_usage_error(self, capsys):
+        assert main(["bench", "no-such-suite"]) == 2
+        assert "unknown bench suite" in capsys.readouterr().err

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.bench import SUITES
 from repro.cli import main
 from repro.net.harness import build_demo_plan
 from repro.sched import ScheduleStore
@@ -135,35 +137,28 @@ class TestGc:
 
 class TestBenchAndLoadtest:
     def test_bench_writes_a_record_and_passes_checks(
-        self, tmp_path, capsys
+        self, tmp_path, monkeypatch, capsys
     ):
-        out_path = tmp_path / "BENCH_sched.json"
-        code, out, _ = run(
-            capsys,
-            "sched", "bench",
-            "--versions", "4", "--items", "10", "--channels", "2",
-            "--json", str(out_path),
+        suite = SUITES["sched-bench"]
+        config = {**suite.config, "versions": 4, "items": 10, "channels": 2}
+        monkeypatch.setitem(
+            SUITES, "sched-bench", dataclasses.replace(suite, config=config)
         )
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "bench", "sched-bench", "--record")
         assert code == 0
-        record = json.loads(out_path.read_text())
+        record = json.loads((tmp_path / "BENCH_sched-bench.json").read_text())
         assert record["suite"] == "sched-bench"
-        assert record["ok"] is True
-        # A baseline plus four replans.
-        assert record["result"]["versions_published"] == 5
+        assert all(record["checks"].values())
+        # Four publishes plus the rollback.
+        assert record["detail"]["versions_published"] == 5
 
-    def test_loadtest_writes_a_record_and_passes_gates(
-        self, tmp_path, capsys
-    ):
-        out_path = tmp_path / "LOADTEST_sched.json"
+    def test_loadtest_passes_gates(self, capsys):
         code, out, _ = run(
             capsys,
             "sched", "loadtest",
             "--tuners", "12", "--items", "10", "--channels", "2",
-            "--json", str(out_path),
         )
         assert code == 0
-        record = json.loads(out_path.read_text())
-        assert record["suite"] == "sched-loadtest"
-        assert record["ok"] is True
-        assert record["result"]["unaccounted_frames"] == 0
-        assert record["result"]["abandoned"] == 0
+        assert "0 abandoned" in out
+        assert "0 unaccounted frame(s)" in out

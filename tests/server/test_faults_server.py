@@ -13,9 +13,9 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.bench import SUITES
 from repro.client.protocol import RecoveryPolicy
 from repro.faults import BurstConfig, FaultConfig
-from repro.server.bench import run_server_bench
 from repro.server.loop import BroadcastServer, CycleStats, ServerReport
 
 ITEMS = [f"K{index:02d}" for index in range(10)]
@@ -177,9 +177,10 @@ class TestPlannerSelection:
 
 class TestServerBench:
     def test_bench_checks_all_pass(self):
-        record = run_server_bench()
-        assert all(record["aggregate"]["checks"].values())
-        scenarios = {s["scenario"] for s in record["scenarios"]}
+        suite = SUITES["server-faults"]
+        record = suite.run(dict(suite.config))
+        assert all(record["checks"].values())
+        scenarios = {s["scenario"] for s in record["detail"]["scenarios"]}
         assert scenarios == {
             "lossless", "lossless-faultpath", "lossy-burst",
         }

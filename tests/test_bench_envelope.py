@@ -1,4 +1,4 @@
-"""Unit tests for the shared BENCH_*.json envelope."""
+"""The envelope every ``BENCH_<suite>.json`` wears, and the suite registry."""
 
 from __future__ import annotations
 
@@ -6,149 +6,53 @@ import json
 
 import pytest
 
-from repro.bench_envelope import (
-    ENVELOPE_FIELDS,
-    SCHEMA_VERSION,
-    load_records,
-    merge_records,
-    stamp_record,
-    validate_record,
-    write_merged_json,
+from repro.bench import SUITES, Metric, Suite, register, run_suites, write_record
+
+ENVELOPE_FIELDS = ("schema_version", "suite", "rev", "timestamp")
+
+SUITE = Suite(
+    "toy", {"seed": 1}, run=None, metrics=(Metric("mean_access_time"),)
 )
-
-
-def _stamped(suite, *, rev="abc1234", timestamp="2026-08-05T00:00:00Z",
-             checks=None):
-    return stamp_record(
-        {
-            "suite": suite,
-            "aggregate": {"checks": checks or {"passes": True}},
-            "payload": [1, 2],
-        },
-        rev=rev,
-        timestamp=timestamp,
-    )
+RESULT = {
+    "metrics": {"mean_access_time": 14.0},
+    "checks": {"passes": True},
+    "detail": {"payload": [1, 2]},
+}
 
 
 class TestStamp:
-    def test_envelope_fields_lead_the_document(self):
-        record = _stamped("net-loadtest")
+    def test_envelope_fields_lead_the_document(self, tmp_path):
+        record = write_record(
+            SUITE, RESULT, rev="abc1234", timestamp="2026-08-05T00:00:00Z",
+            out_dir=str(tmp_path),
+        )
         assert list(record)[: len(ENVELOPE_FIELDS)] == list(ENVELOPE_FIELDS)
-        assert record["schema_version"] == SCHEMA_VERSION
-        assert record["suite"] == "net-loadtest"
+        assert record["schema_version"] == 1
+        assert record["suite"] == "toy"
         assert record["rev"] == "abc1234"
-        assert record["payload"] == [1, 2]
+        assert record["config"] == {"seed": 1}
+        assert record["detail"] == {"payload": [1, 2]}
 
-    def test_unstamped_run_carries_none(self):
-        record = stamp_record({"suite": "s"})
+    def test_unstamped_run_carries_none(self, tmp_path):
+        record = write_record(SUITE, RESULT, out_dir=str(tmp_path))
         assert record["rev"] is None and record["timestamp"] is None
-        validate_record(record)  # None is stamped-as-unknown, still valid
-
-    def test_restamping_replaces_the_envelope(self):
-        record = stamp_record(_stamped("s"), rev="new", timestamp="later")
-        assert record["rev"] == "new"
-        assert record["timestamp"] == "later"
-        assert list(record).count("rev") == 1
 
     def test_requires_a_suite_name(self):
-        with pytest.raises(ValueError, match="no 'suite'"):
-            stamp_record({"aggregate": {}})
+        with pytest.raises(KeyError, match="no-such-suite"):
+            run_suites(["no-such-suite"])
 
-
-class TestValidate:
-    def test_rejects_missing_fields(self):
-        with pytest.raises(ValueError, match="missing envelope field"):
-            validate_record({"suite": "s", "schema_version": SCHEMA_VERSION})
-
-    def test_rejects_foreign_schema_version(self):
-        record = _stamped("s")
-        record["schema_version"] = 99
-        with pytest.raises(ValueError, match="schema_version 99"):
-            validate_record(record)
-
-
-class TestMerge:
-    def test_merges_checks_prefixed_by_suite(self):
-        merged = merge_records(
-            {
-                "net-loadtest": _stamped(
-                    "net-loadtest", checks={"parity_exact": True}
-                ),
-                "search-overhaul": _stamped(
-                    "search-overhaul", checks={"optimal": False}
-                ),
-            }
-        )
-        assert merged["suite"] == "all"
-        assert merged["aggregate"]["checks"] == {
-            "net-loadtest.parity_exact": True,
-            "search-overhaul.optimal": False,
-            "envelope.same_rev": True,
-            "envelope.schema_version": True,
-        }
-        assert merged["rev"] == "abc1234"
-        assert merged["timestamp"] == "2026-08-05T00:00:00Z"
-        assert list(merged["suites"]) == ["net-loadtest", "search-overhaul"]
-
-    def test_rev_skew_fails_the_envelope_check(self):
-        merged = merge_records(
-            {
-                "a": _stamped("a", rev="one"),
-                "b": _stamped("b", rev="two"),
-            }
-        )
-        assert merged["aggregate"]["checks"]["envelope.same_rev"] is False
-        assert merged["rev"] is None
-
-    def test_timestamp_skew_clears_the_merged_stamp(self):
-        merged = merge_records(
-            {
-                "a": _stamped("a", timestamp="t1"),
-                "b": _stamped("b", timestamp="t2"),
-            }
-        )
-        assert merged["timestamp"] is None
-        assert merged["aggregate"]["checks"]["envelope.same_rev"] is True
-
-    def test_version_skew_fails_the_schema_check(self):
-        bad = _stamped("b")
-        bad["schema_version"] = 0
-        merged = merge_records({"a": _stamped("a"), "b": bad})
-        checks = merged["aggregate"]["checks"]
-        assert checks["envelope.schema_version"] is False
-
-    def test_nothing_to_merge_raises(self):
-        with pytest.raises(ValueError, match="nothing to merge"):
-            merge_records({})
+    def test_undeclared_metrics_are_rejected(self, tmp_path):
+        stray = {**RESULT, "metrics": {"mean_access_time": 1.0, "extra": 2.0}}
+        with pytest.raises(ValueError, match="undeclared metric"):
+            write_record(SUITE, stray, out_dir=str(tmp_path))
 
 
 class TestFiles:
     def test_load_then_write_round_trip(self, tmp_path):
-        for suite in ("alpha", "beta"):
-            (tmp_path / f"{suite}.json").write_text(
-                json.dumps(_stamped(suite))
-            )
-        records = load_records(
-            [str(tmp_path / "alpha.json"), str(tmp_path / "beta.json")]
-        )
-        assert sorted(records) == ["alpha", "beta"]
-        out = tmp_path / "all.json"
-        merged = write_merged_json(str(out), records)
-        assert json.loads(out.read_text()) == merged
-        assert all(merged["aggregate"]["checks"].values())
+        record = write_record(SUITE, RESULT, rev="r", out_dir=str(tmp_path))
+        on_disk = json.loads((tmp_path / "BENCH_toy.json").read_text())
+        assert on_disk == record
 
-    def test_duplicate_suites_are_rejected(self, tmp_path):
-        for name in ("one", "two"):
-            (tmp_path / f"{name}.json").write_text(
-                json.dumps(_stamped("same"))
-            )
-        with pytest.raises(ValueError, match="duplicate bench suite"):
-            load_records(
-                [str(tmp_path / "one.json"), str(tmp_path / "two.json")]
-            )
-
-    def test_unstamped_files_are_rejected(self, tmp_path):
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps({"suite": "legacy", "aggregate": {}}))
-        with pytest.raises(ValueError, match="missing envelope field"):
-            load_records([str(path)])
+    def test_duplicate_suites_are_rejected(self):
+        with pytest.raises(ValueError, match="already registered"):
+            register(SUITES["net-loadtest"])

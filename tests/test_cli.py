@@ -90,23 +90,21 @@ class TestCommands:
         assert record["config"]["policy"] == "next-cycle"
 
     def test_bench_server_writes_record_and_passes_checks(
-        self, tmp_path, capsys
+        self, tmp_path, monkeypatch, capsys
     ):
         import json
 
-        path = tmp_path / "BENCH_server.json"
-        assert main(["bench-server", "--json", str(path)]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "server-faults", "--record"]) == 0
         out = capsys.readouterr().out
-        assert "p0_differential=True" in out
-        record = json.loads(path.read_text())
-        assert all(record["aggregate"]["checks"].values())
+        assert "p0_differential=ok" in out
+        record = json.loads((tmp_path / "BENCH_server-faults.json").read_text())
+        assert record["suite"] == "server-faults"
+        assert all(record["checks"].values())
 
 
 class TestNetCommands:
-    def test_loadtest_parity_gate_passes(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "BENCH_net.json"
+    def test_loadtest_parity_gate_passes(self, capsys):
         assert main(
             [
                 "loadtest",
@@ -114,18 +112,11 @@ class TestNetCommands:
                 "--items", "10",
                 "--channels", "2",
                 "--check-parity",
-                "--json", str(path),
             ]
         ) == 0
         out = capsys.readouterr().out
         assert "parity vs simulator: EXACT" in out
         assert "0 unaccounted" in out
-        record = json.loads(path.read_text())
-        assert record["suite"] == "net-loadtest"
-        assert record["aggregate"]["checks"] == {
-            "zero_unaccounted_frames": True,
-            "parity_exact": True,
-        }
 
     def test_loadtest_lossy_fleet(self, capsys):
         assert main(
@@ -147,10 +138,7 @@ class TestNetCommands:
         ) == 2
         assert "lossless air" in capsys.readouterr().err
 
-    def test_loadtest_batch_engine_parity(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "BENCH_engine_loadtest.json"
+    def test_loadtest_batch_engine_parity(self, capsys):
         assert main(
             [
                 "loadtest",
@@ -159,15 +147,11 @@ class TestNetCommands:
                 "--items", "10",
                 "--channels", "2",
                 "--check-parity",
-                "--json", str(path),
             ]
         ) == 0
         out = capsys.readouterr().out
         assert "batch engine" in out
         assert "parity vs scalar protocol: EXACT" in out
-        record = json.loads(path.read_text())
-        assert record["suite"] == "engine-loadtest"
-        assert record["aggregate"]["checks"] == {"parity_exact": True}
 
     def test_loadtest_batch_engine_parity_under_faults(self, capsys):
         assert main(
@@ -189,33 +173,32 @@ class TestNetCommands:
 
 class TestEngineCommands:
     def test_engine_bench_writes_record_and_passes_gates(
-        self, tmp_path, capsys
+        self, tmp_path, monkeypatch, capsys
     ):
+        import dataclasses
         import json
 
-        path = tmp_path / "BENCH_engine.json"
+        from repro.bench import SUITES
+
+        suite = SUITES["engine-batch"]
+        config = {
+            **suite.config, "items": 12, "walks": 4000, "sample": 300,
+            "repeats": 1,
+        }
+        monkeypatch.setitem(
+            SUITES, "engine-batch", dataclasses.replace(suite, config=config)
+        )
+        monkeypatch.chdir(tmp_path)
         assert main(
-            [
-                "engine", "bench",
-                "--items", "12",
-                "--walks", "4000",
-                "--sample", "300",
-                "--repeats", "1",
-                "--json", str(path),
-                "--rev", "testrev",
-            ]
+            ["bench", "engine-batch", "--record", "--rev", "testrev"]
         ) == 0
         out = capsys.readouterr().out
-        assert "differential_exact=True" in out
-        assert "differential_faulty_exact=True" in out
-        record = json.loads(path.read_text())
+        assert "differential_exact=ok" in out
+        assert "differential_faulty_exact=ok" in out
+        record = json.loads((tmp_path / "BENCH_engine-batch.json").read_text())
         assert record["suite"] == "engine-batch"
         assert record["rev"] == "testrev"
-        assert record["aggregate"]["checks"]["differential_exact"] is True
-
-    def test_engine_bench_rejects_bad_walks(self, capsys):
-        assert main(["engine", "bench", "--walks", "0"]) == 2
-        assert "--walks" in capsys.readouterr().err
+        assert record["checks"]["differential_exact"] is True
 
     def test_serve_and_tune_then_sigint_exits_cleanly(self, tmp_path):
         """The serve command airs for real, answers a live tune, and a
