@@ -5,9 +5,11 @@ the repository; this package is where frames actually cross sockets:
 
 * :class:`~repro.net.station.BroadcastStation` — compiles a plan's
   broadcast program to version-1 wire frames and airs one frame per
-  channel per slot tick, over a TCP fan-out control protocol (default)
-  or UDP datagram push, with per-connection send queues, backpressure,
-  optional :mod:`repro.faults` injection and clean shutdown;
+  channel per slot tick, over a TCP fan-out control protocol (default;
+  one :class:`asyncio.Protocol` per connection answers its LISTENs in
+  order inside the socket callback, with per-connection backpressure)
+  or UDP datagram push, with optional :mod:`repro.faults` injection and
+  clean shutdown;
 * :class:`~repro.net.tuner.TunerClient` — an asyncio receiver that
   tunes in mid-cycle, dozes between the slots the pointer walk names,
   hops channels on cross-channel pointers and recovers from lost or

@@ -80,14 +80,17 @@ class SlotClock:
             else:
                 await asyncio.sleep(0)
 
-    async def wait_for(self, slot: int) -> None:
-        """Doze until absolute ``slot`` has gone on air.
+    def has_aired(self, slot: int) -> bool:
+        """Whether :meth:`wait_for` ``(slot)`` would return at once.
 
-        Free-running clocks (``slot_duration == 0``) return immediately:
-        logical time has no future, every airing's content is already
-        determined (see module docstring).
+        Free-running clocks (``slot_duration == 0``) have aired every
+        slot: logical time has no future, every airing's content is
+        already determined (see module docstring). So has a stopped
+        clock, which will never air another.
         """
-        if self.slot_duration == 0:
-            return
-        while self.aired < slot and self.running:
+        return self.slot_duration == 0 or self.aired >= slot or not self.running
+
+    async def wait_for(self, slot: int) -> None:
+        """Doze until absolute ``slot`` has gone on air."""
+        while not self.has_aired(slot):
             await self._event.wait()

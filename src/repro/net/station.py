@@ -15,9 +15,10 @@ tick — over one of two transports:
   each with that airing's envelope (:class:`repro.io.wire.AirFrame`)
   once the slot clock reaches it. A client that listens to nothing
   receives nothing: dozing costs the station no bandwidth, exactly the
-  energy model of §2.1. Each connection has a bounded request queue and
-  a single ordered sender task, so a slow client backpressures its own
-  socket and nobody else's.
+  energy model of §2.1. Each connection is one :class:`asyncio.Protocol`
+  that answers its requests in order inside the socket callback; its
+  reading pauses while its request FIFO or its write buffer is full,
+  so a slow client backpressures its own socket and nobody else's.
 * **UDP push**. Clients send ``SUB <channel>`` datagrams and the
   station pushes every airing of that channel as it ticks, through
   bounded per-channel queues that drop-oldest under overload (counted
@@ -34,9 +35,10 @@ simulator experience the *same* channel — the foundation of the
 loopback parity gate.
 
 Shutdown is clean by construction: :meth:`aclose` (or the async context
-manager) closes the listening socket, cancels every per-connection
-task, flushes and closes writers, and stops the clock; all counters
-survive in :attr:`perf`.
+manager) stops the clock, aborts every live connection, closes the
+listening socket and cancels the UDP pumps; all counters survive in
+:attr:`perf`. A client that says ``BYE`` (or half-closes) gets every
+answer it asked for before the station closes its socket.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import asyncio
 import bisect
 import contextlib
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +73,8 @@ from .clock import SlotClock
 
 __all__ = ["BroadcastStation"]
 
-_QUEUE_SENTINEL = None
+_MAX_LINE = 256  # longest unfinished control line; a LISTEN is < 32 bytes
+_MAX_SLOT = 0xFFFFFFFF  # the envelope's absolute-slot field is 32 bits
 
 
 @dataclass(frozen=True)
@@ -120,8 +124,8 @@ class BroadcastStation:
     transport:
         ``"tcp"`` (LISTEN/answer fan-out) or ``"udp"`` (subscribe/push).
     queue_limit:
-        Bound of each per-connection (TCP) or per-channel (UDP) send
-        queue.
+        Bound of each per-connection (TCP) request FIFO or per-channel
+        (UDP) send queue.
     perf:
         Optional shared :class:`~repro.perf.PerfRecorder`; a private one
         is created otherwise. Counters are namespaced
@@ -203,7 +207,7 @@ class BroadcastStation:
 
         self._server: asyncio.base_events.Server | None = None
         self._datagram: asyncio.DatagramTransport | None = None
-        self._connections: set[asyncio.Task] = set()
+        self._connections: set[_AirConnection] = set()
         self._udp_subscribers: dict[int, set[tuple]] = {}
         self._udp_queues: dict[int, asyncio.Queue] = {}
         self._udp_pumps: list[asyncio.Task] = []
@@ -217,8 +221,8 @@ class BroadcastStation:
             return self
         self._started = True
         if self.transport == "tcp":
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port
+            self._server = await asyncio.get_running_loop().create_server(
+                lambda: _AirConnection(self), self.host, self.port
             )
             self.port = self._server.sockets[0].getsockname()[1]
             if self.clock.slot_duration > 0:
@@ -246,15 +250,16 @@ class BroadcastStation:
             return
         self._closed = True
         await self.clock.aclose()
+        for connection in list(self._connections):
+            connection.abort()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for task in list(self._connections) + self._udp_pumps:
+        for task in self._udp_pumps:
             task.cancel()
-        for task in list(self._connections) + self._udp_pumps:
+        for task in self._udp_pumps:
             with contextlib.suppress(asyncio.CancelledError):
                 await task
-        self._connections.clear()
         self._udp_pumps.clear()
         if self._datagram is not None:
             self._datagram.close()
@@ -439,64 +444,6 @@ class BroadcastStation:
         )
 
     # -- TCP fan-out --------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._connections.add(task)
-        self.perf.count("net.station.connections")
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.queue_limit)
-        sender = asyncio.get_running_loop().create_task(
-            self._send_loop(queue, writer)
-        )
-        flush = False
-        try:
-            writer.write(self.welcome())
-            await writer.drain()
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                request = self._parse_control(line)
-                if request == "bye":
-                    break
-                if request is None:
-                    self.perf.count("net.station.protocol_errors")
-                    break
-                # Bounded queue: a client outpacing its own socket
-                # backpressures here, not in station memory.
-                await queue.put(request)
-                self.perf.count("net.station.requests")
-            flush = True  # orderly goodbye: answer what was already asked
-        except (ConnectionResetError, asyncio.CancelledError):
-            pass
-        finally:
-            if flush:
-                try:
-                    queue.put_nowait(_QUEUE_SENTINEL)
-                except asyncio.QueueFull:
-                    flush = False
-            if not flush:
-                sender.cancel()
-            try:
-                await sender
-            except BaseException:
-                # Sender failure, or our own cancellation mid-flush
-                # (station shutdown): take the sender down with us
-                # rather than leak it.
-                sender.cancel()
-                with contextlib.suppress(BaseException):
-                    await sender
-            # BaseException (not Exception): a cancellation delivered in
-            # this teardown must not make the handler end *cancelled* —
-            # asyncio's stream wrapper logs a spurious traceback for
-            # every such handler, and the socket is being closed anyway.
-            writer.close()
-            with contextlib.suppress(BaseException):
-                await writer.wait_closed()
-            self._connections.discard(task)
-
     def _parse_control(self, line: bytes) -> tuple[int, int] | str | None:
         parts = line.split()
         if not parts:
@@ -508,24 +455,9 @@ class BroadcastStation:
                 channel, slot = int(parts[1]), int(parts[2])
             except ValueError:
                 return None
-            if 1 <= channel <= self.channels and slot >= 1:
+            if 1 <= channel <= self.channels and 1 <= slot <= _MAX_SLOT:
                 return (channel, slot)
         return None
-
-    async def _send_loop(
-        self, queue: asyncio.Queue, writer: asyncio.StreamWriter
-    ) -> None:
-        """Answer one connection's LISTENs, in order, paced by the clock."""
-        while True:
-            request = await queue.get()
-            if request is _QUEUE_SENTINEL:
-                return
-            channel, slot = request
-            await self.clock.wait_for(slot)
-            air = self.airing(channel, slot)
-            writer.write(encode_air_frame(air))
-            await writer.drain()
-            self.perf.count("net.station.frames_sent")
 
     # -- UDP push -----------------------------------------------------------
     def _udp_tick(self, slot: int) -> None:
@@ -572,6 +504,98 @@ class BroadcastStation:
                     members.discard(address)
                 return
         self.perf.count("net.station.protocol_errors")
+
+
+class _AirConnection(asyncio.Protocol):
+    """One TCP client: LISTEN lines in, envelopes out, in request order.
+
+    Requests for slots on air (all, under logical time) are answered in
+    :meth:`data_received`; one for a future slot parks the FIFO behind a
+    single clock waiter.
+    """
+
+    def __init__(self, station: BroadcastStation) -> None:
+        self.station = station
+        self.line = b""  # unfinished control line
+        self.pending: deque[tuple[int, int]] = deque()
+        self.waiter: asyncio.Task | None = None
+        self.closing = False  # BYE or EOF seen: close once answered
+        self.write_paused = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.station._connections.add(self)
+        self.station.perf.count("net.station.connections")
+        transport.write(self.station.welcome())
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.abort()
+
+    def abort(self) -> None:
+        """Drop the connection and anything still unanswered."""
+        self.station._connections.discard(self)
+        self.pending.clear()
+        if self.waiter is not None:
+            self.waiter.cancel()
+        self.transport.abort()
+
+    def data_received(self, data: bytes) -> None:
+        if self.closing:
+            return
+        *lines, self.line = (self.line + data).split(b"\n")
+        for line in lines:
+            request = self.station._parse_control(line)
+            if request == "bye":
+                self.closing = True
+                break
+            if request is None:
+                return self._protocol_error()
+            self.pending.append(request)
+            self.station.perf.count("net.station.requests")
+        if len(self.line) > _MAX_LINE and not self.closing:
+            return self._protocol_error()
+        self._serve()
+
+    def eof_received(self) -> bool:
+        self.closing = True
+        self._serve()
+        return True  # half-closed: keep writing the answers owed
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._serve()
+
+    def _protocol_error(self) -> None:
+        self.station.perf.count("net.station.protocol_errors")
+        self.pending.clear()
+        self.transport.close()
+
+    def _serve(self) -> None:
+        """Answer the FIFO in order, as far as the clock and socket allow."""
+        station, transport = self.station, self.transport
+        while self.pending and self.waiter is None and not self.write_paused:
+            channel, slot = self.pending[0]
+            if not station.clock.has_aired(slot):
+                self.waiter = asyncio.ensure_future(self._wait_for(slot))
+                break
+            self.pending.popleft()
+            transport.write(encode_air_frame(station.airing(channel, slot)))
+            station.perf.count("net.station.frames_sent")
+        if self.closing:
+            if not self.pending:
+                transport.close()
+        elif self.write_paused or len(self.pending) >= station.queue_limit:
+            transport.pause_reading()
+        else:
+            transport.resume_reading()
+
+    async def _wait_for(self, slot: int) -> None:
+        await self.station.clock.wait_for(slot)
+        self.waiter = None
+        self._serve()
 
 
 class _UdpAirProtocol(asyncio.DatagramProtocol):

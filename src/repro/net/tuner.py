@@ -36,15 +36,17 @@ from ..perf import PerfRecorder
 
 __all__ = ["TunerClient", "TunerProtocolError"]
 
-_READ_CHUNK = 4096
-
 
 class TunerProtocolError(ReproError):
     """The station answered out of protocol (wrong airing, dead stream)."""
 
 
-class TunerClient:
+class TunerClient(asyncio.Protocol):
     """One mobile receiver connected to a station's TCP interface.
+
+    The tuner is its connection's :class:`asyncio.Protocol`: each
+    envelope reaches the walk, and the walk's next ``LISTEN`` goes out,
+    inside :meth:`data_received`; ``fetch`` awaits one future per walk.
 
     Parameters
     ----------
@@ -79,54 +81,68 @@ class TunerClient:
         self.cycle_length: int | None = None
         self.channels: int | None = None
         self.bucket_size: int | None = None
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        self._transport: asyncio.Transport | None = None
+        self._welcome = bytearray()  # the WELCOME line until it is whole
+        self._welcomed: asyncio.Future | None = None
+        self._closed: asyncio.Future | None = None
         self._decoder = FrameStreamDecoder()
+        # Envelopes no walk consumed yet; an unsolicited one fails the next.
         self._arrived: deque[AirFrame] = deque()
+        self._walk: PointerWalk | None = None
+        self._done: asyncio.Future | None = None
+        self._error: Exception | None = None  # for the next fetch
 
     # -- lifecycle ----------------------------------------------------------
     async def connect(self) -> "TunerClient":
         """Open the connection and read the station's WELCOME metadata."""
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._welcomed, self._closed = loop.create_future(), loop.create_future()
+        self._transport, _ = await loop.create_connection(
+            lambda: self, self.host, self.port
         )
-        line = await self._reader.readline()
-        if not line:
-            raise TunerProtocolError("station closed before WELCOME")
+        line = await self._welcomed
         try:
             welcome = json.loads(line)
             self.cycle_length = int(welcome["cycle_length"])
             self.channels = int(welcome["channels"])
             self.bucket_size = int(welcome["bucket_size"])
         except (ValueError, KeyError, TypeError) as error:
-            raise TunerProtocolError(
-                f"malformed WELCOME line {line!r}"
-            ) from error
+            raise TunerProtocolError(f"malformed WELCOME line {line!r}") from error
         self.perf.count("net.tuner.connections")
         return self
 
     async def aclose(self) -> None:
         """Say goodbye and close the socket; idempotent."""
-        writer, self._writer = self._writer, None
-        self._reader = None
-        if writer is None:
+        transport, self._transport = self._transport, None
+        if transport is None:
             return
-        try:
-            writer.write(b"BYE\n")
-            await writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, RuntimeError):
-            pass
+        if not self._closed.done():
+            transport.write(b"BYE\n")
+        transport.close()
+        await self._closed
 
     async def __aenter__(self) -> "TunerClient":
         return await self.connect()
 
     async def __aexit__(self, *exc_info) -> None:
         await self.aclose()
+
+    # -- the socket ----------------------------------------------------------
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._closed.set_result(None)
+        if not self._welcomed.done():
+            error = TunerProtocolError("station closed before WELCOME")
+            self._welcomed.set_exception(error)
+        self._pump()
+
+    def data_received(self, data: bytes) -> None:
+        if not self._welcomed.done():
+            self._welcome += data
+            line, newline, data = self._welcome.partition(b"\n")
+            if not newline:
+                return
+            self._welcomed.set_result(bytes(line))
+        self._pump(data)
 
     # -- the access protocol -------------------------------------------------
     async def fetch(
@@ -141,9 +157,12 @@ class TunerClient:
         ``walk_id`` stamps the traced events' ``walk`` correlation field
         so a concurrent fleet's interleaved trace stays attributable.
         """
-        if self._reader is None or self.cycle_length is None:
+        if self._transport is None or self.cycle_length is None:
             raise TunerProtocolError("not connected; call connect() first")
-        walk = PointerWalk(
+        if self._error is not None:
+            error, self._error = self._error, None
+            raise error
+        self._walk = PointerWalk(
             key,
             tune_slot,
             self.cycle_length,
@@ -151,38 +170,14 @@ class TunerClient:
             tracer=self.tracer,
             walk_id=walk_id,
         )
-        while (listen := walk.next_listen()) is not None:
-            air = await self._listen(listen.channel, listen.absolute_slot)
-            # Wire-propagated causal context (v3 envelopes) must reach
-            # the walk before the version stamp: a cutover closes the
-            # current segment span and the new one parents onto the
-            # publish span this very frame carries.
-            walk.observe_trace(air.trace_id, air.span_id)
-            if walk.observe_version(air.schedule_version):
-                # The air's schedule version changed under the walk
-                # (the station cut over to a new plan); the walk has
-                # already consumed this read and restarted from the
-                # root per its policy — a recovery event, never a
-                # corrupt bucket.
-                self.perf.count("net.tuner.cutovers")
-                continue
-            if air.lost:
-                walk.on_loss()
-                self.perf.count("net.tuner.lost")
-                continue
-            slot = (listen.absolute_slot - 1) % self.cycle_length + 1
-            try:
-                bucket = decode_bucket(
-                    air.payload, channel=listen.channel, offset=slot
-                )
-            except WireFormatError:
-                # Damaged in flight: the CRC caught it, treat as loss.
-                walk.on_loss(corrupt=True)
-                self.perf.count("net.tuner.corrupt")
-                continue
-            walk.deliver(bucket)
-            self.perf.count("net.tuner.frames")
-        result = walk.result
+        done = self._done = asyncio.get_running_loop().create_future()
+        self._send_listen()
+        self._pump()
+        try:
+            result = await done
+        finally:
+            if self._done is done:  # cancelled: later frames are unsolicited
+                self._walk = self._done = None
         self.perf.count("net.tuner.fetches")
         self.perf.count("net.tuner.reads", result.tuning_time)
         self.perf.count("net.tuner.retries", result.retries)
@@ -190,25 +185,66 @@ class TunerClient:
             self.perf.count("net.tuner.abandoned")
         return result
 
-    async def _listen(self, channel: int, absolute_slot: int) -> AirFrame:
-        """Ask for one airing, doze until its envelope arrives."""
-        assert self._writer is not None and self._reader is not None
-        self._writer.write(b"LISTEN %d %d\n" % (channel, absolute_slot))
-        await self._writer.drain()
-        air = await self._next_air()
-        if air.channel != channel or air.absolute_slot != absolute_slot:
-            raise TunerProtocolError(
-                f"asked for channel {channel} slot {absolute_slot}, "
-                f"station aired channel {air.channel} slot "
-                f"{air.absolute_slot}"
-            )
-        return air
-
-    async def _next_air(self) -> AirFrame:
-        assert self._reader is not None
-        while not self._arrived:
-            chunk = await self._reader.read(_READ_CHUNK)
-            if not chunk:
+    def _pump(self, data: bytes = b"") -> None:
+        """Feed arrived envelopes to the walk, one LISTEN per envelope."""
+        try:
+            self._arrived.extend(self._decoder.feed(data))
+            while self._walk is not None and self._arrived:
+                self._on_air(self._walk, self._arrived.popleft())
+                self._send_listen()
+            if self._walk is not None and self._closed.done():
                 raise TunerProtocolError("station hung up mid-walk")
-            self._arrived.extend(self._decoder.feed(chunk))
-        return self._arrived.popleft()
+        except Exception as error:  # the walk's caller gets it, not the loop
+            self._settle(error=error)
+
+    def _send_listen(self) -> None:
+        """Ask for the walk's next airing, or hand the finished walk back."""
+        if (listen := self._walk.next_listen()) is None:
+            return self._settle()
+        line = b"LISTEN %d %d\n" % (listen.channel, listen.absolute_slot)
+        self._transport.write(line)
+
+    def _settle(self, error: Exception | None = None) -> None:
+        """End the walk; with no ``fetch`` waiting, keep an error for the next."""
+        walk, done = self._walk, self._done
+        self._walk = self._done = None
+        if done is None or done.cancelled():
+            self._error = error or self._error
+        elif error is not None:
+            done.set_exception(error)
+        else:
+            done.set_result(walk.result)
+
+    def _on_air(self, walk: PointerWalk, air: AirFrame) -> None:
+        """One envelope's effect on the walk: the per-frame protocol."""
+        listen = walk.next_listen()
+        if air.channel != listen.channel or air.absolute_slot != listen.absolute_slot:
+            raise TunerProtocolError(
+                f"asked for channel {listen.channel} slot {listen.absolute_slot}, "
+                f"station aired channel {air.channel} slot {air.absolute_slot}")
+        # Wire-propagated causal context (v3 envelopes) must reach the
+        # walk before the version stamp: a cutover closes the current
+        # segment span and the new one parents onto the publish span
+        # this very frame carries.
+        walk.observe_trace(air.trace_id, air.span_id)
+        if walk.observe_version(air.schedule_version):
+            # The air's schedule version changed under the walk (the
+            # station cut over to a new plan); the walk has already
+            # consumed this read and restarted from the root per its
+            # policy — a recovery event, never a corrupt bucket.
+            self.perf.count("net.tuner.cutovers")
+            return
+        if air.lost:
+            walk.on_loss()
+            self.perf.count("net.tuner.lost")
+            return
+        slot = (listen.absolute_slot - 1) % self.cycle_length + 1
+        try:
+            bucket = decode_bucket(air.payload, channel=listen.channel, offset=slot)
+        except WireFormatError:
+            # Damaged in flight: the CRC caught it, treat as loss.
+            walk.on_loss(corrupt=True)
+            self.perf.count("net.tuner.corrupt")
+            return
+        walk.deliver(bucket)
+        self.perf.count("net.tuner.frames")

@@ -7,9 +7,10 @@ import json
 
 import pytest
 
+from repro.client.protocol import object_walk
 from repro.faults import FaultConfig
 from repro.io.wire import FrameStreamDecoder, decode_bucket
-from repro.net import BroadcastStation, build_demo_program
+from repro.net import BroadcastStation, TunerClient, build_demo_program
 from repro.perf import PerfRecorder
 
 
@@ -163,6 +164,128 @@ class TestTcpFanout:
         assert perf.counters["net.station.connections"] == 1
         assert perf.counters["net.station.requests"] == 1
         assert perf.counters["net.station.frames_sent"] == 1
+
+
+async def _connect(station):
+    """Open a raw client connection; returns (reader, writer) past WELCOME."""
+    reader, writer = await asyncio.open_connection(station.host, station.port)
+    await reader.readline()
+    return reader, writer
+
+
+def _listens(asks) -> bytes:
+    return b"".join(b"LISTEN %d %d\n" % ask for ask in asks)
+
+
+def _coordinates(data: bytes) -> list[tuple[int, int]]:
+    return [
+        (air.channel, air.absolute_slot)
+        for air in FrameStreamDecoder().feed(data)
+    ]
+
+
+ASKS = [(1, 3), (2, 7), (1, 1), (2, 40), (1, 3), (2, 2)]
+
+
+class TestTcpPipelining:
+    @pytest.mark.parametrize("goodbye", ["bye", "half-close"])
+    def test_pipelined_listens_are_answered_in_order(self, program, goodbye):
+        """One write of many LISTENs, then goodbye: every answer, in order."""
+
+        async def scenario():
+            perf = PerfRecorder()
+            async with BroadcastStation(program, perf=perf) as station:
+                reader, writer = await _connect(station)
+                writer.write(_listens(ASKS))
+                if goodbye == "bye":
+                    writer.write(b"BYE\nLISTEN 1 1\n")  # nothing after BYE
+                else:
+                    writer.write_eof()
+                data = await reader.read()  # to the station's close
+                writer.close()
+                await writer.wait_closed()
+            return data, perf
+
+        data, perf = run(scenario())
+        assert _coordinates(data) == ASKS
+        assert perf.counters["net.station.requests"] == len(ASKS)
+        assert perf.counters["net.station.frames_sent"] == len(ASKS)
+
+    def test_future_slot_holds_back_later_requests(self, program):
+        """Paced air: a LISTEN for a future slot parks everything after it."""
+
+        async def scenario():
+            async with BroadcastStation(
+                program, slot_duration=0.01
+            ) as station:
+                reader, writer = await _connect(station)
+                future = station.clock.aired + 5
+                writer.write(_listens([(1, future), (2, 1)]))
+                decoder, airs = FrameStreamDecoder(), []
+                while len(airs) < 2:
+                    chunk = await asyncio.wait_for(reader.read(4096), 5.0)
+                    for air in decoder.feed(chunk):
+                        # Answered only once the clock has aired it.
+                        assert station.clock.aired >= air.absolute_slot
+                        airs.append((air.channel, air.absolute_slot))
+                writer.close()
+                await writer.wait_closed()
+            return future, airs
+
+        future, airs = run(scenario())
+        assert airs == [(1, future), (2, 1)]
+
+    def test_a_client_that_never_reads_is_paused(self, program):
+        """Pipelining without reading backpressures that socket only."""
+        limit, asks = 4, [(1, slot) for slot in range(1, 50_001)]
+        leaf = program.schedule.tree.data_nodes()[0]
+
+        async def paused(connection):
+            while connection.transport.is_reading():
+                await asyncio.sleep(0.01)
+
+        async def scenario():
+            perf = PerfRecorder()
+            async with BroadcastStation(
+                program, bucket_size=8192, queue_limit=limit, perf=perf
+            ) as station:
+                _, hog = await _connect(station)
+                (connection,) = station._connections
+                hog.write(_listens(asks))  # and never read a byte
+                await asyncio.wait_for(paused(connection), 10.0)
+                pending = len(connection.pending)
+                async with TunerClient(station.host, station.port) as tuner:
+                    result = await tuner.fetch(leaf.label, 2)
+                hog.transport.abort()
+            return pending, perf, result
+
+        pending, perf, result = run(scenario())
+        # Reading pauses once the FIFO is full, so the station holds at
+        # most the lines of one socket read (256 KiB) beyond the limit.
+        assert pending <= limit + 2**18 // len(b"LISTEN 1 1\n")
+        assert perf.counters["net.station.requests"] < len(asks)
+        assert perf.counters["net.station.frames_sent"] < len(asks)
+        expected = object_walk(program, leaf, 2)
+        assert result.access_time == expected.access_time
+        assert result.payload == f"item:{leaf.label}".encode()
+
+    def test_overlong_control_line_is_a_protocol_error(self, program):
+        async def scenario():
+            perf = PerfRecorder()
+            async with BroadcastStation(program, perf=perf) as station:
+                reader, writer = await _connect(station)
+                writer.write(b"L" * 70_000)  # no newline, ever
+                try:
+                    tail = await reader.read()
+                except ConnectionResetError:  # closed with input unread
+                    tail = b""
+                assert tail == b""
+                writer.transport.abort()
+            return perf
+
+        perf = run(scenario())
+        assert perf.counters["net.station.protocol_errors"] == 1
+        assert perf.counters.get("net.station.requests", 0) == 0
 
 
 class TestUdpPush:

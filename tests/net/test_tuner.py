@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 
 import pytest
@@ -157,5 +158,101 @@ class TestProtocolErrors:
                 ).connect()
                 await tuner.aclose()
                 await tuner.aclose()
+
+        run(scenario())
+
+
+class FakeStation:
+    """A hand-rolled TCP station answering from ``BroadcastStation.airing``.
+
+    ``chunk`` splits every write into pieces of that many bytes. ``early``
+    is an airing written in one segment with the WELCOME line, ahead of
+    the LISTEN that will ask for it (which then goes unanswered).
+    """
+
+    def __init__(self, program, *, chunk=None, early=None):
+        self.air = BroadcastStation(program)
+        self.chunk, self.early = chunk, early
+        self.writers = []
+
+    async def send(self, writer, data):
+        step = self.chunk or len(data)
+        for start in range(0, len(data), step):
+            writer.write(data[start:start + step])
+            await writer.drain()
+            await asyncio.sleep(0)  # let the tuner read each piece
+
+    async def serve(self, reader, writer):
+        self.writers.append(writer)
+        head, skip = self.air.welcome(), self.early
+        if skip is not None:
+            head += encode_air_frame(self.air.airing(*skip))
+        await self.send(writer, head)
+        while (line := await reader.readline()).startswith(b"LISTEN"):
+            ask = tuple(int(part) for part in line.split()[1:])
+            if ask == skip:
+                skip = None
+                continue
+            await self.send(writer, encode_air_frame(self.air.airing(*ask)))
+        writer.close()
+
+    @contextlib.asynccontextmanager
+    async def tuner(self):
+        server = await asyncio.start_server(self.serve, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            async with TunerClient("127.0.0.1", port) as tuner:
+                yield tuner
+        finally:
+            server.close()
+            await server.wait_closed()
+
+
+def _assert_object_walk(program, leaf, tune, result):
+    expected = object_walk(program, leaf, tune)
+    assert result.access_time == expected.access_time
+    assert result.tuning_time == expected.tuning_time
+    assert result.channel_switches == expected.channel_switches
+    assert result.payload == f"item:{leaf.label}".encode()
+
+
+class TestFraming:
+    def test_one_byte_at_a_time(self, program):
+        leaves = program.schedule.tree.data_nodes()
+
+        async def scenario():
+            async with FakeStation(program, chunk=1).tuner() as tuner:
+                return [await tuner.fetch(leaf.label, 2) for leaf in leaves]
+
+        for leaf, result in zip(leaves, run(scenario())):
+            _assert_object_walk(program, leaf, 2, result)
+
+    def test_welcome_and_first_envelope_in_one_segment(self, program):
+        leaf = program.schedule.tree.data_nodes()[3]
+        tune = 5
+
+        async def scenario():
+            fake = FakeStation(program, early=(1, tune))
+            async with fake.tuner() as tuner:
+                return await tuner.fetch(leaf.label, tune)
+
+        _assert_object_walk(program, leaf, tune, run(scenario()))
+
+    def test_unsolicited_frame_fails_the_next_fetch(self, program):
+        leaf = program.schedule.tree.data_nodes()[0]
+
+        async def scenario():
+            fake = FakeStation(program)
+            async with fake.tuner() as tuner:
+                _assert_object_walk(
+                    program, leaf, 2, await tuner.fetch(leaf.label, 2)
+                )
+                # Between walks: nobody asked for this airing.
+                await fake.send(fake.writers[0], encode_air_frame(
+                    AirFrame(channel=2, absolute_slot=999, payload=b"x")
+                ))
+                await asyncio.sleep(0.05)
+                with pytest.raises(TunerProtocolError, match="station aired"):
+                    await tuner.fetch(leaf.label, 2)
 
         run(scenario())
