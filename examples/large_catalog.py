@@ -69,9 +69,9 @@ def main() -> None:
     rows = []
     sorting, ms = timed(sorting_schedule, tree, 1)
     rows.append(["sorting (preorder of sorted tree)", sorting.data_wait(), ms])
-    combined, ms = timed(combine_and_solve, tree, 12)
+    combined, ms = timed(combine_and_solve, tree, max_data_nodes=12)
     rows.append(["shrinking: node combination", combined.data_wait(), ms])
-    partitioned, ms = timed(partition_and_solve, tree, 12)
+    partitioned, ms = timed(partition_and_solve, tree, max_data_nodes=12)
     rows.append(["shrinking: tree partitioning", partitioned.data_wait(), ms])
     rows.append(["no-index floor", flat_broadcast_wait(tree), 0.0])
     print(

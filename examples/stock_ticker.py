@@ -97,7 +97,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     best = solve(tree, channels=2)
     program = compile_program(best.schedule)
-    summary = simulate_workload(program, np.random.default_rng(7), requests=2000)
+    summary = simulate_workload(program, rng=np.random.default_rng(7), requests=2000)
     print("\n2000 simulated client requests against the 2-channel optimum:")
     print(f"  mean access time  = {summary.mean_access_time:7.2f} slots "
           f"(analytic {expected_access_time(best.schedule):.2f})")

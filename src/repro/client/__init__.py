@@ -1,8 +1,7 @@
 """Mobile-client substrate: the pointer-following access protocol (with
-its loss-recovering variant), the unified :func:`request` facade over
-every walk engine, and the workload simulator measuring access time,
-tuning time and channel switches against a compiled broadcast
-program."""
+its loss-recovering variant) and the workload simulator measuring
+access time, tuning time and channel switches against a compiled
+broadcast program."""
 
 from .protocol import (
     AccessRecord,
@@ -10,15 +9,6 @@ from .protocol import (
     RecoveryPolicy,
     object_walk,
     recovering_walk,
-)
-from .request import (
-    EngineNotFound,
-    WalkEngine,
-    engines,
-    get_engine,
-    register_engine,
-    request,
-    unregister_engine,
 )
 from .simulator import (
     SimulationSummary,
@@ -39,13 +29,6 @@ __all__ = [
     "RecoveryPolicy",
     "object_walk",
     "recovering_walk",
-    "EngineNotFound",
-    "WalkEngine",
-    "request",
-    "register_engine",
-    "unregister_engine",
-    "get_engine",
-    "engines",
     "SimulationSummary",
     "simulate_workload",
     "summarise_faulty_records",

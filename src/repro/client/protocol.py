@@ -18,9 +18,10 @@ cost) and channel switches. :func:`recovering_walk` is the same walk over
 the :mod:`repro.faults` channel model. Both drive the one scalar walk,
 :class:`~repro.client.walk.PointerWalk`, feeding it buckets read off the
 program's grid: the walk never consults the schedule directly — only
-bucket pointers — so it genuinely validates the pointer wiring. Most
-callers should go through the unified :func:`repro.client.request`
-facade rather than calling either directly.
+bucket pointers — so it genuinely validates the pointer wiring. The
+same walk runs over encoded frames in
+:func:`repro.io.wire_client.wire_walk` and, vectorised, in
+:func:`repro.engine.run_batch`.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ import numpy as np
 from ..client.protocol import RecoveryPolicy
 from ..faults import FaultConfig
 from ..io.wire import DEFAULT_BUCKET_SIZE
+from ..net.harness import demo_labels
 from ..obs.attrib import AttributionCollector
 from ..obs.events import TeeTracer, Tracer
 from ..obs.metrics import MetricsRegistry
@@ -384,14 +385,14 @@ def run_cluster_sweep(
 
 
 def demo_catalog(items: int, seed: int) -> list[tuple[str, float]]:
-    """The Zipf-weighted ``K%03d`` catalog every cluster command airs.
+    """The Zipf-weighted demo catalog every cluster command airs.
 
     Same shape as :func:`repro.net.harness.build_demo_program`'s input,
     so a 1-shard cluster airs the catalog the single-station commands do.
     """
     rng = np.random.default_rng(seed)
-    labels = [f"K{index:03d}" for index in range(items)]
-    return list(zip(labels, (float(w) for w in zipf_weights(rng, items))))
+    weights = zipf_weights(rng, items)
+    return list(zip(demo_labels(items), (float(w) for w in weights)))
 
 
 def sweep_summary(

@@ -6,8 +6,7 @@ client walks as array operations (:func:`run_batch` →
 :class:`BatchRecords`) — bit-identical, walk for walk, to the scalar
 :func:`~repro.client.protocol.object_walk` /
 :func:`~repro.client.protocol.recovering_walk`, at orders of magnitude
-their throughput. The engine is also registered as the ``"batch"``
-engine of the :func:`repro.client.request` facade.
+their throughput.
 """
 
 from .batch import run_batch

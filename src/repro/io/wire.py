@@ -335,12 +335,9 @@ def max_fanout_for_bucket_size(
 # Transport envelope — how a live station airs frames over a byte stream.
 # ---------------------------------------------------------------------------
 
-_AIR_MAGIC = 0xAE  # version-1 envelope
-_AIR_MAGIC_V2 = 0xAF  # version-2 envelope: v1 + schedule-version stamp
-_AIR_MAGIC_V3 = 0xB0  # version-3 envelope: v2 + trace context
-_AIR_HEADER = struct.Struct(">BBBIH")  # magic, status, channel, slot, length
-_AIR_HEADER_V2 = struct.Struct(">BBBIHI")  # … + schedule version (u32)
-_AIR_HEADER_V3 = struct.Struct(">BBBIHIII")  # … + trace id, span id (u32 each)
+_AIR_MAGIC = 0xB0
+# magic, status, channel, slot, length, schedule version, trace id, span id
+_AIR_HEADER = struct.Struct(">BBBIHIII")
 
 _AIR_OK = 0
 _AIR_LOST = 1
@@ -356,28 +353,25 @@ class AirFrame:
     The bucket wire format (:func:`encode_bucket`) is position-blind —
     a frame does not say when or where it aired. A live receiver needs
     exactly that to drive its pointer walk, so the station wraps each
-    airing in a 9-byte envelope carrying the channel, the absolute slot
-    (1-based, station air time) and a status byte: ``lost`` marks an
-    airing the channel dropped (the client was tuned in and heard
-    nothing — the envelope is how a *simulated* unreliable medium tells
-    a real socket client about an absence). Corrupted airings travel as
+    airing in one fixed 21-byte envelope carrying the channel, the
+    absolute slot (1-based, station air time), a status byte, the
+    schedule version and the trace context. ``lost`` marks an airing
+    the channel dropped (the client was tuned in and heard nothing —
+    the envelope is how a *simulated* unreliable medium tells a real
+    socket client about an absence). Corrupted airings travel as
     ordinary payloads; the bucket CRC is what detects those, end to
     end, exactly as over real air.
 
     ``schedule_version`` is the :mod:`repro.sched` version of the plan
-    that produced the airing. ``0`` means unversioned: the envelope
-    encodes to the original 9-byte version-1 layout, byte-identical to
-    pre-versioning stations. A positive version selects the 13-byte
-    version-2 envelope; receivers decode both, which is how a cutover
-    becomes *visible* to a tuner mid-walk instead of silently swapping
-    the pointer graph under it.
+    that produced the airing (``0`` means unversioned); it is how a
+    cutover becomes *visible* to a tuner mid-walk instead of silently
+    swapping the pointer graph under it.
 
     ``trace_id``/``span_id`` are the causal trace context of the
     publish that put this schedule on the air (see
-    :mod:`repro.obs.spans`). ``(0, 0)`` means untraced and the frame
-    encodes as v1/v2 unchanged; a present context selects the 21-byte
-    version-3 envelope, which is how one trace links a server replan
-    through the station cutover to every tuner walk it restarts.
+    :mod:`repro.obs.spans`); ``(0, 0)`` means untraced. It is how one
+    trace links a server replan through the station cutover to every
+    tuner walk it restarts.
     """
 
     channel: int
@@ -390,14 +384,7 @@ class AirFrame:
 
 
 def encode_air_frame(air: AirFrame) -> bytes:
-    """Serialise one envelope (+ payload) for a byte-stream transport.
-
-    Unversioned airings (``schedule_version == 0``) emit the version-1
-    envelope unchanged; versioned airings emit version 2; airings
-    carrying a trace context emit version 3 — so an untraced,
-    unversioned station stays byte-identical to the pre-versioning
-    wire, frame for frame.
-    """
+    """Serialise one envelope (+ payload) for a byte-stream transport."""
     if not 1 <= air.channel <= 0xFF:
         raise WireFormatError(f"air channel {air.channel} out of range")
     if not 1 <= air.absolute_slot <= 0xFFFFFFFF:
@@ -416,24 +403,11 @@ def encode_air_frame(air: AirFrame) -> bytes:
         raise WireFormatError(f"trace id {air.trace_id} out of range")
     if not 0 <= air.span_id <= 0xFFFFFFFF:
         raise WireFormatError(f"span id {air.span_id} out of range")
-    status = _AIR_LOST if air.lost else _AIR_OK
-    if air.trace_id or air.span_id:
-        header = _AIR_HEADER_V3.pack(
-            _AIR_MAGIC_V3, status, air.channel, air.absolute_slot,
-            len(air.payload), air.schedule_version,
-            air.trace_id, air.span_id,
-        )
-    elif air.schedule_version == 0:
-        header = _AIR_HEADER.pack(
-            _AIR_MAGIC, status, air.channel, air.absolute_slot,
-            len(air.payload),
-        )
-    else:
-        header = _AIR_HEADER_V2.pack(
-            _AIR_MAGIC_V2, status, air.channel, air.absolute_slot,
-            len(air.payload), air.schedule_version,
-        )
-    return header + air.payload
+    return _AIR_HEADER.pack(
+        _AIR_MAGIC, _AIR_LOST if air.lost else _AIR_OK, air.channel,
+        air.absolute_slot, len(air.payload), air.schedule_version,
+        air.trace_id, air.span_id,
+    ) + air.payload
 
 
 class FrameStreamDecoder:
@@ -456,52 +430,22 @@ class FrameStreamDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> list[AirFrame]:
-        """Absorb ``data``; return the envelopes it completed, in order.
-
-        All three envelope versions are accepted, per frame: a stream
-        may interleave version-1, version-2 and version-3 airings (a
-        station mid-way through adopting versioning or tracing does
-        exactly that).
-        """
+        """Absorb ``data``; return the envelopes it completed, in order."""
         self._buffer.extend(data)
         frames: list[AirFrame] = []
         cursor = 0
+        size = _AIR_HEADER.size
         while len(self._buffer) - cursor >= 1:
-            magic = self._buffer[cursor]
-            if magic == _AIR_MAGIC:
-                header = _AIR_HEADER
-            elif magic == _AIR_MAGIC_V2:
-                header = _AIR_HEADER_V2
-            elif magic == _AIR_MAGIC_V3:
-                header = _AIR_HEADER_V3
-            else:
+            if self._buffer[cursor] != _AIR_MAGIC:
                 raise WireFormatError(
-                    f"bad air-envelope magic {magic:#04x}; stream is "
-                    "desynchronised"
+                    f"bad air-envelope magic {self._buffer[cursor]:#04x}; "
+                    "stream is desynchronised"
                 )
-            size = header.size
             if len(self._buffer) - cursor < size:
                 break  # header still in flight
-            fields = header.unpack_from(self._buffer, cursor)
-            trace_id = span_id = 0
-            if magic == _AIR_MAGIC:
-                _, status, channel, slot, length = fields
-                version = 0
-            elif magic == _AIR_MAGIC_V2:
-                _, status, channel, slot, length, version = fields
-                if version == 0:
-                    raise WireFormatError(
-                        "version-2 air envelope carries schedule version 0"
-                    )
-            else:
-                (
-                    _, status, channel, slot, length, version,
-                    trace_id, span_id,
-                ) = fields
-                if trace_id == 0 and span_id == 0:
-                    raise WireFormatError(
-                        "version-3 air envelope carries no trace context"
-                    )
+            (
+                _, status, channel, slot, length, version, trace_id, span_id,
+            ) = _AIR_HEADER.unpack_from(self._buffer, cursor)
             if status not in (_AIR_OK, _AIR_LOST):
                 raise WireFormatError(f"unknown air status {status}")
             if len(self._buffer) - cursor - size < length:

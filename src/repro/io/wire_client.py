@@ -34,7 +34,6 @@ def wire_walk(
     *,
     tracer=None,
     walk_id: int | None = None,
-    trace_context: tuple[int, int] | None = None,
 ) -> WalkResult:
     """Fetch the item with search key ``key`` from an encoded cycle.
 
@@ -50,11 +49,7 @@ def wire_walk(
     narrates into — the hook the trace-diff tooling uses to replay a
     request trace through the simulator in the live fleet's vocabulary.
     ``walk_id`` stamps the emitted events' ``walk`` correlation field
-    (see :class:`~repro.obs.events.SlotRead`). ``trace_context`` is an
-    optional ``(trace_id, span_id)`` causal context — what a wire-v3
-    envelope would have carried had this grid been on live air — so a
-    simulated walk driven through a span-capable tracer parents its
-    segment spans exactly like a socket tuner's.
+    (see :class:`~repro.obs.events.SlotRead`).
     """
     # Imported lazily: repro.client.walk itself builds on repro.io.wire,
     # and the package inits would otherwise form a cycle.
@@ -62,8 +57,6 @@ def wire_walk(
 
     cycle = len(frames[0])
     walk = PointerWalk(key, tune_slot, cycle, tracer=tracer, walk_id=walk_id)
-    if trace_context is not None:
-        walk.observe_trace(*trace_context)
     while (listen := walk.next_listen()) is not None:
         slot = (listen.absolute_slot - 1) % cycle + 1
         bucket = decode_bucket(

@@ -45,6 +45,7 @@ from .tuner import TunerClient
 
 __all__ = [
     "LoadReport",
+    "demo_labels",
     "build_demo_plan",
     "build_demo_program",
     "make_request_trace",
@@ -53,6 +54,16 @@ __all__ = [
     "run_loadtest",
     "run_loadtest_bench",
 ]
+
+
+def demo_labels(items: int) -> list[str]:
+    """The demo catalog's keys ``K000``, ``K001``, …, in sorted order.
+
+    Zero-padded to at least three digits and to as many as the largest
+    index needs, so string order stays key order past 1,000 items.
+    """
+    width = max(3, len(str(items - 1)))
+    return [f"K{index:0{width}d}" for index in range(items)]
 
 
 def build_demo_plan(
@@ -72,10 +83,9 @@ def build_demo_plan(
     harness and CLI build plans through this and compile on demand.
     """
     rng = np.random.default_rng(seed)
-    labels = [f"K{index:03d}" for index in range(items)]
     weights = zipf_weights(rng, items, theta=theta)
     return plan_catalog(
-        labels, list(weights), channels, method=planner, fanout=fanout
+        demo_labels(items), list(weights), channels, method=planner, fanout=fanout
     )
 
 

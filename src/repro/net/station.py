@@ -53,7 +53,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..broadcast.pointers import BroadcastProgram
-from ..client.request import invalidate_request_caches
 from ..faults import CORRUPT, LOST, FaultConfig, FaultInjector, corrupt_frame
 from ..io.wire import (
     DEFAULT_BUCKET_SIZE,
@@ -89,7 +88,7 @@ class _Segment:
 
     ``trace_id``/``span_id`` are the causal context of the publish that
     created the segment (zeros when untraced); every airing of the
-    segment carries them on the wire (v3 envelope), which is how a
+    segment carries them in its air envelope, which is how a
     tuner's restarted walk learns which cutover to blame.
     """
 
@@ -138,12 +137,10 @@ class BroadcastStation:
         (:class:`~repro.obs.events.FrameDropped`) and — via the fault
         injector — every non-OK channel decision.
     schedule_version:
-        :mod:`repro.sched` version of ``program``. 0 (default) airs
-        unversioned version-1 envelopes — byte-identical to a station
-        without versioning. Positive versions stamp every airing with
-        the serving plan's version (wire v2), the signal a tuner's walk
-        uses to detect a mid-walk cutover; new versions go on air via
-        :meth:`publish`.
+        :mod:`repro.sched` version of ``program``; 0 (default) means
+        unversioned. Every airing's envelope carries the serving plan's
+        version, the signal a tuner's walk uses to detect a mid-walk
+        cutover; new versions go on air via :meth:`publish`.
     """
 
     def __init__(
@@ -181,9 +178,7 @@ class BroadcastStation:
         self.channels = program.channels
         # The version timeline: one segment per published plan, starts
         # strictly increasing and cycle-boundary aligned. Version 0
-        # (the default) airs unversioned version-1 envelopes, so a
-        # station that never publishes is byte-identical on the wire to
-        # the pre-versioning implementation.
+        # (the default) means unversioned.
         self.version = schedule_version
         self._timeline: list[_Segment] = [
             _Segment(1, schedule_version, program, self.frames,
@@ -314,11 +309,6 @@ class BroadcastStation:
         (typically a ``station.cutover`` span the caller opened — see
         :mod:`repro.obs.spans`); the new segment's airings carry it on
         the wire so every walk the cutover restarts parents onto it.
-
-        The retired program's engine caches are dropped
-        (:func:`repro.client.request.invalidate_request_caches`): its
-        frame grid and dense compilation describe air that ends at the
-        boundary.
         """
         if version <= self.version:
             raise ValueError(
@@ -362,7 +352,6 @@ class BroadcastStation:
             )
         )
         self._starts.append(activate_at_slot)
-        invalidate_request_caches(last.program)
         self.version = version
         self.perf.count("sched.publishes")
         if self.tracer.enabled:

@@ -222,10 +222,10 @@ class TunerClient(asyncio.Protocol):
             raise TunerProtocolError(
                 f"asked for channel {listen.channel} slot {listen.absolute_slot}, "
                 f"station aired channel {air.channel} slot {air.absolute_slot}")
-        # Wire-propagated causal context (v3 envelopes) must reach the
-        # walk before the version stamp: a cutover closes the current
-        # segment span and the new one parents onto the publish span
-        # this very frame carries.
+        # Wire-propagated causal context must reach the walk before the
+        # version stamp: a cutover closes the current segment span and
+        # the new one parents onto the publish span this very frame
+        # carries.
         walk.observe_trace(air.trace_id, air.span_id)
         if walk.observe_version(air.schedule_version):
             # The air's schedule version changed under the walk (the

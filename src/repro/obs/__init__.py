@@ -34,7 +34,7 @@ A third layer turns records into *diagnosis*:
 
 * :mod:`repro.obs.spans` — causal spans over logical air time
   (``replan → store.publish → station.cutover → walk segment``),
-  wire-propagated through the version-3 air envelope and reconstructed
+  wire-propagated through the air envelope and reconstructed
   into trees that reconcile exactly against the attribution layer
   (``repro obs spans``);
 * :mod:`repro.obs.recorder` — the always-on flight recorder: bounded

@@ -222,17 +222,18 @@ def plan_catalog(
     """Index a keyed catalog and allocate it in one call.
 
     The catalog-level entry point the sharded cluster plans each shard
-    through: build the optimal alphabetic index tree over ``labels``
-    (leaves stay in key order so lookup works) weighted by ``weights``,
-    then run the named registry planner on it. ``labels`` must be
-    sorted — a shard's routing directory hands each station a key-range
-    slice, and an unsorted slice would silently break lookups.
+    through: build an alphabetic index tree over ``labels`` (leaves
+    stay in key order so lookup works) weighted by ``weights`` with
+    :func:`~repro.tree.alphabetic.build_index` — exact up to its size
+    threshold, weight-balanced above it — then run the named registry
+    planner on it. ``labels`` must be sorted — a shard's routing
+    directory hands each station a key-range slice, and an unsorted
+    slice would silently break lookups.
 
     Planners that carry a ``from_catalog`` attribute (the approximation
     planners in :mod:`repro.approx`) take the **streaming path**: they
     are handed the catalog directly and build whatever index structure
-    their strategy wants, skipping the cubic optimal construction that
-    makes million-item catalogs unplannable through the default path.
+    their strategy wants.
     """
     if len(labels) != len(weights):
         raise ValueError(
@@ -266,9 +267,9 @@ def plan_catalog(
             list(labels), list(weights), channels,
             fanout=fanout, perf=perf, rng=rng, **options,
         )
-    from .tree.alphabetic import optimal_alphabetic_tree
+    from .tree.alphabetic import build_index
 
-    tree = optimal_alphabetic_tree(list(labels), list(weights), fanout=fanout)
+    tree = build_index(list(labels), list(weights), fanout=fanout)
     return plan(tree, channels, method=method, perf=perf, rng=rng, **options)
 
 

@@ -18,7 +18,7 @@ plans durable, versioned and reversible:
   unreachable objects;
 * live cutover — :meth:`repro.net.BroadcastStation.publish` activates a
   new version atomically at a cycle boundary; airings are stamped with
-  their plan version (wire v2), and a
+  their plan version in the air envelope, and a
   :class:`~repro.client.walk.PointerWalk` that sees the stamp change
   mid-walk restarts from the new root per its
   :class:`~repro.client.protocol.RecoveryPolicy` — accounted like a

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..client.protocol import RecoveryPolicy
 from ..client.walk import WalkResult
-from ..net.harness import build_demo_plan, make_request_trace
+from ..net.harness import build_demo_plan, demo_labels, make_request_trace
 from ..net.station import BroadcastStation
 from ..net.tuner import TunerClient
 from ..obs.events import TeeTracer, Tracer
@@ -77,7 +77,7 @@ async def run_cutover_loadtest(
     When ``tracer`` is enabled (or a ``flight_recorder`` is attached)
     the run is span-traced end to end: each scheduled publish opens a
     ``replan`` root span whose children are the ``store.publish`` and
-    the ``station.cutover``, the cutover's context rides the wire-v3
+    the ``station.cutover``, the cutover's context rides the air
     envelopes, and every walk segment a cutover restarts parents onto
     it — one trace id from the replan decision down to the tuner
     restart. ``flight_recorder`` (a
@@ -365,7 +365,7 @@ def run_store_bench(
     """
     if versions < 2:
         raise ValueError("bench needs at least 2 versions")
-    labels = [f"K{index:03d}" for index in range(items)]
+    labels = demo_labels(items)
     plans = []
     for version in range(versions):
         rng = np.random.default_rng([seed, version])

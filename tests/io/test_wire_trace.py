@@ -1,14 +1,11 @@
-"""The version-3 air envelope: wire-propagated trace context.
+"""Trace context and schedule version on the air envelope.
 
-The compatibility bar is absolute: frames without trace context must
-keep emitting the exact version-1/version-2 bytes they always did —
-tracing is an *additive* wire feature, and a fleet of old tuners keeps
-decoding a traced station's untraced frames unchanged.
+Every airing crosses the transport in one fixed 21-byte envelope;
+schedule version 0 means "unversioned" and trace context ``(0, 0)``
+"untraced", and both round-trip like any other value.
 """
 
 from __future__ import annotations
-
-import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,22 +22,23 @@ COMMON = dict(
     deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
-u32 = st.integers(min_value=1, max_value=0xFFFFFFFF)
+u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
 
 class TestV3RoundTrip:
-    @settings(max_examples=120, **COMMON)
+    @settings(max_examples=200, **COMMON)
     @given(
         channel=st.integers(min_value=1, max_value=255),
-        slot=u32,
+        slot=st.integers(min_value=1, max_value=0xFFFFFFFF),
         payload=st.binary(min_size=0, max_size=200),
-        version=st.integers(min_value=0, max_value=0xFFFFFFFF),
+        version=u32,
         trace_id=u32,
         span_id=u32,
     )
     def test_context_survives_the_wire(
         self, channel, slot, payload, version, trace_id, span_id
     ):
+        """One layout for every airing: no field value picks the bytes."""
         air = AirFrame(
             channel=channel,
             absolute_slot=slot,
@@ -50,7 +48,7 @@ class TestV3RoundTrip:
             span_id=span_id,
         )
         encoded = encode_air_frame(air)
-        assert encoded[0] == 0xB0  # version-3 magic
+        assert encoded[0] == 0xB0
         assert len(encoded) == 21 + len(payload)
         assert FrameStreamDecoder().feed(encoded) == [air]
 
@@ -67,8 +65,7 @@ class TestV3RoundTrip:
         assert decoded[0].lost
 
     def test_half_present_context_is_still_context(self):
-        # (trace, 0) and (0, span) are non-zero contexts and must ride
-        # v3; only (0, 0) means "untraced".
+        # (trace, 0) and (0, span) are contexts; only (0, 0) is untraced.
         for trace_id, span_id in ((5, 0), (0, 5)):
             air = AirFrame(
                 channel=1,
@@ -80,40 +77,6 @@ class TestV3RoundTrip:
             assert FrameStreamDecoder().feed(
                 encode_air_frame(air)
             ) == [air]
-
-
-class TestByteIdentity:
-    @settings(max_examples=80, **COMMON)
-    @given(
-        channel=st.integers(min_value=1, max_value=255),
-        slot=u32,
-        payload=st.binary(min_size=0, max_size=200),
-        version=st.integers(min_value=0, max_value=0xFFFFFFFF),
-    )
-    def test_untraced_frames_never_change_bytes(
-        self, channel, slot, payload, version
-    ):
-        """Zero context encodes exactly the pre-v3 envelope."""
-        traceless = AirFrame(
-            channel=channel,
-            absolute_slot=slot,
-            payload=payload,
-            schedule_version=version,
-            trace_id=0,
-            span_id=0,
-        )
-        legacy = AirFrame(
-            channel=channel,
-            absolute_slot=slot,
-            payload=payload,
-            schedule_version=version,
-        )
-        encoded = encode_air_frame(traceless)
-        assert encoded == encode_air_frame(legacy)
-        if version == 0:
-            assert encoded[0] == 0xAE and len(encoded) == 9 + len(payload)
-        else:
-            assert encoded[0] == 0xAF and len(encoded) == 13 + len(payload)
 
 
 class TestV3Validation:
@@ -128,43 +91,3 @@ class TestV3Validation:
                         **{field: 1 << 32},
                     )
                 )
-
-    def test_forged_contextless_v3_rejected(self):
-        # A v3 header claiming (0, 0) context is a forgery: the encoder
-        # would have emitted v1/v2, so honest streams never contain it.
-        forged = struct.pack(">BBBIHIII", 0xB0, 1, 1, 1, 0, 2, 0, 0)
-        with pytest.raises(WireFormatError, match="no trace context"):
-            FrameStreamDecoder().feed(forged)
-
-
-class TestMixedStreams:
-    airs = st.lists(
-        st.builds(
-            AirFrame,
-            channel=st.integers(min_value=1, max_value=255),
-            absolute_slot=u32,
-            payload=st.binary(min_size=0, max_size=60),
-            schedule_version=st.integers(min_value=0, max_value=0xFFFF),
-            trace_id=st.integers(min_value=0, max_value=0xFFFF),
-            span_id=st.integers(min_value=0, max_value=0xFFFF),
-        ),
-        max_size=12,
-    )
-
-    @settings(max_examples=100, **COMMON)
-    @given(airs=airs, data=st.data())
-    def test_v1_v2_v3_interleave_under_any_chunking(self, airs, data):
-        """A station adopting tracing mid-stream: all three versions
-        interleaved, reassembled exactly from arbitrary TCP chunks."""
-        stream = b"".join(encode_air_frame(air) for air in airs)
-        decoder = FrameStreamDecoder()
-        received = []
-        cursor = 0
-        while cursor < len(stream):
-            step = data.draw(
-                st.integers(min_value=1, max_value=len(stream) - cursor)
-            )
-            received.extend(decoder.feed(stream[cursor:cursor + step]))
-            cursor += step
-        assert received == airs
-        assert decoder.pending_bytes == 0

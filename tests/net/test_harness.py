@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.bench import SUITES, write_record
-from repro.client.protocol import RecoveryPolicy, recovering_walk
+from repro.client.protocol import RecoveryPolicy, object_walk, recovering_walk
 from repro.faults import FaultConfig, FaultInjector
 from repro.net import (
     build_demo_program,
@@ -18,6 +18,7 @@ from repro.net import (
     run_loadtest,
     simulator_baseline,
 )
+from repro.net.harness import build_demo_plan, demo_labels
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +35,31 @@ class TestTrace:
         for key, slot in first:
             assert key in labels
             assert 1 <= slot <= program.cycle_length
+
+
+class TestDemoCatalogScale:
+    def test_labels_stay_sorted_past_a_thousand_items(self):
+        # Up to 1,000 items the keys keep their three-digit spelling.
+        assert demo_labels(1000)[::999] == ["K000", "K999"]
+        labels = demo_labels(1001)
+        assert labels == sorted(labels)
+        assert labels[::1000] == ["K0000", "K1000"]
+
+    def test_plans_1001_items(self):
+        plan = build_demo_plan(items=1001, planner="meta")
+        leaves = plan.schedule.tree.data_nodes()
+        assert [leaf.label for leaf in leaves] == demo_labels(1001)
+
+    def test_plans_400_items_with_sorting(self):
+        # Past the exact DP's size threshold the catalog is indexed by
+        # a weight-balanced tree instead of recursing through the DP.
+        plan = build_demo_plan(items=400, planner="sorting")
+        program = plan.compile()
+        leaves = program.schedule.tree.data_nodes()
+        assert [leaf.label for leaf in leaves] == demo_labels(400)
+        for leaf in leaves[::37]:
+            record = object_walk(program, leaf, 1)
+            assert record.data_wait == program.schedule.slot_of(leaf)
 
 
 class TestParityGate:

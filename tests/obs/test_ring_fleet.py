@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.client.request import request
+from repro.client import object_walk
 from repro.net import build_demo_program, make_request_trace
 from repro.obs.events import RingBufferTracer, TeeTracer, WalkFinished
 
@@ -47,12 +47,13 @@ class _CountingTracer:
 async def _run_fleet(program, trace, ring):
     counter = _CountingTracer()
     tee = TeeTracer(counter, ring)
+    leaves = {leaf.label: leaf for leaf in program.schedule.tree.data_nodes()}
 
     async def one_tuner(index, key, tune_slot):
         # Yield to the loop so a thousand walks genuinely interleave
         # with each other before and after emitting.
         await asyncio.sleep(0)
-        request(program, key, tune_slot, tracer=tee, walk_id=index)
+        object_walk(program, leaves[key], tune_slot, tracer=tee, walk_id=index)
         await asyncio.sleep(0)
 
     await asyncio.gather(

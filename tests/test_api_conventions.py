@@ -114,45 +114,7 @@ class TestParameterSpelling:
 
 
 class TestRequestFacade:
-    """The unified walk-entry surface introduced with repro.engine."""
-
-    def test_request_options_are_keyword_only(self):
-        from repro.client import request
-
-        signature = inspect.signature(request)
-        for name, param in signature.parameters.items():
-            if name in ("program", "target", "tune_slot"):
-                assert param.kind in (
-                    inspect.Parameter.POSITIONAL_ONLY,
-                    inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                )
-            else:
-                assert param.kind is inspect.Parameter.KEYWORD_ONLY, (
-                    f"request({name}) must be keyword-only"
-                )
-
-    def test_engine_registry_mirrors_the_planner_registry(self):
-        """Same verbs, same shadowing rule, same not-found shape."""
-        # repro.client re-exports request() the function, which shadows
-        # the submodule on attribute access — go through importlib.
-        facade = importlib.import_module("repro.client.request")
-        planners = importlib.import_module("repro.planners")
-
-        assert callable(facade.register_engine)
-        assert callable(facade.unregister_engine)
-        assert callable(facade.get_engine)
-        assert issubclass(facade.EngineNotFound, KeyError)
-        assert issubclass(planners.PlannerNotFound, KeyError)
-        # Both registries expose sorted name listings.
-        assert facade.engines() == sorted(facade.engines())
-        assert planners.available_planners() == sorted(
-            planners.available_planners()
-        )
-
-    def test_batch_engine_ships_registered(self):
-        from repro.client import engines
-
-        assert "batch" in engines()
+    """The retired ``run_request*`` walk spellings stay retired."""
 
     def test_no_module_spells_the_legacy_names(self):
         """Mechanical ban: ``run_request*`` appears nowhere in the tree.
