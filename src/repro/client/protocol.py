@@ -223,7 +223,7 @@ def _drive(
                 DecodedBucket(
                     "index",
                     label=node.label,
-                    pointers=[DecodedPointer(pointer.channel, pointer.offset, "")],
+                    pointers=(DecodedPointer(pointer.channel, pointer.offset, ""),),
                 )
             )
         else:

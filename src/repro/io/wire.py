@@ -40,6 +40,19 @@ an unreliable channel's payload corruption (:mod:`repro.faults`) be
 makes :func:`decode_bucket` raise :class:`WireFormatError` carrying the
 channel/offset the frame came from.
 
+The broadcast is cyclic: a station airs the same bytes every cycle
+until a cutover, so a receiver's parse is almost always of a frame it
+has parsed before. :func:`decode_bucket` therefore parses each distinct
+frame once: a bounded LRU memo (``_MEMO_SIZE`` entries) keyed by the
+exact frame bytes holds every successful parse, and a repeat airing
+costs one hash and one lookup. The memoized parse carries no location,
+so one entry serves every channel and offset that airs those bytes.
+Failures are never cached: corrupted or truncated bytes miss the memo,
+reach the CRC and length guards, and raise with their provenance on
+every call; a cutover changes the bytes and so the key. Shared results
+are immutable — :class:`DecodedBucket` and :class:`DecodedPointer` are
+frozen, and a bucket's pointer table is a tuple.
+
 Every frame is exactly ``bucket_size`` bytes; content that does not fit
 raises :class:`WireFormatError` instead of silently truncating — the
 same hard edge a real MAC layer has.
@@ -47,9 +60,10 @@ same hard edge a real MAC layer has.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..broadcast.pointers import BroadcastProgram
 from ..exceptions import ReproError
@@ -84,7 +98,7 @@ class WireFormatError(ReproError):
     """A bucket's content does not fit the frame, or a frame is corrupt."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodedPointer:
     """A received (channel, offset) pointer with its routing key."""
 
@@ -93,14 +107,18 @@ class DecodedPointer:
     key_hi: str
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class DecodedBucket:
-    """A parsed frame: what a receiver knows about one bucket."""
+    """A parsed frame: what a receiver knows about one bucket.
+
+    Immutable, because :func:`decode_bucket` hands the same instance to
+    every receiver of the same bytes.
+    """
 
     kind: str  # "empty" | "index" | "data"
     label: str = ""
     next_cycle_offset: int = 0
-    pointers: list[DecodedPointer] = field(default_factory=list)
+    pointers: tuple[DecodedPointer, ...] = ()
     payload: bytes = b""
 
 
@@ -169,11 +187,32 @@ def encode_bucket(bucket, bucket_size: int = DEFAULT_BUCKET_SIZE) -> bytes:
     return struct.pack(">BI", _MAGIC_V1, zlib.crc32(padded)) + padded
 
 
+#: Distinct frames whose parse :func:`decode_bucket` keeps: every frame
+#: of a 1,000-item, 3-channel plan and the one it cuts over to (~1,600
+#: each), at ~0.6 KB per entry with its key, so ~2.3 MB when full. A
+#: stream of replans evicts the least recently read frames.
+_MEMO_SIZE = 4096
+
+
+class _Malformed(Exception):
+    """A parse failure before its provenance is known.
+
+    The error message is ``head``, then the ``(channel …, offset …)``
+    suffix, then ``tail``; :func:`decode_bucket` formats it only when a
+    parse fails.
+    """
+
+    def __init__(self, head: str, tail: str = "") -> None:
+        super().__init__(head, tail)
+        self.head = head
+        self.tail = tail
+
+
 def _decode_text(data: bytes, what: str) -> str:
     try:
         return data.decode()
     except UnicodeDecodeError as error:
-        raise WireFormatError(f"{what} is not valid UTF-8") from error
+        raise _Malformed(f"{what} is not valid UTF-8") from error
 
 
 def _frame_context(channel: int | None, offset: int | None) -> str:
@@ -196,53 +235,66 @@ def decode_bucket(
     guard before every field. ``channel``/``offset`` are optional
     provenance, included in every error so a receiver's logs say *which
     airing* was bad.
+
+    Successful parses are memoized by the frame's exact bytes (see the
+    module docstring), so a repeated frame returns the same immutable
+    :class:`DecodedBucket`; a frame that fails is parsed, and raises,
+    on every call.
     """
-    where = _frame_context(channel, offset)
+    if type(frame) is not bytes:
+        frame = bytes(frame)  # the memo key must be hashable
     try:
-        return _decode_frame(frame, where)
-    except WireFormatError:
-        raise
+        return _parse_frame(frame)
+    except _Malformed as fault:
+        where = _frame_context(channel, offset)
+        raise WireFormatError(
+            f"{fault.head}{where}{fault.tail}"
+        ) from fault.__cause__
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _parse_frame(frame: bytes) -> DecodedBucket:
+    """The memoized, location-free parse behind :func:`decode_bucket`."""
+    try:
+        return _decode_frame(frame)
     except (struct.error, IndexError, ValueError) as error:
         # Belt-and-braces: every truncation *should* hit an explicit
         # length guard above a struct read, but a short or mangled frame
         # must never surface a bare parsing exception to a receiver.
-        raise WireFormatError(
-            f"truncated or malformed frame{where}: {error}"
-        ) from error
+        raise _Malformed("truncated or malformed frame", f": {error}") from error
 
 
-def _decode_frame(frame: bytes, where: str) -> DecodedBucket:
+def _decode_frame(frame: bytes) -> DecodedBucket:
     if not frame:
-        raise WireFormatError(f"empty frame{where}")
+        raise _Malformed("empty frame")
     if frame[0] != _MAGIC_V1:
-        raise WireFormatError(
-            f"unknown wire version byte {frame[0]:#04x}{where}"
-        )
+        raise _Malformed(f"unknown wire version byte {frame[0]:#04x}")
     if len(frame) < _V1_HEADER:
-        raise WireFormatError(f"frame shorter than the version-1 header{where}")
+        raise _Malformed("frame shorter than the version-1 header")
     (stored,) = struct.unpack(">I", frame[1:_V1_HEADER])
     body = frame[_V1_HEADER:]
     actual = zlib.crc32(body)
     if stored != actual:
-        raise WireFormatError(
-            f"checksum mismatch{where}: stored {stored:#010x}, "
-            f"computed {actual:#010x} — frame corrupted in flight"
+        raise _Malformed(
+            "checksum mismatch",
+            f": stored {stored:#010x}, computed {actual:#010x} — frame "
+            "corrupted in flight",
         )
-    return _decode_body(body, where)
+    return _decode_body(body)
 
 
-def _decode_body(frame: bytes, where: str = "") -> DecodedBucket:
+def _decode_body(frame: bytes) -> DecodedBucket:
     """Parse a checksum-verified body, guarding every field's length.
 
     A sender holding the CRC can still seal a malformed body, so every
     read is bounds-checked before it happens.
     """
     if len(frame) < 4:
-        raise WireFormatError(f"frame shorter than the fixed header{where}")
+        raise _Malformed("frame shorter than the fixed header")
     kind, next_offset, label_length = struct.unpack(">BHB", frame[:4])
     cursor = 4
     if cursor + label_length > len(frame):
-        raise WireFormatError(f"label overruns the frame{where}")
+        raise _Malformed("label overruns the frame")
     label = _decode_text(frame[cursor:cursor + label_length], "label")
     cursor += label_length
 
@@ -250,34 +302,30 @@ def _decode_body(frame: bytes, where: str = "") -> DecodedBucket:
         return DecodedBucket("empty", next_cycle_offset=next_offset)
     if kind == _TYPE_DATA:
         if cursor + 2 > len(frame):
-            raise WireFormatError(
-                f"data payload header overruns the frame{where}"
-            )
+            raise _Malformed("data payload header overruns the frame")
         (payload_length,) = struct.unpack(">H", frame[cursor:cursor + 2])
         cursor += 2
         if cursor + payload_length > len(frame):
-            raise WireFormatError(f"data payload overruns the frame{where}")
+            raise _Malformed("data payload overruns the frame")
         payload = frame[cursor:cursor + payload_length]
         return DecodedBucket(
             "data", label=label, next_cycle_offset=next_offset, payload=payload
         )
     if kind == _TYPE_INDEX:
         if cursor >= len(frame):
-            raise WireFormatError(f"pointer count missing{where}")
+            raise _Malformed("pointer count missing")
         count = frame[cursor]
         cursor += 1
         pointers = []
         for _ in range(count):
             if cursor + 4 > len(frame):
-                raise WireFormatError(
-                    f"pointer record overruns the frame{where}"
-                )
+                raise _Malformed("pointer record overruns the frame")
             channel, offset, key_length = struct.unpack(
                 ">BHB", frame[cursor:cursor + 4]
             )
             cursor += 4
             if cursor + key_length > len(frame):
-                raise WireFormatError(f"routing key overruns the frame{where}")
+                raise _Malformed("routing key overruns the frame")
             key = _decode_text(frame[cursor:cursor + key_length], "routing key")
             cursor += key_length
             pointers.append(DecodedPointer(channel, offset, key))
@@ -285,9 +333,9 @@ def _decode_body(frame: bytes, where: str = "") -> DecodedBucket:
             "index",
             label=label,
             next_cycle_offset=next_offset,
-            pointers=pointers,
+            pointers=tuple(pointers),
         )
-    raise WireFormatError(f"unknown bucket type {kind}{where}")
+    raise _Malformed(f"unknown bucket type {kind}")
 
 
 def encode_program(

@@ -165,7 +165,7 @@ class TestMachineEdges:
             DecodedBucket(
                 "index",
                 label="root",
-                pointers=[DecodedPointer(2, 2, "Z")],
+                pointers=(DecodedPointer(2, 2, "Z"),),
             )
         )
         with pytest.raises(WireFormatError, match="empty bucket"):
@@ -178,7 +178,7 @@ class TestMachineEdges:
             DecodedBucket(
                 "index",
                 label="root",
-                pointers=[DecodedPointer(2, 2, "Z")],
+                pointers=(DecodedPointer(2, 2, "Z"),),
             )
         )
         with pytest.raises(LookupFailed, match="ended at"):
@@ -198,7 +198,7 @@ class TestMachineEdges:
                 DecodedBucket(
                     "index",
                     label="root",
-                    pointers=[DecodedPointer(2, 0, "Z")],
+                    pointers=(DecodedPointer(2, 0, "Z"),),
                 )
             )
 
@@ -209,7 +209,7 @@ class TestMachineEdges:
             DecodedBucket(
                 "index",
                 label="root",
-                pointers=[DecodedPointer(1, 2, "B"), DecodedPointer(2, 3, "M")],
+                pointers=(DecodedPointer(1, 2, "B"), DecodedPointer(2, 3, "M")),
             )
         )
         # The key exceeds every separator; the walk must still land
