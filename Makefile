@@ -11,16 +11,13 @@ ifeq ($(origin BENCH_TIMESTAMP), undefined)
 BENCH_TIMESTAMP := $(shell date -u +%Y-%m-%dT%H:%M:%SZ)
 endif
 
-.PHONY: install test bench bench-all examples experiments clean
+.PHONY: install test bench-all examples experiments clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 test:
 	$(PYTHON) -m pytest tests/
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Every registered suite (repro.bench.SUITES) at its one fixed config:
 # writes BENCH_<suite>.json and gates it against

@@ -5,7 +5,8 @@ ablations of the design choices: how the heuristics and baselines stack
 up against the optimum across skew levels, how the data wait scales with
 channel count (and where Corollary 1 kicks in), and how much each
 pruning rule buys the search. The runners here produce those series;
-``benchmarks/`` and the CLI render them.
+the ``paper`` bench suite (:mod:`repro.analysis.bench`) gates them and
+the CLI renders them.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from .analysis.bench import run_paper_bench
 from .approx.bench import run_frontier_bench
 from .cluster.harness import run_cluster_bench
 from .core.bench import run_search_bench
@@ -212,6 +213,32 @@ register(Suite(
         better=HIGHER,
     ),
 ))
+register(Suite(
+    "paper",
+    {
+        "table1_fanouts": [2, 3, 4, 5], "fig14_trials": 30,
+        "heuristic_trials": 15, "seed": 2000,
+    },
+    lambda config: run_paper_bench(**config),
+    _quality(
+        *(f"table1_p124_m{m}" for m in (2, 3, 4, 5)),
+        *(f"fig14_gap_percent_sigma{sigma}" for sigma in (10, 20, 30, 40)),
+        *(
+            f"heuristics_{name}_gap_percent_{workload}"
+            for workload in ("zipf", "normal")
+            for name in ("sorting", "polished", "combine", "partition")
+        ),
+        "channels_optimal_wait_k1", "channels_optimal_wait_k2",
+        "channels_optimal_wait_k3", "channels_sv96_gap_percent",
+        "a1_adjacent_nodes_expanded", "a1_packed_nodes_expanded",
+        *(
+            f"client_{structure}_{field}"
+            for structure in ("alphabetic", "balanced", "huffman")
+            for field in ("access", "tuning")
+        ),
+        "a7_mean_greedy_gap_percent",
+    ),
+))
 
 
 # -- records and history ------------------------------------------------------
@@ -368,10 +395,12 @@ def judge(suite: Suite, baseline: dict | None, entry: dict) -> Verdict:
 
 def _format(suite: Suite, document: dict, verdict: Verdict, baseline) -> str:
     base_rev = (baseline or {}).get("rev") or "?"
+    width = max(32, *(len(metric.name) for metric in suite.metrics))
     lines = [
         f"== {suite.name} (rev {document['rev'] or '?'} vs baseline rev "
         f"{base_rev}; quality gated at {TOLERANCE:.0%}, timing tracked)",
-        f"{'metric':<32} {'value':>12} {'baseline':>12} {'delta':>8}  verdict",
+        f"{'metric':<{width}} {'value':>12} {'baseline':>12} {'delta':>8}  "
+        "verdict",
     ]
     for r in verdict.readings:
         value = "-" if r.value is None else f"{r.value:.4g}"
@@ -384,7 +413,7 @@ def _format(suite: Suite, document: dict, verdict: Verdict, baseline) -> str:
         else:
             verdict_text = "ok" if r.metric.kind == QUALITY else "tracked"
         lines.append(
-            f"{r.metric.name:<32} {value:>12} {base:>12} {delta:>8}  "
+            f"{r.metric.name:<{width}} {value:>12} {base:>12} {delta:>8}  "
             f"{verdict_text}"
         )
     for name, timing in document["timings"].items():

@@ -18,8 +18,10 @@ equal optimal cost.
 The suite deliberately mixes three regimes:
 
 * the **A2 ladder** — the pruning-ablation rule sets (none → +P1 →
-  +filter → +subset → paper) on the two A2 experiment trees, so the
-  numbers line up with ``benchmarks/test_bench_ablation_pruning.py``;
+  +filter → +subset → paper) on the two A2 experiment trees, random
+  8-leaf trees at seeds 8 and 2000 (the second is the tree
+  ``pruning_ablation(np.random.default_rng(2000), data_count=8)``
+  searches);
 * the **Fig. 1 paper example**, where equal-cost duplicate states make
   the ``<=`` dedup fix directly visible (30 vs 32 expansions at k=1
   without pruning);
@@ -85,8 +87,7 @@ def build_suite() -> list[dict]:
         )
 
     # Ablation-A2 suite: the full rule ladder on the two A2 trees
-    # (benchmarks/test_bench_ablation_pruning.py uses seed 8; the
-    # regenerated artifact uses seed 2000) plus the paper's Fig. 1
+    # (random 8-leaf trees at seeds 8 and 2000) plus the paper's Fig. 1
     # example and a tied-weight tree under the ladder endpoints —
     # weight ties are what create the equal-cost duplicate states the
     # dedup fix removes.

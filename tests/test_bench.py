@@ -11,7 +11,13 @@ import repro.core.bench
 import repro.engine.bench
 import repro.net.harness
 from repro import perf
-from repro.bench import HISTORY_DIR, SUITES, find_baseline, load_history
+from repro.bench import (
+    HISTORY_DIR,
+    SUITES,
+    find_baseline,
+    history_entry,
+    load_history,
+)
 from repro.cli import main
 from repro.perf import measure
 
@@ -44,6 +50,10 @@ SMALL_CONFIGS = {
     "cluster-loadtest": {
         **SUITES["cluster-loadtest"].config, "items": 16,
         "shard_counts": [1, 2], "tuners": 20, "slot_duration": 0.0,
+    },
+    "paper": {
+        "table1_fanouts": [2, 3], "fig14_trials": 2, "heuristic_trials": 2,
+        "seed": 2000,
     },
 }
 
@@ -244,6 +254,26 @@ class TestCommittedHistory:
         for history in histories.values():
             stamps = [entry["timestamp"] for entry in history]
             assert stamps == sorted(stamps)
+
+
+class TestPaperSuite:
+    """The paper's figures, at the registered config, in tier-1."""
+
+    def test_reproduces_the_committed_baseline_exactly(self):
+        suite = SUITES["paper"]
+        result = suite.run(dict(suite.config))
+        failed = [name for name, ok in result["checks"].items() if not ok]
+        assert failed == []
+        baseline = find_baseline(
+            suite,
+            load_history(
+                os.path.join(REPO_ROOT, HISTORY_DIR, "paper.jsonl")
+            ),
+        )
+        document = {"rev": None, "timestamp": None, "timings": {}, **result}
+        entry = history_entry(suite, document)
+        assert entry["metrics"] == baseline["metrics"]
+        assert len(entry["metrics"]) == len(suite.metrics)
 
 
 class TestChecksReachTheGate:
