@@ -1,31 +1,21 @@
 """The ``paper`` bench suite: the paper's own results under the bench gate.
 
-``repro bench paper`` regenerates the evaluation at fixed seeds and
-gates it like every other suite of :data:`repro.bench.SUITES`:
-
-* **Table 1** (§4.1) for m = 2…5 — m = 6 alone costs ~16 s and stays
-  with ``repro table1``;
-* the **Fig. 2** worked example (§2.2) beside the solver's optima;
-* **Fig. 14** (§4.2), Sorting vs Optimal over σ ∈ {10, 20, 30, 40};
-* the DESIGN.md ablations A1 (the packed vs the paper's adjacent
-  bound), A3 (channel scaling), A4 (heuristics vs Optimal), A5
-  (client-measured costs per index structure) and A7 (exact vs greedy
-  DAG allocation).
-
-The **checks** are the paper's published exact figures (Table 1's
-6/4/1, 1680/186 and 63063000/438048; Fig. 2's 6.0142857 and 3.8857142
-next to the optima 391/70, 264/70 and 242/70) and the shape claims
-the regenerated series must keep. The **metrics** are the
-weight-dependent figures: deterministic functions of the seeds, so the
-gate pins them exactly where the paper can only be matched in
-magnitude. A2's pruning ladder is not repeated here: the
-``search-overhaul`` suite runs the same trees
-(``a2_best_first_nodes_expanded``).
+``repro bench paper`` regenerates, at fixed seeds, Table 1 for
+m = 2…5 (m = 6 alone costs ~16 s and stays with ``repro table1``), the
+Fig. 2 worked example, Fig. 14, and the DESIGN.md ablations A1 (packed
+vs adjacent bound), A3 (channel scaling), A4 (heuristics vs Optimal),
+A5 (client costs per index structure) and A7 (exact vs greedy DAG
+allocation). The checks are the published exact figures and the shape
+claims the series must keep. The metrics are the weight-dependent
+figures: deterministic at the seeds, so the gate pins them exactly where
+the paper can only be matched in magnitude. A2's pruning ladder runs in
+the ``search-overhaul`` suite, on the same trees.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
@@ -55,95 +45,70 @@ __all__ = ["run_paper_bench"]
 
 _TOLERANCE = 1e-9
 
-#: Table 1's published counts that do not depend on the weights:
-#: m -> (By Property 2, By Property 1, 2[, By Property 1, 2, 4]).
-#: m = 4's Property-2 count is the closed form; the paper prints
-#: 6306300, a dropped digit.
+#: Table 1's published, weight-independent counts: m -> (By Property 2,
+#: By Property 1, 2[, By Property 1, 2, 4]). For m = 4 the paper prints
+#: 6306300, a dropped digit of the closed form.
 _TABLE1_PUBLISHED = {2: (6, 4, 1), 3: (1680, 186), 4: (63063000, 438048)}
 
-#: The Fig. 2 example allocations' data waits, and the optima (in
-#: seventieths: the weights sum to 70) for k = 1, 2, 3.
-_FIG2_WAITS = {"fig2a": 6.0142857, "fig2b": 3.8857142}
-_FIG2_OPTIMA = {1: 391 / 70, 2: 264 / 70, 3: 242 / 70}
 
-_HEURISTICS = ("sorting", "polished", "combine", "partition")
-
-
-def _table1(fanouts: Sequence[int], seed: int) -> tuple[dict, dict, list]:
+def _table1(fanouts: Sequence[int], seed: int):
     rows = {row.fanout: row for row in run_table1(tuple(fanouts), seed).rows}
+    counts = {
+        m: (r.by_property2, r.by_properties_1_2, r.by_properties_1_2_4)
+        for m, r in rows.items()
+    }
     checks = {
-        f"table1_m{m}_published": m in rows
-        and (
-            rows[m].by_property2,
-            rows[m].by_properties_1_2,
-            rows[m].by_properties_1_2_4,
-        )[: len(counts)]
-        == counts
-        for m, counts in _TABLE1_PUBLISHED.items()
+        f"table1_m{m}_published": counts.get(m, ())[: len(published)]
+        == published
+        for m, published in _TABLE1_PUBLISHED.items()
     }
     # The closed form, cross-checked by the independent DP enumeration.
     checks["table1_closed_form_matches_enumeration"] = all(
-        row.by_property2_enumerated in (None, row.by_property2)
-        for row in rows.values()
+        r.by_property2_enumerated in (None, r.by_property2)
+        for r in rows.values()
     )
-    metrics = {
-        f"table1_p124_m{m}": row.by_properties_1_2_4
-        for m, row in rows.items()
-    }
+    metrics = {f"table1_p124_m{m}": c[2] for m, c in counts.items()}
     detail = [
-        {
-            "m": m,
-            "raw": row.raw,
-            "by_property2": row.by_property2,
-            "by_property2_enumerated": row.by_property2_enumerated,
-            "by_properties_1_2": row.by_properties_1_2,
-            "by_properties_1_2_4": row.by_properties_1_2_4,
-            "pruning_percent_1_2_4": row.pruning(row.by_properties_1_2_4),
-        }
-        for m, row in rows.items()
+        {**asdict(r), "pruning_percent_1_2_4": r.pruning(counts[m][2])}
+        for m, r in rows.items()
     ]
     return metrics, checks, detail
 
 
-def _fig2() -> tuple[dict, dict, dict]:
+def _fig2():
     tree = paper_example_tree()
     fig2a = BroadcastSchedule.from_sequence(
         tree, [tree.find(label) for label in "13E4CD2AB"]
     )
     placement = {
-        tree.find(label): (1, slot)
-        for slot, label in enumerate("12A4C", start=1)
+        tree.find(label): (channel, slot)
+        for channel, first, labels in ((1, 1, "12A4C"), (2, 2, "3BED"))
+        for slot, label in enumerate(labels, start=first)
     }
-    for slot, label in [(2, "3"), (3, "B"), (4, "E"), (5, "D")]:
-        placement[tree.find(label)] = (2, slot)
     fig2b = BroadcastSchedule(tree, placement, channels=2)
-    waits = {"fig2a": fig2a.data_wait(), "fig2b": fig2b.data_wait()}
-    optima = {k: solve(tree, channels=k).cost for k in _FIG2_OPTIMA}
-    checks = {
-        "fig2_example_waits": all(
-            abs(waits[name] - published) <= 1e-6
-            for name, published in _FIG2_WAITS.items()
-        ),
-        "fig2_optima": all(
-            math.isclose(optima[k], exact, rel_tol=_TOLERANCE)
-            for k, exact in _FIG2_OPTIMA.items()
-        ),
-    }
     detail = {
-        "fig2a_wait": waits["fig2a"],
-        "fig2b_wait": waits["fig2b"],
-        "optimal_wait": {str(k): cost for k, cost in optima.items()},
+        "fig2a_wait": fig2a.data_wait(),
+        "fig2b_wait": fig2b.data_wait(),
+        "optimal_wait": {k: solve(tree, channels=k).cost for k in (1, 2, 3)},
+    }
+    checks = {
+        "fig2_example_waits": abs(detail["fig2a_wait"] - 6.0142857) <= 1e-6
+        and abs(detail["fig2b_wait"] - 3.8857142) <= 1e-6,
+        # In seventieths: the example's weights sum to 70.
+        "fig2_optima": all(
+            math.isclose(detail["optimal_wait"][k], exact, rel_tol=_TOLERANCE)
+            for k, exact in {1: 391 / 70, 2: 264 / 70, 3: 242 / 70}.items()
+        ),
     }
     return {}, checks, detail
 
 
-def _fig14(trials: int, seed: int) -> tuple[dict, dict, list]:
+def _fig14(trials: int, seed: int):
     points = run_fig14(trials=trials, seed=seed).points
     gaps = [point.gap_percent for point in points]
     checks = {
         "fig14_sorting_never_beats_optimal": all(
-            point.sorting_wait >= point.optimal_wait - _TOLERANCE
-            for point in points
+            p.sorting_wait >= p.optimal_wait - _TOLERANCE for p in points
         ),
         # Near-uniform weights: Sorting ≈ Optimal; the gap then widens.
         "fig14_gap_widens_with_sigma": gaps[0] < 1.0
@@ -151,27 +116,17 @@ def _fig14(trials: int, seed: int) -> tuple[dict, dict, list]:
         # The paper's figure spans data waits of 9.5-12.
         "fig14_waits_in_figure_range": all(
             9.0 < wait < 13.0
-            for point in points
-            for wait in (point.optimal_wait, point.sorting_wait)
+            for p in points
+            for wait in (p.optimal_wait, p.sorting_wait)
         ),
     }
     metrics = {
-        f"fig14_gap_percent_sigma{point.sigma:g}": point.gap_percent
-        for point in points
+        f"fig14_gap_percent_sigma{p.sigma:g}": p.gap_percent for p in points
     }
-    detail = [
-        {
-            "sigma": point.sigma,
-            "optimal_wait": point.optimal_wait,
-            "sorting_wait": point.sorting_wait,
-            "gap_percent": point.gap_percent,
-        }
-        for point in points
-    ]
-    return metrics, checks, detail
+    return metrics, checks, [asdict(point) for point in points]
 
 
-def _heuristics(trials: int, seed: int) -> tuple[dict, dict, list]:
+def _heuristics(trials: int, seed: int):
     rng = np.random.default_rng(seed)
     results = [
         compare_methods(rng, workload, data_count=12, trials=trials)
@@ -179,32 +134,21 @@ def _heuristics(trials: int, seed: int) -> tuple[dict, dict, list]:
     ]
     checks = {
         "heuristics_never_beat_optimal": all(
-            result.optimal <= getattr(result, name) + _TOLERANCE
-            for result in results
+            r.optimal <= getattr(r, name) + _TOLERANCE
+            for r in results
             for name in ("sorting", "combine", "partition")
         ),
     }
     metrics = {
-        f"heuristics_{name}_gap_percent_{result.workload}": 100.0
-        * (getattr(result, name) / result.optimal - 1.0)
-        for result in results
-        for name in _HEURISTICS
+        f"heuristics_{name}_gap_percent_{r.workload}": 100.0
+        * (getattr(r, name) / r.optimal - 1.0)
+        for r in results
+        for name in ("sorting", "polished", "combine", "partition")
     }
-    detail = [
-        {
-            "workload": result.workload,
-            "trials": result.trials,
-            **{
-                name: getattr(result, name)
-                for name in ("optimal", *_HEURISTICS, "flat")
-            },
-        }
-        for result in results
-    ]
-    return metrics, checks, detail
+    return metrics, checks, [asdict(result) for result in results]
 
 
-def _channels(seed: int) -> tuple[dict, dict, list]:
+def _channels(seed: int):
     points = channel_scaling(np.random.default_rng(seed), fanout=3)
     waits = [point.optimal_wait for point in points]
     (sv96,) = [point for point in points if point.sv96_wait is not None]
@@ -219,27 +163,14 @@ def _channels(seed: int) -> tuple[dict, dict, list]:
         ),
     }
     metrics = {
-        **{
-            f"channels_optimal_wait_k{point.channels}": point.optimal_wait
-            for point in points[:3]
-        },
+        **{f"channels_optimal_wait_k{k}": waits[k - 1] for k in (1, 2, 3)},
         "channels_sv96_gap_percent": 100.0
         * (sv96.sv96_wait / sv96.optimal_wait - 1.0),
     }
-    detail = [
-        {
-            "channels": point.channels,
-            "optimal_wait": point.optimal_wait,
-            "sorting_wait": point.sorting_wait,
-            "sv96_wait": point.sv96_wait,
-            "corollary1": point.corollary1,
-        }
-        for point in points
-    ]
-    return metrics, checks, detail
+    return metrics, checks, [asdict(point) for point in points]
 
 
-def _a1_bounds() -> tuple[dict, dict, list]:
+def _a1_bounds():
     """Best-first under the paper's adjacent ``U(X)`` vs the packed bound."""
     rows = []
     for seed in range(5):
@@ -247,22 +178,18 @@ def _a1_bounds() -> tuple[dict, dict, list]:
         problem = AllocationProblem(tree, channels=2)
         adjacent = best_first_search(problem, bound="adjacent")
         packed = best_first_search(problem, bound="packed")
-        rows.append(
-            {
-                "tree_seed": seed,
-                "adjacent_nodes": adjacent.nodes_expanded,
-                "packed_nodes": packed.nodes_expanded,
-                "adjacent_cost": adjacent.cost,
-                "packed_cost": packed.cost,
-            }
-        )
+        rows.append({
+            "tree_seed": seed,
+            "adjacent_nodes": adjacent.nodes_expanded,
+            "packed_nodes": packed.nodes_expanded,
+            "equal_cost": math.isclose(
+                packed.cost, adjacent.cost, rel_tol=_TOLERANCE
+            ),
+        })
     checks = {
         "a1_packed_no_more_nodes_equal_cost": all(
-            row["packed_nodes"] <= row["adjacent_nodes"]
-            and math.isclose(
-                row["packed_cost"], row["adjacent_cost"], rel_tol=_TOLERANCE
-            )
-            for row in rows
+            r["packed_nodes"] <= r["adjacent_nodes"] and r["equal_cost"]
+            for r in rows
         ),
     }
     metrics = {
@@ -272,7 +199,7 @@ def _a1_bounds() -> tuple[dict, dict, list]:
     return metrics, checks, rows
 
 
-def _a5_client() -> tuple[dict, dict, list]:
+def _a5_client():
     """Exact client averages over optimal 2-channel schedules per index."""
     items = stock_catalog(np.random.default_rng(13), count=16, theta=1.2)
     labels = [item.label for item in items]
@@ -283,24 +210,16 @@ def _a5_client() -> tuple[dict, dict, list]:
         "balanced": balanced_tree(2, depth=5, weights=weights),
         "huffman": huffman_tree(labels, weights, fanout=2),
     }
-    rows, model_agrees = [], True
+    summaries, model_agrees = {}, True
     for name, tree in trees.items():
         schedule = solve(tree, channels=2).schedule
-        summary = exact_averages(compile_program(schedule))
+        summaries[name] = summary = exact_averages(compile_program(schedule))
         model_agrees &= math.isclose(
             summary.mean_access_time,
             expected_access_time(schedule),
             rel_tol=_TOLERANCE,
         )
-        rows.append(
-            {
-                "structure": name,
-                "access_time": summary.mean_access_time,
-                "tuning_time": summary.mean_tuning_time,
-                "channel_switches": summary.mean_channel_switches,
-            }
-        )
-    tuning = {row["structure"]: row["tuning_time"] for row in rows}
+    tuning = {name: s.mean_tuning_time for name, s in summaries.items()}
     checks = {
         "client_exact_averages_equal_model": model_agrees,
         "client_skew_aware_tuning_beats_balanced": all(
@@ -308,12 +227,12 @@ def _a5_client() -> tuple[dict, dict, list]:
             for name in ("alphabetic", "huffman")
         ),
     }
-    metrics = {
-        f"client_{row['structure']}_{field}": row[f"{field}_time"]
-        for row in rows
-        for field in ("access", "tuning")
-    }
-    return metrics, checks, rows
+    metrics = {}
+    for name, summary in summaries.items():
+        metrics[f"client_{name}_access"] = summary.mean_access_time
+        metrics[f"client_{name}_tuning"] = summary.mean_tuning_time
+    detail = {name: asdict(s) for name, s in summaries.items()}
+    return metrics, checks, detail
 
 
 def _random_dag(rng: np.random.Generator, count: int) -> DagAllocationProblem:
@@ -328,26 +247,23 @@ def _random_dag(rng: np.random.Generator, count: int) -> DagAllocationProblem:
     return DagAllocationProblem(weights, edges, channels=2)
 
 
-def _a7_dag() -> tuple[dict, dict, list]:
+def _a7_dag():
     """Exact DAG search vs the weight-density greedy, 11 nodes, k = 2."""
     rows = []
     for seed in range(6):
         problem = _random_dag(np.random.default_rng(seed), 11)
         exact = solve_dag(problem).cost
         greedy = dag_order_cost(problem, greedy_dag_order(problem))
-        rows.append(
-            {
-                "dag_seed": seed,
-                "exact_wait": exact,
-                "greedy_wait": greedy,
-                "gap_percent": 100.0 * (greedy / exact - 1.0),
-            }
-        )
+        rows.append({
+            "dag_seed": seed,
+            "exact_wait": exact,
+            "greedy_wait": greedy,
+            "gap_percent": 100.0 * (greedy / exact - 1.0),
+        })
     mean_gap = sum(row["gap_percent"] for row in rows) / len(rows)
     checks = {
         "a7_greedy_never_beats_exact": all(
-            row["greedy_wait"] >= row["exact_wait"] - _TOLERANCE
-            for row in rows
+            r["greedy_wait"] >= r["exact_wait"] - _TOLERANCE for r in rows
         ),
         # The density rule stays near-exact.
         "a7_mean_greedy_gap_under_15_percent": mean_gap < 15.0,
@@ -368,10 +284,8 @@ def run_paper_bench(
     equal ``repro table1`` / ``repro fig14`` at the same seed. A1, A5
     and A7 use fixed seeds of their own.
     """
-    metrics: dict = {}
-    checks: dict = {}
-    detail: dict = {}
-    for name, (part_metrics, part_checks, part_detail) in (
+    result: dict = {"metrics": {}, "checks": {}, "detail": {}}
+    for name, (metrics, checks, detail) in (
         ("table1", _table1(table1_fanouts, seed)),
         ("fig2", _fig2()),
         ("fig14", _fig14(fig14_trials, seed)),
@@ -381,7 +295,7 @@ def run_paper_bench(
         ("a5_client", _a5_client()),
         ("a7_dag", _a7_dag()),
     ):
-        metrics.update(part_metrics)
-        checks.update(part_checks)
-        detail[name] = part_detail
-    return {"metrics": metrics, "checks": checks, "detail": detail}
+        result["metrics"].update(metrics)
+        result["checks"].update(checks)
+        result["detail"][name] = detail
+    return result

@@ -264,16 +264,12 @@ class TestPaperSuite:
         result = suite.run(dict(suite.config))
         failed = [name for name, ok in result["checks"].items() if not ok]
         assert failed == []
-        baseline = find_baseline(
-            suite,
-            load_history(
-                os.path.join(REPO_ROOT, HISTORY_DIR, "paper.jsonl")
-            ),
-        )
+        history = os.path.join(REPO_ROOT, HISTORY_DIR, "paper.jsonl")
+        baseline = find_baseline(suite, load_history(history))
         document = {"rev": None, "timestamp": None, "timings": {}, **result}
         entry = history_entry(suite, document)
-        assert entry["metrics"] == baseline["metrics"]
         assert len(entry["metrics"]) == len(suite.metrics)
+        assert entry["metrics"] == baseline["metrics"]
 
 
 class TestChecksReachTheGate:
