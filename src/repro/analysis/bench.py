@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict
-from typing import Sequence
 
 import numpy as np
 
@@ -45,21 +44,31 @@ __all__ = ["run_paper_bench"]
 
 _TOLERANCE = 1e-9
 
+#: The parameters and seed of the runs this suite regenerates: Table 1
+#: and Fig. 14 equal the m <= 5 rows of ``repro table1`` and ``repro
+#: fig14``, both at this seed, which also drives A3 and A4. A1, A5 and
+#: A7 draw their trees and DAGs from fixed seeds of their own.
+_TABLE1_FANOUTS = (2, 3, 4, 5)
+_FIG14_TRIALS = 30
+_HEURISTIC_TRIALS = 15
+_SEED = 2000
+
 #: Table 1's published, weight-independent counts: m -> (By Property 2,
 #: By Property 1, 2[, By Property 1, 2, 4]). For m = 4 the paper prints
 #: 6306300, a dropped digit of the closed form.
 _TABLE1_PUBLISHED = {2: (6, 4, 1), 3: (1680, 186), 4: (63063000, 438048)}
 
 
-def _table1(fanouts: Sequence[int], seed: int):
-    rows = {row.fanout: row for row in run_table1(tuple(fanouts), seed).rows}
+def _table1():
+    rows = {
+        row.fanout: row for row in run_table1(_TABLE1_FANOUTS, _SEED).rows
+    }
     counts = {
         m: (r.by_property2, r.by_properties_1_2, r.by_properties_1_2_4)
         for m, r in rows.items()
     }
     checks = {
-        f"table1_m{m}_published": counts.get(m, ())[: len(published)]
-        == published
+        f"table1_m{m}_published": counts[m][: len(published)] == published
         for m, published in _TABLE1_PUBLISHED.items()
     }
     # The closed form, cross-checked by the independent DP enumeration.
@@ -103,8 +112,8 @@ def _fig2():
     return {}, checks, detail
 
 
-def _fig14(trials: int, seed: int):
-    points = run_fig14(trials=trials, seed=seed).points
+def _fig14():
+    points = run_fig14(trials=_FIG14_TRIALS, seed=_SEED).points
     gaps = [point.gap_percent for point in points]
     checks = {
         "fig14_sorting_never_beats_optimal": all(
@@ -126,10 +135,12 @@ def _fig14(trials: int, seed: int):
     return metrics, checks, [asdict(point) for point in points]
 
 
-def _heuristics(trials: int, seed: int):
-    rng = np.random.default_rng(seed)
+def _heuristics():
+    rng = np.random.default_rng(_SEED)
     results = [
-        compare_methods(rng, workload, data_count=12, trials=trials)
+        compare_methods(
+            rng, workload, data_count=12, trials=_HEURISTIC_TRIALS
+        )
         for workload in ("zipf", "normal")
     ]
     checks = {
@@ -148,8 +159,8 @@ def _heuristics(trials: int, seed: int):
     return metrics, checks, [asdict(result) for result in results]
 
 
-def _channels(seed: int):
-    points = channel_scaling(np.random.default_rng(seed), fanout=3)
+def _channels():
+    points = channel_scaling(np.random.default_rng(_SEED), fanout=3)
     waits = [point.optimal_wait for point in points]
     (sv96,) = [point for point in points if point.sv96_wait is not None]
     checks = {
@@ -271,30 +282,20 @@ def _a7_dag():
     return {"a7_mean_greedy_gap_percent": mean_gap}, checks, rows
 
 
-def run_paper_bench(
-    *,
-    table1_fanouts: Sequence[int] = (2, 3, 4, 5),
-    fig14_trials: int = 30,
-    heuristic_trials: int = 15,
-    seed: int = 2000,
-) -> dict:
-    """Regenerate the paper's results; return flat metrics and checks.
-
-    ``seed`` drives Table 1, Fig. 14, A3 and A4; Table 1 and Fig. 14
-    equal ``repro table1`` / ``repro fig14`` at the same seed. A1, A5
-    and A7 use fixed seeds of their own.
-    """
+def run_paper_bench() -> dict:
+    """Regenerate the paper's results; return flat metrics and checks."""
     result: dict = {"metrics": {}, "checks": {}, "detail": {}}
-    for name, (metrics, checks, detail) in (
-        ("table1", _table1(table1_fanouts, seed)),
-        ("fig2", _fig2()),
-        ("fig14", _fig14(fig14_trials, seed)),
-        ("heuristics", _heuristics(heuristic_trials, seed)),
-        ("channels", _channels(seed)),
-        ("a1_bounds", _a1_bounds()),
-        ("a5_client", _a5_client()),
-        ("a7_dag", _a7_dag()),
+    for name, part in (
+        ("table1", _table1),
+        ("fig2", _fig2),
+        ("fig14", _fig14),
+        ("heuristics", _heuristics),
+        ("channels", _channels),
+        ("a1_bounds", _a1_bounds),
+        ("a5_client", _a5_client),
+        ("a7_dag", _a7_dag),
     ):
+        metrics, checks, detail = part()
         result["metrics"].update(metrics)
         result["checks"].update(checks)
         result["detail"][name] = detail

@@ -215,11 +215,8 @@ register(Suite(
 ))
 register(Suite(
     "paper",
-    {
-        "table1_fanouts": [2, 3, 4, 5], "fig14_trials": 30,
-        "heuristic_trials": 15, "seed": 2000,
-    },
-    lambda config: run_paper_bench(**config),
+    {},
+    lambda config: run_paper_bench(),
     _quality(
         *(f"table1_p124_m{m}" for m in (2, 3, 4, 5)),
         *(f"fig14_gap_percent_sigma{sigma}" for sigma in (10, 20, 30, 40)),
