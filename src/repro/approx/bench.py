@@ -42,12 +42,15 @@ from .ptas import _data_wait_lower_bound, ptas_catalog_plan
 __all__ = [
     "DEFAULT_SIZES",
     "run_frontier_bench",
+    "zipf_catalog",
 ]
 
 DEFAULT_SIZES = (1_000, 10_000)
 
 
-def _catalog(size: int, theta: float, seed: int) -> tuple[list[str], list[float]]:
+def zipf_catalog(
+    size: int, theta: float, seed: int
+) -> tuple[list[str], list[float]]:
     """A sorted synthetic catalog: zero-padded keys, shuffled Zipf weights."""
     rng = np.random.default_rng(seed + size)
     width = max(7, len(str(size)))
@@ -98,7 +101,7 @@ def run_frontier_bench(
     perf = perf if perf is not None else PerfRecorder()
     result: dict[str, dict] = {}
     for size in sizes:
-        labels, weights = _catalog(size, theta, seed)
+        labels, weights = zipf_catalog(size, theta, seed)
         lower = _data_wait_lower_bound(weights, channels)
         points: dict[str, dict] = {}
 

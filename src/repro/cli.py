@@ -1,48 +1,37 @@
-"""Command-line interface: ``broadcast-alloc`` / ``python -m repro.cli``.
+"""Command-line interface: ``repro`` / ``python -m repro.cli``.
 
-Subcommands regenerate each experiment on demand:
+``repro --help`` lists the commands and ``repro COMMAND --help`` each
+one's options. The 18 top-level commands:
 
-* ``demo``     — solve the Fig. 1 running example on 1..k channels;
-* ``table1``   — the §4.1 pruning-effects table;
-* ``fig14``    — the §4.2 Sorting-vs-Optimal sweep;
-* ``compare``  — heuristics/baselines vs optimal on random trees;
-* ``channels`` — data wait vs channel count (Corollary 1 regime);
-* ``ablation`` — pruning-rule search-effort ablation;
-* ``bench``    — the one bench harness (:mod:`repro.bench`): run the
-  registered suites, write each ``BENCH_<suite>.json`` and gate it
-  against ``benchmarks/history/<suite>.jsonl``; ``--record`` appends
-  the run to the history;
-* ``faults``   — loss-probability sweep over registry planners on
-  unreliable channels, including the loss=0 differential gate (the
-  command exits non-zero when the gate fails);
-* ``serve``    — put a compiled plan on the air over real sockets
-  (:mod:`repro.net`); Ctrl-C shuts down cleanly and flushes stats;
-  ``--metrics-port`` additionally mounts the :mod:`repro.obs` HTTP
-  endpoint (``/metrics`` Prometheus exposition + ``/healthz``);
-  ``--store DIR`` serves from a :mod:`repro.sched` schedule store and
-  follows it live — versions published behind the station's back
-  (``sched rollback`` from another shell) cut over at the next cycle
-  boundary with zero dropped walks, and the crash snapshot is flushed
-  before the sockets close;
-* ``sched``    — the versioned schedule store (:mod:`repro.sched`):
-  ``sched log/show/diff`` inspect history, ``sched rollback`` restores
-  an old version byte-exactly as a new head, ``sched gc`` drops
-  unreferenced objects, and ``sched loadtest`` gates the live
-  replan-and-roll-back cutover under a tuner fleet;
-* ``tune``     — one live client walk against a running station;
-* ``loadtest`` — the concurrent tuner-fleet harness; with
-  ``--check-parity`` it exits non-zero unless the socket fleet's
-  access/tuning times match the in-process simulator exactly; with
-  ``--trace PREFIX`` it writes the fleet's JSONL event trace
-  (``PREFIX.live.jsonl``) alongside a lossless simulator replay of the
-  identical request trace (``PREFIX.sim.jsonl``) — the input pair for
-  ``obs diff``;
-* ``loadtest --engine batch`` runs the fleet's request trace through
-  the vectorised batch simulator (:mod:`repro.engine`) instead of
-  sockets;
-* ``obs``      — trace tooling: ``obs timeline`` reconstructs the
-  per-(channel, slot) view of one JSONL trace, ``obs diff`` compares
-  two traces and names the first divergent slot.
+* the paper's experiments: ``demo`` (the Fig. 1 example on 1..k
+  channels), ``table1`` (§4.1 pruning effects), ``fig14`` (§4.2
+  Sorting vs Optimal), ``compare`` (heuristics and baselines vs
+  optimal), ``channels`` (data wait vs channel count), ``ablation``
+  (pruning rules), ``spaces`` (the reduced search trees of Figs. 9-12)
+  and ``sensitivity`` (fanout and skew sweeps);
+* ``solve``    — allocate a user-supplied JSON index tree over k
+  channels with any :mod:`repro.planners` planner;
+* ``bench``    — the bench harness (:mod:`repro.bench`): run suites,
+  write ``BENCH_<suite>.json`` and gate each against its history;
+* ``faults``   — loss sweep over planners on unreliable channels, with
+  the loss=0 differential gate;
+* ``serve``, ``tune``, ``loadtest`` — air a compiled plan over sockets
+  (:mod:`repro.net`), walk it with one live tuner, or load it with a
+  tuner fleet (``--engine batch`` runs the same trace through
+  :mod:`repro.engine`);
+* ``cluster plan|serve|loadtest`` — the sharded multi-station cluster
+  (:mod:`repro.cluster`);
+* ``approx plan|explain`` — the approximation planners and the
+  meta-planner's decision (:mod:`repro.approx`);
+* ``sched log|show|diff|rollback|gc|loadtest`` — the versioned schedule
+  store and its live cutover loadtest (:mod:`repro.sched`);
+* ``obs timeline|diff|attrib|spans|postmortem`` — trace and flight
+  recorder tooling (:mod:`repro.obs`).
+
+Every leaf parser names its ``_cmd_*`` function as ``handler``, and
+``main`` calls it. A :class:`~repro.exceptions.ReproError` from any
+command becomes one ``error:`` line on stderr. Exit codes: 0 ok,
+1 failure, 2 usage or I/O error.
 
 Installed as the ``repro`` console script (``broadcast-alloc`` remains
 as the historical alias).
@@ -66,9 +55,86 @@ from .analysis.comparisons import (
 from .analysis.fig14 import format_fig14, run_fig14
 from .analysis.table1 import format_table1, run_table1
 from .core.optimal import solve
+from .exceptions import ReproError
 from .tree.builders import paper_example_tree
 
 __all__ = ["main", "build_parser"]
+
+# Flags that more than one command takes, declared once. A command
+# whose default differs re-defaults the flag through ``_command``.
+_SHARED_FLAGS = {
+    "--items": dict(
+        type=int, default=24, help="catalog size (default %(default)s)"
+    ),
+    "--channels": dict(
+        type=int, default=3, help="channel count (default %(default)s)"
+    ),
+    "--fanout": dict(
+        type=int, default=3, help="index tree fanout (default %(default)s)"
+    ),
+    "--planner": dict(
+        default="sorting",
+        help="repro.planners registry name (default 'sorting')",
+    ),
+    "--host": dict(default="127.0.0.1"),
+    "--tuners": dict(
+        type=int, default=200, help="tuner fleet size (default %(default)s)"
+    ),
+    "--arrival-rate": dict(
+        type=float,
+        default=0.0,
+        help="Poisson arrival intensity, tuners/second (0 = all at once)",
+    ),
+    "--max-open": dict(
+        type=int,
+        default=256,
+        help="simultaneously open connections (fd throttle)",
+    ),
+    "--slot-duration": dict(
+        type=float,
+        default=0.0,
+        help="station pacing, seconds per slot (0 = logical time, TCP "
+        "only)",
+    ),
+    "--loss": dict(
+        type=float, default=0.0, help="per-bucket loss probability"
+    ),
+    "--corruption": dict(
+        type=float,
+        default=0.0,
+        help="per-bucket payload corruption probability",
+    ),
+    "--policy": dict(choices=("retry-parent", "next-cycle"), default=None),
+    "--max-cycles": dict(
+        type=int,
+        default=8,
+        help="recovery give-up bound, in cycles from tune-in (default 8)",
+    ),
+    "--check-parity": dict(
+        action="store_true",
+        help="replay the trace through the in-process simulator and "
+        "require exact equality (the socket fleet needs lossless air)",
+    ),
+}
+_CATALOG = ("--items", "--channels", "--fanout")
+_AIR_FAULTS = ("--loss", "--corruption")
+_RECOVERY = ("--policy", "--max-cycles")
+_FLEET = (
+    "--tuners", "--arrival-rate", "--max-open", "--slot-duration",
+    "--check-parity",
+)
+
+
+def _command(commands, name, handler, help, *flags, **defaults):
+    """Add subcommand ``name``, run by ``handler``, with shared ``flags``.
+
+    ``defaults`` re-default shared flags for this command only.
+    """
+    parser = commands.add_parser(name, help=help)
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
+    parser.set_defaults(handler=handler, **defaults)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,12 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    demo = commands.add_parser("demo", help="solve the Fig. 1 example")
-    demo.add_argument(
-        "--channels", type=int, default=2, help="max channel count to show"
+    _command(
+        commands, "demo", _cmd_demo,
+        "solve the Fig. 1 example on 1..--channels channels",
+        "--channels", channels=2,
     )
 
-    table1 = commands.add_parser("table1", help="Table 1 pruning effects")
+    table1 = _command(
+        commands, "table1", _cmd_table1, "Table 1 pruning effects"
+    )
     table1.add_argument(
         "--max-fanout",
         type=int,
@@ -103,25 +172,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest m to enumerate the P1,2 column for",
     )
 
-    fig14 = commands.add_parser("fig14", help="Fig. 14 Sorting vs Optimal")
+    fig14 = _command(
+        commands, "fig14", _cmd_fig14, "Fig. 14 Sorting vs Optimal"
+    )
     fig14.add_argument("--trials", type=int, default=30)
 
-    compare = commands.add_parser(
-        "compare", help="heuristics and baselines vs optimal"
+    compare = _command(
+        commands, "compare", _cmd_compare,
+        "heuristics and baselines vs optimal",
     )
     compare.add_argument("--trials", type=int, default=20)
     compare.add_argument("--data-count", type=int, default=12)
 
-    channels = commands.add_parser(
-        "channels", help="data wait vs channel count"
+    _command(
+        commands, "channels", _cmd_channels, "data wait vs channel count",
+        "--fanout",
     )
-    channels.add_argument("--fanout", type=int, default=3)
+    _command(commands, "ablation", _cmd_ablation, "pruning-rule ablation")
 
-    commands.add_parser("ablation", help="pruning-rule ablation")
-
-    bench = commands.add_parser(
-        "bench",
-        help="run bench suites, write BENCH_<suite>.json and gate each "
+    bench = _command(
+        commands, "bench", _cmd_bench,
+        "run bench suites, write BENCH_<suite>.json and gate each "
         "against its history; exit 1 naming the first regression",
     )
     bench.add_argument(
@@ -149,16 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
         "(the Makefile passes `date -u`)",
     )
 
-    spaces = commands.add_parser(
-        "spaces", help="render the reduced search trees (Figs. 9-12)"
-    )
-    spaces.add_argument(
-        "--channels", type=int, default=2, help="k for the topological tree"
+    _command(
+        commands, "spaces", _cmd_spaces,
+        "render the reduced search trees (Figs. 9-12); --channels is k "
+        "for the topological tree",
+        "--channels", channels=2,
     )
 
-    faults = commands.add_parser(
-        "faults",
-        help="loss sweep over registry planners on unreliable channels",
+    faults = _command(
+        commands, "faults", _cmd_faults,
+        "loss sweep over registry planners on unreliable channels",
+        "--channels", "--corruption", *_RECOVERY,
+        channels=2, policy="retry-parent",
     )
     faults.add_argument(
         "--planners",
@@ -172,29 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated per-channel loss probabilities "
         "(0 is always re-added: it carries the differential gate)",
     )
-    faults.add_argument("--channels", type=int, default=2)
     faults.add_argument("--requests", type=int, default=500)
-    faults.add_argument(
-        "--corruption",
-        type=float,
-        default=0.0,
-        help="payload corruption probability at non-zero loss points",
-    )
     faults.add_argument(
         "--burst",
         action="store_true",
         help="Gilbert-Elliott burst losses instead of i.i.d.",
-    )
-    faults.add_argument(
-        "--policy",
-        choices=("retry-parent", "next-cycle"),
-        default="retry-parent",
-    )
-    faults.add_argument(
-        "--max-cycles",
-        type=int,
-        default=8,
-        help="give-up bound, in cycles from tune-in (default 8)",
     )
     faults.add_argument(
         "--json",
@@ -204,42 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the full sweep record to PATH",
     )
 
-    def add_program_options(sub: argparse.ArgumentParser) -> None:
-        """Knobs shared by every repro.net command that builds a plan."""
-        sub.add_argument("--items", type=int, default=24)
-        sub.add_argument("--channels", type=int, default=3)
-        sub.add_argument("--fanout", type=int, default=3)
-        sub.add_argument(
-            "--planner",
-            default="sorting",
-            help="repro.planners registry name (default 'sorting')",
-        )
-
-    serve = commands.add_parser(
-        "serve", help="air a compiled plan over sockets (repro.net)"
+    serve = _command(
+        commands, "serve", _cmd_serve,
+        "air a compiled plan over sockets (repro.net)",
+        *_CATALOG, "--planner", "--host", "--slot-duration", *_AIR_FAULTS,
     )
-    add_program_options(serve)
-    serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=0, help="0 picks a free port"
     )
     serve.add_argument(
         "--transport", choices=("tcp", "udp"), default="tcp"
-    )
-    serve.add_argument(
-        "--slot-duration",
-        type=float,
-        default=0.0,
-        help="seconds per slot; 0 = logical time (TCP only)",
-    )
-    serve.add_argument(
-        "--loss", type=float, default=0.0, help="per-bucket loss probability"
-    )
-    serve.add_argument(
-        "--corruption",
-        type=float,
-        default=0.0,
-        help="per-bucket payload corruption probability",
     )
     serve.add_argument(
         "--metrics-port",
@@ -269,10 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0.5)",
     )
 
-    tune = commands.add_parser(
-        "tune", help="one live client walk against a running station"
+    tune = _command(
+        commands, "tune", _cmd_tune,
+        "one live client walk against a running station",
+        "--host", *_RECOVERY,
     )
-    tune.add_argument("--host", default="127.0.0.1")
     tune.add_argument("--port", type=int, required=True)
     tune.add_argument("--key", required=True, help="search key to fetch")
     tune.add_argument(
@@ -281,49 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="cycle-relative slot to tune in at (default 1)",
     )
-    tune.add_argument(
-        "--policy", choices=("retry-parent", "next-cycle"), default=None
-    )
-    tune.add_argument(
-        "--max-cycles",
-        type=int,
-        default=8,
-        help="recovery give-up bound, in cycles (default 8)",
-    )
 
-    loadtest = commands.add_parser(
-        "loadtest",
-        help="concurrent tuner fleet on a loopback station",
-    )
-    add_program_options(loadtest)
-    loadtest.add_argument("--tuners", type=int, default=1000)
-    loadtest.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=5000.0,
-        help="Poisson arrival intensity, tuners/second (0 = all at once)",
-    )
-    loadtest.add_argument(
-        "--max-open",
-        type=int,
-        default=256,
-        help="simultaneously open connections (fd throttle)",
-    )
-    loadtest.add_argument(
-        "--slot-duration", type=float, default=0.0,
-        help="station pacing, seconds per slot (0 = logical time)",
-    )
-    loadtest.add_argument("--loss", type=float, default=0.0)
-    loadtest.add_argument("--corruption", type=float, default=0.0)
-    loadtest.add_argument(
-        "--policy", choices=("retry-parent", "next-cycle"), default=None
-    )
-    loadtest.add_argument("--max-cycles", type=int, default=8)
-    loadtest.add_argument(
-        "--check-parity",
-        action="store_true",
-        help="replay the trace through the in-process simulator and "
-        "require exact access/tuning-time equality (lossless air only)",
+    loadtest = _command(
+        commands, "loadtest", _cmd_loadtest,
+        "concurrent tuner fleet on a loopback station",
+        *_CATALOG, "--planner", *_FLEET, *_AIR_FAULTS, *_RECOVERY,
+        tuners=1000, arrival_rate=5000.0,
     )
     loadtest.add_argument(
         "--trace",
@@ -353,12 +346,30 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_commands = cluster.add_subparsers(
         dest="cluster_command", required=True
     )
-
-    def add_cluster_options(sub: argparse.ArgumentParser) -> None:
-        """Knobs shared by every cluster subcommand."""
-        sub.add_argument("--items", type=int, default=32)
-        sub.add_argument("--channels", type=int, default=3)
-        sub.add_argument("--fanout", type=int, default=3)
+    cluster_plan = _command(
+        cluster_commands, "plan", _cmd_cluster_plan,
+        "partition the catalog, plan every shard, print the table",
+        *_CATALOG, items=32,
+    )
+    cluster_serve = _command(
+        cluster_commands, "serve", _cmd_cluster_serve,
+        "air every shard's program on its own station",
+        *_CATALOG, "--host", "--slot-duration", items=32,
+    )
+    cluster_loadtest = _command(
+        cluster_commands, "loadtest", _cmd_cluster_loadtest,
+        "routed tuner fleet across every shard, with per-shard "
+        "accounting and parity gates",
+        *_CATALOG, *_FLEET, items=32,
+    )
+    cluster_loadtest.add_argument(
+        "--sweep",
+        default=None,
+        metavar="COUNTS",
+        help="comma-separated shard counts (e.g. 1,2,4) to loadtest "
+        "in sequence; overrides --shards and records speedups",
+    )
+    for sub in (cluster_plan, cluster_serve, cluster_loadtest):
         sub.add_argument(
             "--planner",
             default="meta",
@@ -381,57 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
             "before serving/loadtesting (default 0 = off)",
         )
 
-    cluster_plan = cluster_commands.add_parser(
-        "plan",
-        help="partition the catalog, plan every shard, print the table",
-    )
-    add_cluster_options(cluster_plan)
-
-    cluster_serve = cluster_commands.add_parser(
-        "serve", help="air every shard's program on its own station"
-    )
-    add_cluster_options(cluster_serve)
-    cluster_serve.add_argument("--host", default="127.0.0.1")
-    cluster_serve.add_argument(
-        "--slot-duration",
-        type=float,
-        default=0.0,
-        help="seconds per slot; 0 = logical time",
-    )
-
-    cluster_loadtest = cluster_commands.add_parser(
-        "loadtest",
-        help="routed tuner fleet across every shard, with per-shard "
-        "accounting and parity gates",
-    )
-    add_cluster_options(cluster_loadtest)
-    cluster_loadtest.add_argument("--tuners", type=int, default=200)
-    cluster_loadtest.add_argument(
-        "--sweep",
-        default=None,
-        metavar="COUNTS",
-        help="comma-separated shard counts (e.g. 1,2,4) to loadtest "
-        "in sequence; overrides --shards and records speedups",
-    )
-    cluster_loadtest.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=0.0,
-        help="Poisson arrival intensity, tuners/second (0 = all at once)",
-    )
-    cluster_loadtest.add_argument("--max-open", type=int, default=256)
-    cluster_loadtest.add_argument(
-        "--slot-duration",
-        type=float,
-        default=0.0,
-        help="station pacing, seconds per slot (0 = logical time)",
-    )
-    cluster_loadtest.add_argument(
-        "--check-parity",
-        action="store_true",
-        help="per-shard simulator replay with exact-equality gate",
-    )
-
     approx = commands.add_parser(
         "approx",
         help="approximation planners for million-item catalogs: ptas "
@@ -440,48 +400,36 @@ def build_parser() -> argparse.ArgumentParser:
     approx_commands = approx.add_subparsers(
         dest="approx_command", required=True
     )
-
-    def add_approx_options(sub: argparse.ArgumentParser) -> None:
-        """The synthetic-catalog knobs every approx subcommand shares."""
-        sub.add_argument(
-            "--items",
-            type=int,
-            default=10_000,
-            help="synthetic catalog size (default 10000)",
-        )
-        sub.add_argument("--channels", type=int, default=4)
-        sub.add_argument("--fanout", type=int, default=3)
-        sub.add_argument(
-            "--theta",
-            type=float,
-            default=0.95,
-            help="Zipf skew of the synthetic weights (default 0.95)",
-        )
-
-    approx_plan = approx_commands.add_parser(
-        "plan",
-        help="plan a synthetic Zipf catalog with one registry planner, "
+    approx_plan = _command(
+        approx_commands, "plan", _cmd_approx_plan,
+        "plan a synthetic Zipf catalog with one registry planner, "
         "print the plan card (cost, bound, groups, timing)",
+        *_CATALOG, items=10_000, channels=4,
     )
-    add_approx_options(approx_plan)
     approx_plan.add_argument(
         "--method",
         default="ptas",
         help="repro.planners registry name (default 'ptas')",
     )
-
-    approx_explain = approx_commands.add_parser(
-        "explain",
-        help="print the meta-planner's measured features and its "
+    approx_explain = _command(
+        approx_commands, "explain", _cmd_approx_explain,
+        "print the meta-planner's measured features and its "
         "decision for a catalog, without planning anything",
+        *_CATALOG, items=10_000, channels=4,
     )
-    add_approx_options(approx_explain)
     approx_explain.add_argument(
         "--wire-safe",
         action="store_true",
         help="restrict the decision to wire-routable planners "
         "(what the cluster's stations require)",
     )
+    for sub in (approx_plan, approx_explain):
+        sub.add_argument(
+            "--theta",
+            type=float,
+            default=0.95,
+            help="Zipf skew of the synthetic weights (default 0.95)",
+        )
 
     sched = commands.add_parser(
         "sched",
@@ -491,43 +439,30 @@ def build_parser() -> argparse.ArgumentParser:
     sched_commands = sched.add_subparsers(
         dest="sched_command", required=True
     )
-
-    def add_store_option(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--store",
-            dest="store_dir",
-            required=True,
-            metavar="DIR",
-            help="schedule store directory (repro.sched.ScheduleStore)",
-        )
-
-    sched_log = sched_commands.add_parser(
-        "log", help="the version log, oldest first"
+    sched_log = _command(
+        sched_commands, "log", _cmd_sched_log,
+        "the version log, oldest first",
     )
-    add_store_option(sched_log)
     sched_log.add_argument(
         "--limit",
         type=int,
         default=0,
         help="show only the newest N versions (0 = all; default 0)",
     )
-
-    sched_show = sched_commands.add_parser(
-        "show", help="print one version's plan, integrity-verified"
+    sched_show = _command(
+        sched_commands, "show", _cmd_sched_show,
+        "print one version's plan, integrity-verified",
     )
-    add_store_option(sched_show)
     sched_show.add_argument(
         "--version",
         type=int,
         default=None,
         help="version to show (default: head)",
     )
-
-    sched_diff = sched_commands.add_parser(
-        "diff",
-        help="structural delta between two versions' plan documents",
+    sched_diff = _command(
+        sched_commands, "diff", _cmd_sched_diff,
+        "structural delta between two versions' plan documents",
     )
-    add_store_option(sched_diff)
     sched_diff.add_argument(
         "--from", dest="from_version", type=int, required=True,
         metavar="VERSION",
@@ -536,14 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--to", dest="to_version", type=int, required=True,
         metavar="VERSION",
     )
-
-    sched_rollback = sched_commands.add_parser(
-        "rollback",
-        help="republish an old version as the new head (append-only; a "
+    sched_rollback = _command(
+        sched_commands, "rollback", _cmd_sched_rollback,
+        "republish an old version as the new head (append-only; a "
         "station serving with --store cuts over at its next cycle "
         "boundary)",
     )
-    add_store_option(sched_rollback)
     sched_rollback.add_argument(
         "--to", dest="to_version", type=int, required=True,
         metavar="VERSION", help="version whose content becomes the head",
@@ -551,25 +484,26 @@ def build_parser() -> argparse.ArgumentParser:
     sched_rollback.add_argument(
         "--note", default="", help="free-form note stamped into the log"
     )
-
-    sched_gc = sched_commands.add_parser(
-        "gc",
-        help="drop objects the version log does not reference "
+    sched_gc = _command(
+        sched_commands, "gc", _cmd_sched_gc,
+        "drop objects the version log does not reference "
         "(left-overs of interrupted publishes)",
     )
-    add_store_option(sched_gc)
-
-    sched_loadtest = sched_commands.add_parser(
-        "loadtest",
-        help="live cutover loadtest: a tuner fleet rides through a "
+    for sub in (sched_log, sched_show, sched_diff, sched_rollback, sched_gc):
+        sub.add_argument(
+            "--store",
+            dest="store_dir",
+            required=True,
+            metavar="DIR",
+            help="schedule store directory (repro.sched.ScheduleStore)",
+        )
+    sched_loadtest = _command(
+        sched_commands, "loadtest", _cmd_sched_loadtest,
+        "live cutover loadtest: a tuner fleet rides through a "
         "mid-walk replan and a rollback; exits non-zero unless frame "
         "accounting, zero-abandonment and byte-exact restore all hold",
+        "--tuners", *_CATALOG, "--max-open", max_open=128,
     )
-    sched_loadtest.add_argument("--tuners", type=int, default=200)
-    sched_loadtest.add_argument("--items", type=int, default=24)
-    sched_loadtest.add_argument("--channels", type=int, default=3)
-    sched_loadtest.add_argument("--fanout", type=int, default=3)
-    sched_loadtest.add_argument("--max-open", type=int, default=128)
     sched_loadtest.add_argument(
         "--trace",
         dest="trace_path",
@@ -593,9 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
         "causal span trees and postmortem bundles",
     )
     obs_commands = obs.add_subparsers(dest="obs_command", required=True)
-    timeline = obs_commands.add_parser(
-        "timeline",
-        help="reconstruct the per-(channel, slot) view of one trace",
+    timeline = _command(
+        obs_commands, "timeline", _cmd_obs_timeline,
+        "reconstruct the per-(channel, slot) view of one trace",
     )
     timeline.add_argument("trace", help="JSONL trace file")
     timeline.add_argument(
@@ -607,9 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=40,
         help="max slot cells to print (0 = all; default 40)",
     )
-    diff = obs_commands.add_parser(
-        "diff",
-        help="compare two traces; exit 1 and name the first divergent "
+    diff = _command(
+        obs_commands, "diff", _cmd_obs_diff,
+        "compare two traces; exit 1 and name the first divergent "
         "slot when they disagree",
     )
     diff.add_argument("trace_a", help="JSONL trace file (side A)")
@@ -622,9 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=10,
         help="max divergent cells to print (default 10)",
     )
-    attrib = obs_commands.add_parser(
-        "attrib",
-        help="fold a trace into per-walk phase breakdowns "
+    attrib = _command(
+        obs_commands, "attrib", _cmd_obs_attrib,
+        "fold a trace into per-walk phase breakdowns "
         "(probe/descent/hop/retry/slack) that sum exactly to each "
         "walk's access time; exit 1 if any walk violates exactness",
     )
@@ -636,9 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="how many of the slowest walks to break down individually "
         "(0 = none; default 5)",
     )
-    spans = obs_commands.add_parser(
-        "spans",
-        help="reconstruct causal span trees from a trace (replan -> "
+    spans = _command(
+        obs_commands, "spans", _cmd_obs_spans,
+        "reconstruct causal span trees from a trace (replan -> "
         "store publish -> station cutover -> walk segments) and "
         "reconcile segment durations against the attribution layer; "
         "exit 1 on a containment or reconciliation violation",
@@ -657,9 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="max walk reconciliation rows to print (0 = all; "
         "default 20)",
     )
-    postmortem = obs_commands.add_parser(
-        "postmortem",
-        help="print a flight-recorder bundle: the causal span chain "
+    postmortem = _command(
+        obs_commands, "postmortem", _cmd_obs_postmortem,
+        "print a flight-recorder bundle: the causal span chain "
         "ending at the trigger, plus each component ring's summary",
     )
     postmortem.add_argument("bundle", help="postmortem-*.json bundle file")
@@ -668,21 +602,24 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the bundle's full span trees",
     )
-    sensitivity = commands.add_parser(
-        "sensitivity", help="fanout and skew sensitivity sweeps"
+
+    sensitivity = _command(
+        commands, "sensitivity", _cmd_sensitivity,
+        "fanout and skew sensitivity sweeps",
     )
     sensitivity.add_argument("--catalog", type=int, default=12)
     sensitivity.add_argument("--trials", type=int, default=8)
 
-    solve_cmd = commands.add_parser(
-        "solve", help="allocate a user-supplied index tree (JSON)"
+    solve_cmd = _command(
+        commands, "solve", _cmd_solve,
+        "allocate a user-supplied index tree (JSON)",
+        "--channels", channels=1,
     )
     solve_cmd.add_argument(
         "--input",
         required=True,
         help="path to a broadcast-alloc/tree JSON document",
     )
-    solve_cmd.add_argument("--channels", type=int, default=1)
     solve_cmd.add_argument(
         "--planner",
         default="budgeted",
@@ -706,214 +643,227 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except ReproError as error:
+        # A library error (an unknown planner, a corrupt store, a
+        # protocol violation, a failed lookup) is one line, not a crash.
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+
+
+def _comma_list(flag: str, text: str, convert, what: str):
+    """``text`` split on commas and converted, or None on a bad token.
+
+    A bad token is a usage error: it is reported here, and the caller
+    exits 2.
+    """
+    try:
+        return [convert(token) for token in text.split(",") if token.strip()]
+    except ValueError:
+        print(
+            f"error: {flag} must be comma-separated {what}, got {text!r}",
+            file=sys.stderr,
+        )
+        return None
+
+
+# ---------------------------------------------------------------------------
+# The paper's experiments
+# ---------------------------------------------------------------------------
+
+def _cmd_demo(args) -> int:
+    tree = paper_example_tree()
+    print("Fig. 1 index tree:")
+    print(tree.to_ascii())
+    for k in range(1, args.channels + 1):
+        result = solve(tree, channels=k)
+        print(
+            f"\n{k} channel(s): optimal data wait = {result.cost:.4f} "
+            f"(method: {result.method})"
+        )
+        print(result.schedule.to_ascii())
+    return 0
+
+
+def _cmd_table1(args) -> int:
+    fanouts = tuple(range(2, args.max_fanout + 1))
+    report = run_table1(
+        fanouts=fanouts, seed=args.seed, max_enum_p12=args.max_enum_p12
+    )
+    print(format_table1(report))
+    return 0
+
+
+def _cmd_fig14(args) -> int:
+    print(format_fig14(run_fig14(trials=args.trials, seed=args.seed)))
+    return 0
+
+
+def _cmd_compare(args) -> int:
     rng = np.random.default_rng(args.seed)
-
-    if args.command == "demo":
-        tree = paper_example_tree()
-        print("Fig. 1 index tree:")
-        print(tree.to_ascii())
-        for k in range(1, args.channels + 1):
-            result = solve(tree, channels=k)
-            print(
-                f"\n{k} channel(s): optimal data wait = {result.cost:.4f} "
-                f"(method: {result.method})"
-            )
-            print(result.schedule.to_ascii())
-        return 0
-
-    if args.command == "table1":
-        fanouts = tuple(range(2, args.max_fanout + 1))
-        report = run_table1(
-            fanouts=fanouts, seed=args.seed, max_enum_p12=args.max_enum_p12
+    results = [
+        compare_methods(
+            rng, workload, data_count=args.data_count, trials=args.trials
         )
-        print(format_table1(report))
-        return 0
+        for workload in ("zipf", "normal")
+    ]
+    print(format_method_comparison(results))
+    return 0
 
-    if args.command == "fig14":
-        print(format_fig14(run_fig14(trials=args.trials, seed=args.seed)))
-        return 0
 
-    if args.command == "compare":
-        results = [
-            compare_methods(
-                rng, workload, data_count=args.data_count, trials=args.trials
-            )
-            for workload in ("zipf", "normal")
-        ]
-        print(format_method_comparison(results))
-        return 0
+def _cmd_channels(args) -> int:
+    rng = np.random.default_rng(args.seed)
+    print(format_channel_scaling(channel_scaling(rng, fanout=args.fanout)))
+    return 0
 
-    if args.command == "channels":
-        print(format_channel_scaling(channel_scaling(rng, fanout=args.fanout)))
-        return 0
 
-    if args.command == "ablation":
-        print(format_pruning_ablation(pruning_ablation(rng)))
-        return 0
+def _cmd_ablation(args) -> int:
+    rng = np.random.default_rng(args.seed)
+    print(format_pruning_ablation(pruning_ablation(rng)))
+    return 0
 
-    if args.command == "bench":
-        from .bench import SUITES, run_suites
 
-        unknown = [name for name in args.suites if name not in SUITES]
-        if unknown:
-            print(
-                f"error: unknown bench suite(s): {', '.join(unknown)} "
-                f"(known: {', '.join(SUITES)})",
-                file=sys.stderr,
-            )
-            return 2
-        return run_suites(
-            args.suites, record=args.record, rev=args.rev,
-            timestamp=args.timestamp,
+def _cmd_spaces(args) -> int:
+    from .core.problem import AllocationProblem
+    from .core.render import render_data_tree, render_topological_tree
+
+    tree = paper_example_tree()
+    print(
+        f"Reduced {args.channels}-channel topological tree of the "
+        "Fig. 1 example:"
+    )
+    print(render_topological_tree(AllocationProblem(tree, args.channels)))
+    print("\nData tree with Property 4 marks (x = pruned), Fig. 12 style:")
+    print(render_data_tree(AllocationProblem(tree, 1), annotate=True))
+    return 0
+
+
+def _cmd_sensitivity(args) -> int:
+    from .analysis.sensitivity import (
+        fanout_sensitivity,
+        format_fanout_sensitivity,
+        format_skew_sensitivity,
+        skew_sensitivity,
+    )
+    from .workloads.catalogs import stock_catalog
+
+    rng = np.random.default_rng(args.seed)
+    items = stock_catalog(rng, count=args.catalog)
+    print(format_fanout_sensitivity(fanout_sensitivity(items)))
+    print()
+    print(format_skew_sensitivity(skew_sensitivity(rng, trials=args.trials)))
+    return 0
+
+
+def _cmd_bench(args) -> int:
+    from .bench import SUITES, run_suites
+
+    unknown = [name for name in args.suites if name not in SUITES]
+    if unknown:
+        print(
+            f"error: unknown bench suite(s): {', '.join(unknown)} "
+            f"(known: {', '.join(SUITES)})",
+            file=sys.stderr,
         )
+        return 2
+    return run_suites(
+        args.suites, record=args.record, rev=args.rev,
+        timestamp=args.timestamp,
+    )
 
-    if args.command == "solve":
-        import json
 
-        from .broadcast.metrics import (
-            expected_access_time,
-            expected_tuning_time,
-        )
-        from .io.json_io import save_schedule, tree_from_dict
-        from .planners import plan
+def _cmd_solve(args) -> int:
+    import json
 
+    from .broadcast.metrics import (
+        expected_access_time,
+        expected_tuning_time,
+    )
+    from .io.json_io import save_schedule, tree_from_dict
+    from .planners import plan
+
+    try:
         with open(args.input) as handle:
             tree = tree_from_dict(json.load(handle))
-        options = (
-            {"budget": args.budget} if args.planner == "budgeted" else {}
-        )
-        result = plan(
-            tree, args.channels, method=args.planner, **options
-        )
-        schedule = result.schedule
-        fell_back = result.stats.get("fell_back")
-        note = ""
-        if fell_back is True:
-            note = f" (exact search exceeded {args.budget} states)"
-        elif fell_back is False:
-            note = " (exact)"
-        print(f"method: {result.method}{note}")
-        print(schedule.to_ascii())
-        print(f"data wait            = {schedule.data_wait():.4f} slots")
-        print(f"expected access time = {expected_access_time(schedule):.4f}")
-        print(f"expected tuning time = {expected_tuning_time(schedule):.4f}")
-        if args.output:
-            save_schedule(schedule, args.output)
-            print(f"schedule written to {args.output}")
-        return 0
+    except (OSError, json.JSONDecodeError) as error:
+        print(f"error: cannot read input: {error}", file=sys.stderr)
+        return 2
+    options = {"budget": args.budget} if args.planner == "budgeted" else {}
+    result = plan(tree, args.channels, method=args.planner, **options)
+    schedule = result.schedule
+    fell_back = result.stats.get("fell_back")
+    note = ""
+    if fell_back is True:
+        note = f" (exact search exceeded {args.budget} states)"
+    elif fell_back is False:
+        note = " (exact)"
+    print(f"method: {result.method}{note}")
+    print(schedule.to_ascii())
+    print(f"data wait            = {schedule.data_wait():.4f} slots")
+    print(f"expected access time = {expected_access_time(schedule):.4f}")
+    print(f"expected tuning time = {expected_tuning_time(schedule):.4f}")
+    if args.output:
+        save_schedule(schedule, args.output)
+        print(f"schedule written to {args.output}")
+    return 0
 
-    if args.command == "faults":
-        import json
 
-        from .analysis.faults_sweep import (
-            format_fault_sweep,
-            run_fault_sweep,
-        )
-        from .client.protocol import RecoveryPolicy
+def _cmd_faults(args) -> int:
+    import json
 
-        methods = tuple(
-            name.strip() for name in args.planners.split(",") if name.strip()
-        )
-        losses = tuple(
-            float(token)
-            for token in args.losses.split(",")
-            if token.strip()
-        )
-        if 0.0 not in losses:
-            losses = (0.0, *losses)
-        report = run_fault_sweep(
-            methods=methods,
-            losses=losses,
-            channels=args.channels,
-            requests=args.requests,
-            seed=args.seed,
-            corruption=args.corruption,
-            burst=args.burst,
-            policy=RecoveryPolicy(
-                mode=args.policy, max_cycles=args.max_cycles
-            ),
-        )
-        print(format_fault_sweep(report))
-        if args.json_path:
-            with open(args.json_path, "w") as handle:
-                json.dump(report.to_dict(), handle, indent=2)
-                handle.write("\n")
-            print(f"sweep record written to {args.json_path}")
-        if not report.differential_ok:
-            print(
-                "error: loss=0 recovery does not reproduce the lossless "
-                "protocol",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
+    from .analysis.faults_sweep import (
+        format_fault_sweep,
+        run_fault_sweep,
+    )
+    from .client.protocol import RecoveryPolicy
 
-    if args.command == "serve":
-        return _cmd_serve(args)
-
-    if args.command == "tune":
-        return _cmd_tune(args)
-
-    if args.command == "loadtest":
-        if args.engine == "batch":
-            return _cmd_loadtest_batch(args)
-        return _cmd_loadtest(args)
-
-    if args.command == "cluster":
-        return _cmd_cluster(args)
-
-    if args.command == "approx":
-        return _cmd_approx(args)
-
-    if args.command == "sched":
-        return _cmd_sched(args)
-
-    if args.command == "obs":
-        return _cmd_obs(args)
-
-    if args.command == "sensitivity":
-        from .analysis.sensitivity import (
-            fanout_sensitivity,
-            format_fanout_sensitivity,
-            format_skew_sensitivity,
-            skew_sensitivity,
-        )
-        from .workloads.catalogs import stock_catalog
-
-        items = stock_catalog(rng, count=args.catalog)
-        print(format_fanout_sensitivity(fanout_sensitivity(items)))
-        print()
+    methods = _comma_list("--planners", args.planners, str.strip, "names")
+    losses = _comma_list("--losses", args.losses, float, "probabilities")
+    if losses is None:
+        return 2
+    if 0.0 not in losses:
+        losses = [0.0, *losses]
+    report = run_fault_sweep(
+        methods=tuple(methods),
+        losses=tuple(losses),
+        channels=args.channels,
+        requests=args.requests,
+        seed=args.seed,
+        corruption=args.corruption,
+        burst=args.burst,
+        policy=RecoveryPolicy(mode=args.policy, max_cycles=args.max_cycles),
+    )
+    print(format_fault_sweep(report))
+    if args.json_path:
+        with open(args.json_path, "w") as handle:
+            json.dump(report.to_dict(), handle, indent=2)
+            handle.write("\n")
+        print(f"sweep record written to {args.json_path}")
+    if not report.differential_ok:
         print(
-            format_skew_sensitivity(
-                skew_sensitivity(rng, trials=args.trials)
-            )
+            "error: loss=0 recovery does not reproduce the lossless "
+            "protocol",
+            file=sys.stderr,
         )
-        return 0
-
-    if args.command == "spaces":
-        from .core.problem import AllocationProblem
-        from .core.render import render_data_tree, render_topological_tree
-
-        tree = paper_example_tree()
-        print(
-            f"Reduced {args.channels}-channel topological tree of the "
-            "Fig. 1 example:"
-        )
-        print(
-            render_topological_tree(AllocationProblem(tree, args.channels))
-        )
-        print("\nData tree with Property 4 marks (x = pruned), Fig. 12 style:")
-        print(
-            render_data_tree(AllocationProblem(tree, 1), annotate=True)
-        )
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # repro.net commands
 # ---------------------------------------------------------------------------
+
+def _demo_options(args) -> dict:
+    """The demo-plan knobs of ``serve`` and ``loadtest``."""
+    return dict(
+        items=args.items,
+        channels=args.channels,
+        fanout=args.fanout,
+        planner=args.planner,
+        seed=args.seed,
+    )
+
 
 def _net_faults(args):
     """FaultConfig from --loss/--corruption flags, or None for clean air."""
@@ -942,40 +892,24 @@ def _cmd_serve(args) -> int:
     from .perf import PerfRecorder
 
     perf = PerfRecorder()
-    store = None
-    version = 0
+    store = head = None
     if args.store_dir:
         from .sched import ScheduleStore
 
         store = ScheduleStore(args.store_dir, perf=perf)
         head = store.head
-        if head is None:
-            plan = build_demo_plan(
-                items=args.items,
-                channels=args.channels,
-                fanout=args.fanout,
-                planner=args.planner,
-                seed=args.seed,
-            )
+    if head is None:
+        plan = build_demo_plan(**_demo_options(args))
+        if store is not None:
             head = store.publish(plan, note="initial plan (serve)")
             print(f"store seeded: version 1 published to {args.store_dir}")
-        else:
-            plan = store.load(head.version)
-            print(
-                f"store head: version {head.version} "
-                f"({head.note or 'no note'})"
-            )
-        version = head.version
-        program = compile_program(plan.schedule)
     else:
-        plan = build_demo_plan(
-            items=args.items,
-            channels=args.channels,
-            fanout=args.fanout,
-            planner=args.planner,
-            seed=args.seed,
+        plan = store.load(head.version)
+        print(
+            f"store head: version {head.version} "
+            f"({head.note or 'no note'})"
         )
-        program = compile_program(plan.schedule)
+    program = compile_program(plan.schedule)
     station = BroadcastStation(
         program,
         faults=_net_faults(args),
@@ -984,7 +918,7 @@ def _cmd_serve(args) -> int:
         port=args.port,
         transport=args.transport,
         perf=perf,
-        schedule_version=version,
+        schedule_version=head.version if head is not None else 0,
     )
 
     async def follow_store() -> None:
@@ -1102,7 +1036,6 @@ def _flush_serve_state(store, station, perf) -> None:
 def _cmd_tune(args) -> int:
     import asyncio
 
-    from .exceptions import ReproError
     from .net import TunerClient
 
     async def one_walk():
@@ -1121,10 +1054,6 @@ def _cmd_tune(args) -> int:
             f"{error}",
             file=sys.stderr,
         )
-        return 1
-    except ReproError as error:
-        # Protocol violations and failed lookups: report, don't crash.
-        print(f"error: {error}", file=sys.stderr)
         return 1
     if result.abandoned:
         print(
@@ -1161,13 +1090,7 @@ def _cmd_loadtest_batch(args) -> int:
     from .engine import compile_dense, run_batch
     from .net import build_demo_program, make_request_trace
 
-    program = build_demo_program(
-        items=args.items,
-        channels=args.channels,
-        fanout=args.fanout,
-        planner=args.planner,
-        seed=args.seed,
-    )
+    program = build_demo_program(**_demo_options(args))
     rng = np.random.default_rng(args.seed)
     trace = make_request_trace(program, args.tuners, rng)
     dense = compile_dense(program)
@@ -1237,9 +1160,11 @@ def _cmd_loadtest_batch(args) -> int:
 
 
 def _cmd_loadtest(args) -> int:
+    if args.engine == "batch":
+        return _cmd_loadtest_batch(args)
+
     import asyncio
 
-    from .exceptions import ReproError
     from .net import (
         build_demo_program,
         make_request_trace,
@@ -1255,13 +1180,7 @@ def _cmd_loadtest(args) -> int:
             file=sys.stderr,
         )
         return 2
-    program = build_demo_program(
-        items=args.items,
-        channels=args.channels,
-        fanout=args.fanout,
-        planner=args.planner,
-        seed=args.seed,
-    )
+    program = build_demo_program(**_demo_options(args))
     rng = np.random.default_rng(args.seed)
     trace = None
     tracer = None
@@ -1294,9 +1213,6 @@ def _cmd_loadtest(args) -> int:
         # operational failure, not a stack trace — same contract as
         # `tune` against an unreachable station.
         print(f"error: station unreachable mid-run: {error}", file=sys.stderr)
-        return 1
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
         return 1
     finally:
         if tracer is not None:
@@ -1360,6 +1276,10 @@ def _cmd_loadtest(args) -> int:
     return 0 if ok else 1
 
 
+# ---------------------------------------------------------------------------
+# repro.cluster commands
+# ---------------------------------------------------------------------------
+
 def _build_cluster(args, shards: int):
     from .cluster import StationCluster, demo_catalog
 
@@ -1394,31 +1314,13 @@ def _print_cluster_table(cluster) -> None:
         )
 
 
-def _cmd_cluster(args) -> int:
-    if args.cluster_command == "plan":
-        return _cmd_cluster_plan(args)
-    if args.cluster_command == "serve":
-        return _cmd_cluster_serve(args)
-    if args.cluster_command == "loadtest":
-        return _cmd_cluster_loadtest(args)
-    raise AssertionError(
-        f"unhandled cluster command {args.cluster_command!r}"
-    )
-
-
 def _cmd_cluster_plan(args) -> int:
-    from .exceptions import ReproError
-
-    try:
-        cluster = _build_cluster(args, args.shards)
-        if args.refit_rounds > 0:
-            report = cluster.refit(max_rounds=args.refit_rounds)
-        else:
-            report = None
-            cluster.measure()
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    cluster = _build_cluster(args, args.shards)
+    if args.refit_rounds > 0:
+        report = cluster.refit(max_rounds=args.refit_rounds)
+    else:
+        report = None
+        cluster.measure()
     print(
         f"{args.shards} shard(s), partitioner {args.partitioner!r}, "
         f"planner {args.planner!r}"
@@ -1445,15 +1347,10 @@ def _cmd_cluster_serve(args) -> int:
     import asyncio
 
     from .cluster import serve_cluster
-    from .exceptions import ReproError
 
-    try:
-        cluster = _build_cluster(args, args.shards)
-        if args.refit_rounds > 0:
-            cluster.refit(max_rounds=args.refit_rounds)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    cluster = _build_cluster(args, args.shards)
+    if args.refit_rounds > 0:
+        cluster.refit(max_rounds=args.refit_rounds)
 
     async def air_forever() -> None:
         async with serve_cluster(
@@ -1484,24 +1381,14 @@ def _cmd_cluster_serve(args) -> int:
 
 def _cmd_cluster_loadtest(args) -> int:
     from .cluster import demo_catalog, run_cluster_sweep, sweep_summary
-    from .exceptions import ReproError
 
-    if args.sweep:
-        try:
-            counts = [
-                int(token)
-                for token in args.sweep.split(",")
-                if token.strip()
-            ]
-        except ValueError:
-            print(
-                f"error: --sweep must be comma-separated shard counts, "
-                f"got {args.sweep!r}",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        counts = [args.shards]
+    counts = (
+        _comma_list("--sweep", args.sweep, int, "shard counts")
+        if args.sweep
+        else [args.shards]
+    )
+    if counts is None:
+        return 2
     try:
         results = run_cluster_sweep(
             demo_catalog(args.items, args.seed),
@@ -1522,9 +1409,6 @@ def _cmd_cluster_loadtest(args) -> int:
         # One unreachable/dead shard station fails the whole run with
         # a one-line verdict, mirroring `tune`/`loadtest`.
         print(f"error: shard unreachable mid-run: {error}", file=sys.stderr)
-        return 1
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
         return 1
     for count, report in sorted(results.items()):
         unaccounted = sum(
@@ -1547,53 +1431,28 @@ def _cmd_cluster_loadtest(args) -> int:
     return 0 if not failed else 1
 
 
-def _approx_catalog(
-    items: int, theta: float, seed: int
-) -> tuple[list[str], list[float]]:
-    """A sorted synthetic catalog with Zipf weights, like the bench uses."""
-    import numpy as np
-
-    from .workloads.weights import zipf_weights
-
-    rng = np.random.default_rng(seed + items)
-    width = max(7, len(str(items)))
-    labels = [f"d{i:0{width}d}" for i in range(items)]
-    weights = [float(w) for w in zipf_weights(rng, items, theta=theta)]
-    return labels, weights
-
-
-def _cmd_approx(args) -> int:
-    if args.approx_command == "plan":
-        return _cmd_approx_plan(args)
-    if args.approx_command == "explain":
-        return _cmd_approx_explain(args)
-    raise AssertionError(
-        f"unhandled approx command {args.approx_command!r}"
-    )
-
+# ---------------------------------------------------------------------------
+# repro.approx commands
+# ---------------------------------------------------------------------------
 
 def _cmd_approx_plan(args) -> int:
     import time
 
-    from .exceptions import ReproError
+    from .approx.bench import zipf_catalog
     from .perf import PerfRecorder
     from .planners import plan_catalog
 
-    labels, weights = _approx_catalog(args.items, args.theta, args.seed)
+    labels, weights = zipf_catalog(args.items, args.theta, args.seed)
     perf = PerfRecorder()
     started = time.perf_counter()
-    try:
-        result = plan_catalog(
-            labels,
-            weights,
-            args.channels,
-            method=args.method,
-            fanout=args.fanout,
-            perf=perf,
-        )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    result = plan_catalog(
+        labels,
+        weights,
+        args.channels,
+        method=args.method,
+        fanout=args.fanout,
+        perf=perf,
+    )
     elapsed = time.perf_counter() - started
     print(
         f"{args.items} item(s), {args.channels} channel(s), "
@@ -1625,8 +1484,9 @@ def _cmd_approx_plan(args) -> int:
 
 def _cmd_approx_explain(args) -> int:
     from .approx import decide, extract_features
+    from .approx.bench import zipf_catalog
 
-    _, weights = _approx_catalog(args.items, args.theta, args.seed)
+    _, weights = zipf_catalog(args.items, args.theta, args.seed)
     features = extract_features(
         weights, args.channels, fanout=args.fanout
     )
@@ -1645,36 +1505,18 @@ def _cmd_approx_explain(args) -> int:
     return 0
 
 
-def _cmd_sched(args) -> int:
-    if args.sched_command == "loadtest":
-        return _cmd_sched_loadtest(args)
+# ---------------------------------------------------------------------------
+# repro.sched commands
+# ---------------------------------------------------------------------------
 
-    from .exceptions import ReproError
+def _open_store(args):
     from .sched import ScheduleStore
 
-    try:
-        store = ScheduleStore(args.store_dir)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    try:
-        if args.sched_command == "log":
-            return _cmd_sched_log(args, store)
-        if args.sched_command == "show":
-            return _cmd_sched_show(args, store)
-        if args.sched_command == "diff":
-            return _cmd_sched_diff(args, store)
-        if args.sched_command == "rollback":
-            return _cmd_sched_rollback(args, store)
-        if args.sched_command == "gc":
-            return _cmd_sched_gc(args, store)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    raise AssertionError(f"unhandled sched command {args.sched_command!r}")
+    return ScheduleStore(args.store_dir)
 
 
-def _cmd_sched_log(args, store) -> int:
+def _cmd_sched_log(args) -> int:
+    store = _open_store(args)
     records = store.versions()
     if not records:
         print(f"store at {args.store_dir} is empty")
@@ -1693,9 +1535,10 @@ def _cmd_sched_log(args, store) -> int:
     return 0
 
 
-def _cmd_sched_show(args, store) -> int:
+def _cmd_sched_show(args) -> int:
     from .broadcast.metrics import expected_access_time
 
+    store = _open_store(args)
     head = store.head
     if head is None:
         print(f"error: store at {args.store_dir} is empty", file=sys.stderr)
@@ -1718,11 +1561,12 @@ def _cmd_sched_show(args, store) -> int:
     return 0
 
 
-def _cmd_sched_diff(args, store) -> int:
+def _cmd_sched_diff(args) -> int:
     import json
 
     from .sched import delta
 
+    store = _open_store(args)
     doc_from = store.doc(args.from_version)
     doc_to = store.doc(args.to_version)
     ops = delta(doc_from, doc_to)
@@ -1748,8 +1592,8 @@ def _cmd_sched_diff(args, store) -> int:
     return 0
 
 
-def _cmd_sched_rollback(args, store) -> int:
-    record = store.rollback(args.to_version, note=args.note)
+def _cmd_sched_rollback(args) -> int:
+    record = _open_store(args).rollback(args.to_version, note=args.note)
     print(
         f"rolled back to version {args.to_version}: published as "
         f"version {record.version} (content {record.content_id[:12]}, "
@@ -1762,7 +1606,8 @@ def _cmd_sched_rollback(args, store) -> int:
     return 0
 
 
-def _cmd_sched_gc(args, store) -> int:
+def _cmd_sched_gc(args) -> int:
+    store = _open_store(args)
     removed = store.gc()
     if removed:
         for object_id in removed:
@@ -1836,53 +1681,40 @@ def _cmd_sched_loadtest(args) -> int:
     return 0 if not failed else 1
 
 
-def _cmd_obs(args) -> int:
-    from .obs import (
-        diff_trace_files,
-        format_diff,
-        format_timeline,
-        load_timeline,
+# ---------------------------------------------------------------------------
+# repro.obs commands. Exit codes: 0 clean, 1 divergence or violation,
+# 2 usage or I/O error.
+# ---------------------------------------------------------------------------
+
+def _cmd_obs_timeline(args) -> int:
+    from .obs import format_timeline, load_timeline
+
+    try:
+        timeline = load_timeline(args.trace)
+    except OSError as error:
+        print(f"error: cannot read trace: {error}", file=sys.stderr)
+        return 2
+    print(format_timeline(timeline, limit=args.limit, channel=args.channel))
+    return 0
+
+
+def _cmd_obs_diff(args) -> int:
+    from .obs import diff_trace_files, format_diff
+
+    try:
+        diff = diff_trace_files(args.trace_a, args.trace_b)
+    except OSError as error:
+        print(f"error: cannot read trace: {error}", file=sys.stderr)
+        return 2
+    print(
+        format_diff(
+            diff,
+            label_a=args.label_a,
+            label_b=args.label_b,
+            limit=args.limit,
+        )
     )
-
-    # Exit codes are uniform across every obs subcommand: 0 clean,
-    # 1 divergence/violation, 2 usage or I/O error.
-    if args.obs_command == "timeline":
-        try:
-            timeline = load_timeline(args.trace)
-        except OSError as error:
-            print(f"error: cannot read trace: {error}", file=sys.stderr)
-            return 2
-        print(
-            format_timeline(
-                timeline, limit=args.limit, channel=args.channel
-            )
-        )
-        return 0
-
-    if args.obs_command == "diff":
-        try:
-            diff = diff_trace_files(args.trace_a, args.trace_b)
-        except OSError as error:
-            print(f"error: cannot read trace: {error}", file=sys.stderr)
-            return 2
-        print(
-            format_diff(
-                diff,
-                label_a=args.label_a,
-                label_b=args.label_b,
-                limit=args.limit,
-            )
-        )
-        return 0 if diff.identical else 1
-
-    if args.obs_command == "attrib":
-        return _cmd_obs_attrib(args)
-
-    if args.obs_command == "spans":
-        return _cmd_obs_spans(args)
-
-    assert args.obs_command == "postmortem"
-    return _cmd_obs_postmortem(args)
+    return 0 if diff.identical else 1
 
 
 def _cmd_obs_spans(args) -> int:
@@ -1961,23 +1793,15 @@ def _cmd_obs_postmortem(args) -> int:
 
 
 def _cmd_obs_attrib(args) -> int:
-    from .obs import (
-        AttributionError,
-        attribute_events,
-        format_attribution,
-        read_events,
-    )
+    from .obs import attribute_events, format_attribution, read_events
 
+    # An AttributionError (a trace that breaks the additivity invariant)
+    # is a divergence in the measured data: main reports it with exit 1.
     try:
         attributions = attribute_events(read_events(args.trace))
     except OSError as error:
         print(f"error: cannot read trace: {error}", file=sys.stderr)
         return 2
-    except AttributionError as error:
-        # A trace that breaks the additivity invariant is a divergence
-        # in the measured data, not a usage problem.
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     if not attributions:
         print(
             "error: trace holds no finished walks to attribute "

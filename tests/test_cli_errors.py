@@ -63,7 +63,7 @@ class TestTuneErrors:
         _no_traceback(captured)
 
 
-class TestLoadtestErrors:
+class TestLoadtestParityErrors:
     def test_check_parity_refuses_lossy_air_with_exit_2(self, capsys):
         assert main(
             ["loadtest", "--tuners", "5", "--loss", "0.1", "--check-parity"]
@@ -160,4 +160,87 @@ class TestClusterLoadtestErrors:
         ) == 2
         captured = capsys.readouterr()
         assert "error: --sweep" in captured.err
+        _no_traceback(captured)
+
+
+
+_UNKNOWN_PLANNER = "no planner registered as 'nope'; available:"
+
+
+class TestOneLineErrors:
+    """Errors that once crashed with a traceback: one line, right code.
+
+    A library error (ReproError) exits 1; a malformed flag value and
+    an unreadable input file are usage or I/O errors and exit 2.
+    """
+
+    @pytest.fixture()
+    def tree_file(self, tmp_path):
+        import json
+
+        from repro.io.json_io import tree_to_dict
+        from repro.tree.builders import paper_example_tree
+
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(tree_to_dict(paper_example_tree())))
+        return path
+
+    @pytest.mark.parametrize(
+        ("argv", "code", "message"),
+        [
+            (
+                ["faults", "--planners", "nope", "--requests", "5"],
+                1, _UNKNOWN_PLANNER,
+            ),
+            (
+                ["solve", "--input", "{tree}", "--planner", "nope"],
+                1, _UNKNOWN_PLANNER,
+            ),
+            (["serve", "--planner", "nope"], 1, _UNKNOWN_PLANNER),
+            (
+                ["loadtest", "--planner", "nope", "--tuners", "2"],
+                1, _UNKNOWN_PLANNER,
+            ),
+            (
+                [
+                    "loadtest", "--engine", "batch", "--planner", "nope",
+                    "--tuners", "2",
+                ],
+                1, _UNKNOWN_PLANNER,
+            ),
+            (
+                ["faults", "--losses", "abc"],
+                2, "error: --losses must be comma-separated probabilities, "
+                "got 'abc'",
+            ),
+            (
+                ["solve", "--input", "{missing}"],
+                2, "error: cannot read input:",
+            ),
+            (
+                ["solve", "--input", "{not_json}"],
+                2, "error: cannot read input: Expecting",
+            ),
+        ],
+        ids=[
+            "faults-planner", "solve-planner", "serve-planner",
+            "loadtest-planner", "loadtest-batch-planner", "faults-losses",
+            "solve-missing-input", "solve-malformed-input",
+        ],
+    )
+    def test_exits_with_one_error_line(
+        self, argv, code, message, tree_file, tmp_path, capsys
+    ):
+        not_json = tmp_path / "not.json"
+        not_json.write_text("{not json")
+        paths = {
+            "tree": tree_file,
+            "missing": tmp_path / "missing.json",
+            "not_json": not_json,
+        }
+        argv = [token.format(**paths) for token in argv]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
         _no_traceback(captured)

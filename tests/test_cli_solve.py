@@ -52,9 +52,11 @@ class TestSolveCommand:
         assert "method: sorting" in out
         assert "exact search exceeded 50 states" in out
 
-    def test_missing_input_errors(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["solve", "--input", str(tmp_path / "nope.json")])
+    def test_missing_input_errors(self, tmp_path, capsys):
+        assert main(["solve", "--input", str(tmp_path / "nope.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read input:")
+        assert "nope.json" in err
 
 
 class TestPlannerSelection:
@@ -70,12 +72,13 @@ class TestPlannerSelection:
         out = capsys.readouterr().out
         assert "method: sorting" in out
 
-    def test_unknown_planner_reports_the_catalog(self, tree_file):
-        import pytest
+    def test_unknown_planner_reports_the_catalog(self, tree_file, capsys):
+        from repro.planners import available_planners
 
-        from repro.planners import PlannerNotFound
-
-        with pytest.raises(PlannerNotFound, match="available"):
-            main(
-                ["solve", "--input", str(tree_file), "--planner", "nope"]
-            )
+        assert main(
+            ["solve", "--input", str(tree_file), "--planner", "nope"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "no planner registered as 'nope'" in err
+        assert f"available: {', '.join(available_planners())}" in err
