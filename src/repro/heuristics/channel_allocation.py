@@ -1,11 +1,16 @@
 """The ``1_To_k_BroadcastChannel`` procedure (§4.2).
 
-Allocates a *sorted* index tree onto k channels in linear time: the tree
-is flattened to its sorted preorder (each node stamped with a sequence
-number), nodes are bucketed by level, and the levels are scanned top
-down — each level's list fills one slot across the channels, leftovers
-merging into the next level's list in sequence-number order; whatever
-remains after the last level is dumped k per slot.
+Allocates a *sorted* index tree onto k channels: the tree is flattened
+to its sorted preorder (each node stamped with a sequence number), nodes
+are bucketed by level, and the levels are scanned top down — each
+level's list fills one slot across the channels, leftovers merging into
+the next level's list in sequence-number order; whatever remains after
+the last level is dumped k per slot.
+
+A slot's scan stops once the slot holds k nodes, and a node is merged
+or passed over at most once per tree level, so the procedure runs in
+``O(N·h)`` for N nodes and height h: linear in N for the fixed heights
+of catalog trees, the paper's "linear time".
 
 One deviation from the paper's pseudocode, for correctness: the paper's
 merge step can land a node in the same slot as its parent (the leftover
@@ -63,14 +68,15 @@ def allocate_sorted_tree(
         level_lists[node.depth()].append(node)
 
     groups: list[list[Node]] = []
-    carry: list[Node] = []
+    pool: list[Node] = []
+    start = 0
     placed: set[int] = set()
     for level in range(1, depth + 1):
-        pool = _merge_by_sequence(carry, level_lists[level], sequence_number)
-        group, carry = _take_slot(pool, channels, placed)
+        pool = _merge_by_sequence(pool[start:], level_lists[level], sequence_number)
+        group, start = _take_slot(pool, start=0, channels=channels, placed=placed)
         groups.append(group)
-    while carry:
-        group, carry = _take_slot(carry, channels, placed)
+    while start < len(pool):
+        group, start = _take_slot(pool, start=start, channels=channels, placed=placed)
         groups.append(group)
     return assemble_schedule(tree, groups, channels)
 
@@ -119,24 +125,33 @@ def _merge_by_sequence(
 
 
 def _take_slot(
-    pool: list[Node], channels: int, placed: set[int]
-) -> tuple[list[Node], list[Node]]:
-    """Fill one slot with up to ``channels`` nodes from ``pool``.
+    pool: list[Node], *, start: int, channels: int, placed: set[int]
+) -> tuple[list[Node], int]:
+    """Fill one slot with up to ``channels`` nodes from ``pool[start:]``.
 
     Nodes are taken in sequence order; a node is deferred unless its
     parent was placed in an *earlier* slot (the feasibility fix — this
     also covers the parent sitting in the current slot or still deferred
-    in the pool behind it), as is everything once the slot is full.
-    ``placed`` is updated with the chosen group. Returns (slot group,
-    remaining pool in order).
+    in the pool behind it). The scan stops once the slot is full, and
+    the deferred nodes are written back just before the unscanned rest,
+    so ``pool[new_start:]`` is the remaining pool in order without a
+    copy of its tail. ``placed`` is updated with the chosen group.
+    Returns (slot group, new start).
+
+    A node is deferred only while an ancestor of it is placed in the
+    same slot, so it is rescanned at most depth times in all.
     """
     group: list[Node] = []
     deferred: list[Node] = []
-    for node in pool:
-        parent_ready = node.parent is None or id(node.parent) in placed
-        if len(group) < channels and parent_ready:
+    cursor = start
+    while cursor < len(pool) and len(group) < channels:
+        node = pool[cursor]
+        cursor += 1
+        if node.parent is None or id(node.parent) in placed:
             group.append(node)
         else:
             deferred.append(node)
+    start = cursor - len(deferred)
+    pool[start:cursor] = deferred
     placed.update(id(node) for node in group)
-    return group, deferred
+    return group, start

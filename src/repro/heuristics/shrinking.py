@@ -16,8 +16,11 @@ trees:
   comparator — the same per-unit-airtime rule used for sibling
   subtrees — and concatenate (see DESIGN.md, design decision 5).
 
-Both moves return single-channel broadcast schedules over the *original*
-tree, directly comparable with the exact solver; pipe the resulting
+Shrinking a tree of n nodes takes O(n log n): candidates wait in a heap
+ordered by depth, and each combination offers only its parent as a new
+one. Both moves return single-channel broadcast schedules over the
+*original* tree, directly comparable with the exact solver; pipe the
+resulting
 order through :func:`repro.heuristics.channel_allocation.
 allocate_sorted_tree` for a k-channel layout.
 """
@@ -25,6 +28,7 @@ allocate_sorted_tree` for a k-channel layout.
 from __future__ import annotations
 
 import functools
+import heapq
 
 from ..broadcast.schedule import BroadcastSchedule
 from ..core.datatree import DataTreeConfig, solve_single_channel
@@ -74,8 +78,14 @@ def _shadow_tree(tree: IndexTree, max_data_nodes: int) -> IndexTree:
 
     Shadow data nodes carry their original node (or expansion sequence)
     so the solved order maps straight back. Combination proceeds deepest
-    first and stops once the shadow has at most ``max_data_nodes`` data
-    nodes or nothing more can combine.
+    first (ties to the earliest in preorder) and stops once the shadow
+    has at most ``max_data_nodes`` data nodes or nothing more can
+    combine.
+
+    Candidates wait in a heap keyed by (-depth, preorder rank). A
+    combination changes no other node's depth or relative preorder, so
+    the keys stay valid, and only the combined node's parent can become
+    a new candidate: O(n log n) in all.
     """
 
     def build(node: Node) -> Node:
@@ -93,22 +103,38 @@ def _shadow_tree(tree: IndexTree, max_data_nodes: int) -> IndexTree:
     root = build(tree.root)
     shadow = IndexTree(root, renumber=False, validate=False)
 
-    def data_count() -> int:
-        return len(shadow.data_nodes())
+    # Preorder walk: rank and depth of every index node, how many of its
+    # children are still index nodes, and the running data-node count.
+    rank: dict[int, int] = {}
+    depth: dict[int, int] = {}
+    index_children: dict[int, int] = {}
+    heap: list[tuple[int, int, IndexNode]] = []
+    data_count = 0
+    stack: list[tuple[Node, int]] = [(root, 1)]
+    while stack:
+        node, level = stack.pop()
+        if not isinstance(node, IndexNode):
+            data_count += 1
+            continue
+        rank[id(node)] = len(rank)
+        depth[id(node)] = level
+        pending = sum(1 for child in node.children if child.is_index)
+        index_children[id(node)] = pending
+        if pending == 0 and node.parent is not None:
+            heap.append((-level, rank[id(node)], node))
+        stack.extend((child, level + 1) for child in reversed(node.children))
+    heapq.heapify(heap)
 
-    while data_count() > max_data_nodes:
-        candidates = [
-            node
-            for node in shadow.index_nodes()
-            if node.parent is not None
-            and all(child.is_data for child in node.children)
-        ]
-        if not candidates:
-            break
-        target = max(candidates, key=lambda node: node.depth())
+    while data_count > max_data_nodes and heap:
+        _, _, target = heapq.heappop(heap)
         combined = _CombinedLeaf(target)
-        assert target.parent is not None
-        target.parent.replace_child(target, combined)
+        parent = target.parent
+        assert parent is not None
+        parent.replace_child(target, combined)
+        data_count -= len(target.children) - 1
+        index_children[id(parent)] -= 1
+        if index_children[id(parent)] == 0 and parent.parent is not None:
+            heapq.heappush(heap, (-depth[id(parent)], rank[id(parent)], parent))
     shadow.renumber()
     shadow.validate()
     return shadow
