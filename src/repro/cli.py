@@ -30,8 +30,9 @@ one's options. The 18 top-level commands:
 
 Every leaf parser names its ``_cmd_*`` function as ``handler``, and
 ``main`` calls it. A :class:`~repro.exceptions.ReproError` from any
-command becomes one ``error:`` line on stderr. Exit codes: 0 ok,
-1 failure, 2 usage or I/O error.
+command becomes one ``error:`` line on stderr and exit 1; a missing
+input (such as a ``sched`` store that does not exist) becomes one and
+exit 2. Exit codes: 0 ok, 1 failure, 2 usage or I/O error.
 
 Installed as the ``repro`` console script (``broadcast-alloc`` remains
 as the historical alias).
@@ -40,6 +41,7 @@ as the historical alias).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -650,6 +652,13 @@ def main(argv: list[str] | None = None) -> int:
         # protocol violation, a failed lookup) is one line, not a crash.
         print(f"error: {error}", file=sys.stderr)
         return 1
+    except _UsageError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+
+
+class _UsageError(Exception):
+    """A command's input is missing or unusable: one line, exit 2."""
 
 
 def _comma_list(flag: str, text: str, convert, what: str):
@@ -780,13 +789,13 @@ def _cmd_solve(args) -> int:
         expected_access_time,
         expected_tuning_time,
     )
-    from .io.json_io import save_schedule, tree_from_dict
+    from .io.json_io import PersistenceError, save_schedule, tree_from_dict
     from .planners import plan
 
     try:
         with open(args.input) as handle:
             tree = tree_from_dict(json.load(handle))
-    except (OSError, json.JSONDecodeError) as error:
+    except (OSError, json.JSONDecodeError, PersistenceError) as error:
         print(f"error: cannot read input: {error}", file=sys.stderr)
         return 2
     options = {"budget": args.budget} if args.planner == "budgeted" else {}
@@ -1510,8 +1519,16 @@ def _cmd_approx_explain(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _open_store(args):
+    """The store at ``--store``, which must already exist.
+
+    ``ScheduleStore`` creates its layout on open, so a mistyped path
+    would otherwise read as an empty store and leave a directory
+    behind. Only ``serve --store`` seeds a new store.
+    """
     from .sched import ScheduleStore
 
+    if not os.path.isdir(args.store_dir):
+        raise _UsageError(f"no schedule store at {args.store_dir}")
     return ScheduleStore(args.store_dir)
 
 

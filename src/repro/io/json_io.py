@@ -64,10 +64,17 @@ def tree_to_dict(tree: IndexTree) -> dict[str, Any]:
 
 def tree_from_dict(document: dict[str, Any]) -> IndexTree:
     """Rebuild a tree from its serialised form."""
-    if document.get("format") != "broadcast-alloc/tree":
+    if (
+        not isinstance(document, dict)
+        or document.get("format") != "broadcast-alloc/tree"
+    ):
         raise PersistenceError("not a broadcast-alloc tree document")
 
     def decode(node_document: dict[str, Any]) -> Node:
+        if not isinstance(node_document, dict):
+            raise PersistenceError(
+                f"tree node is not an object: {node_document!r}"
+            )
         kind = node_document.get("type")
         if kind == "data":
             return DataNode(
@@ -80,7 +87,7 @@ def tree_from_dict(document: dict[str, Any]) -> IndexTree:
             return IndexNode(node_document.get("label", ""), children)
         raise PersistenceError(f"unknown node type {kind!r}")
 
-    return IndexTree(decode(document["root"]))
+    return IndexTree(decode(document.get("root")))
 
 
 def schedule_to_dict(schedule: BroadcastSchedule) -> dict[str, Any]:

@@ -66,6 +66,11 @@ class PlannerNotFound(ReproError, KeyError):
         )
         self.name = name
 
+    def __str__(self) -> str:
+        # KeyError's __str__ quotes its argument, as it would a key;
+        # this argument is a sentence.
+        return str(self.args[0])
+
 
 @dataclass
 class PlanResult:

@@ -48,6 +48,25 @@ class TestTreeRoundTrip:
         with pytest.raises(PersistenceError):
             tree_from_dict({"format": "something-else"})
 
+    @pytest.mark.parametrize("document", [[1], "tree", None])
+    def test_non_object_document_rejected(self, document):
+        with pytest.raises(PersistenceError, match="not a broadcast-alloc"):
+            tree_from_dict(document)
+
+    @pytest.mark.parametrize(
+        "root",
+        [
+            [1],
+            None,
+            {"type": "index", "children": [{"type": "data", "label": "A",
+                                            "weight": 1}, 7]},
+        ],
+        ids=["list-root", "missing-root", "non-object-child"],
+    )
+    def test_non_object_node_rejected(self, root):
+        with pytest.raises(PersistenceError, match="not an object"):
+            tree_from_dict({"format": "broadcast-alloc/tree", "root": root})
+
     def test_unknown_node_type_rejected(self):
         with pytest.raises(PersistenceError):
             tree_from_dict(

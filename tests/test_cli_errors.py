@@ -221,11 +221,17 @@ class TestOneLineErrors:
                 ["solve", "--input", "{not_json}"],
                 2, "error: cannot read input: Expecting",
             ),
+            (
+                ["solve", "--input", "{not_tree}"],
+                2, "error: cannot read input: not a broadcast-alloc tree "
+                "document",
+            ),
         ],
         ids=[
             "faults-planner", "solve-planner", "serve-planner",
             "loadtest-planner", "loadtest-batch-planner", "faults-losses",
             "solve-missing-input", "solve-malformed-input",
+            "solve-not-a-tree",
         ],
     )
     def test_exits_with_one_error_line(
@@ -233,10 +239,13 @@ class TestOneLineErrors:
     ):
         not_json = tmp_path / "not.json"
         not_json.write_text("{not json")
+        not_tree = tmp_path / "list.json"
+        not_tree.write_text("[1]")
         paths = {
             "tree": tree_file,
             "missing": tmp_path / "missing.json",
             "not_json": not_json,
+            "not_tree": not_tree,
         }
         argv = [token.format(**paths) for token in argv]
         assert main(argv) == code
@@ -244,3 +253,51 @@ class TestOneLineErrors:
         assert captured.err.startswith("error: ")
         assert message in captured.err
         _no_traceback(captured)
+
+    def test_unknown_planner_is_one_unquoted_line(self, capsys):
+        from repro.planners import available_planners
+
+        assert main(["approx", "plan", "--method", "nope"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: no planner registered as 'nope'; available: "
+            f"{', '.join(available_planners())}\n"
+        )
+
+
+class TestSchedStoreErrors:
+    """The sched commands read an existing store; they never make one."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["log"],
+            ["show"],
+            ["diff", "--from", "1", "--to", "2"],
+            ["rollback", "--to", "1"],
+            ["gc"],
+        ],
+        ids=["log", "show", "diff", "rollback", "gc"],
+    )
+    def test_missing_store_exits_2_and_creates_nothing(
+        self, argv, tmp_path, capsys
+    ):
+        missing = tmp_path / "typo"
+        assert main(["sched", *argv, "--store", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no schedule store at {missing}\n"
+        assert captured.out == ""
+        assert not missing.exists()
+
+    def test_publishing_creates_the_store_the_commands_then_read(
+        self, tmp_path, capsys
+    ):
+        from repro.net.harness import build_demo_plan
+        from repro.sched import ScheduleStore
+
+        root = tmp_path / "fresh"
+        ScheduleStore(root).publish(
+            build_demo_plan(items=6, channels=2), note="seed"
+        )
+        assert main(["sched", "log", "--store", str(root)]) == 0
+        assert "* v1" in capsys.readouterr().out
