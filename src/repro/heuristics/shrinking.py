@@ -16,11 +16,12 @@ trees:
   comparator — the same per-unit-airtime rule used for sibling
   subtrees — and concatenate (see DESIGN.md, design decision 5).
 
-Shrinking a tree of n nodes takes O(n log n): candidates wait in a heap
-ordered by depth, and each combination offers only its parent as a new
-one. Both moves return single-channel broadcast schedules over the
-*original* tree, directly comparable with the exact solver; pipe the
-resulting
+Node combination shrinks a tree of n nodes in O(n log n): candidates
+wait in a heap ordered by depth, and each combination offers only its
+parent as a new one.
+
+Both moves return single-channel broadcast schedules over the *original*
+tree, directly comparable with the exact solver; pipe the resulting
 order through :func:`repro.heuristics.channel_allocation.
 allocate_sorted_tree` for a k-channel layout.
 """

@@ -23,7 +23,7 @@ from repro.broadcast.assembly import assemble_schedule
 from repro.heuristics import shrinking
 from repro.heuristics.channel_allocation import allocate_sorted_tree
 from repro.heuristics.shrinking import combine_and_solve
-from repro.heuristics.sorting import sorting_order
+from repro.heuristics.sorting import sorted_index_tree, sorting_order
 from repro.planners import plan, plan_catalog
 from repro.sched.delta import content_id, plan_to_doc
 from repro.tree.alphabetic import build_index
@@ -186,7 +186,12 @@ PROPERTY = settings(
 @example(spec=[[[0.1, 0.1, 0.1], 0.3], 0.1])
 def test_sorting_order_matches_the_per_comparison_oracle(spec):
     tree = build_tree(spec)
-    assert sorting_order(tree) == oracle_sorting_order(tree)
+    expected = oracle_sorting_order(tree)
+    assert sorting_order(tree) == expected
+    # The sorted clone shares the memoised key; data labels are unique.
+    assert [node.label for node in sorted_index_tree(tree).data_nodes()] == [
+        node.label for node in expected if node.is_data
+    ]
 
 
 @PROPERTY
