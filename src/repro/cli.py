@@ -662,19 +662,13 @@ class _UsageError(Exception):
 
 
 def _comma_list(flag: str, text: str, convert, what: str):
-    """``text`` split on commas and converted, or None on a bad token.
-
-    A bad token is a usage error: it is reported here, and the caller
-    exits 2.
-    """
+    """``text`` split on commas and converted; a bad token is a usage error."""
     try:
         return [convert(token) for token in text.split(",") if token.strip()]
-    except ValueError:
-        print(
-            f"error: {flag} must be comma-separated {what}, got {text!r}",
-            file=sys.stderr,
-        )
-        return None
+    except ValueError as error:
+        raise _UsageError(
+            f"{flag} must be comma-separated {what}, got {text!r}"
+        ) from error
 
 
 # ---------------------------------------------------------------------------
@@ -770,12 +764,10 @@ def _cmd_bench(args) -> int:
 
     unknown = [name for name in args.suites if name not in SUITES]
     if unknown:
-        print(
-            f"error: unknown bench suite(s): {', '.join(unknown)} "
-            f"(known: {', '.join(SUITES)})",
-            file=sys.stderr,
+        raise _UsageError(
+            f"unknown bench suite(s): {', '.join(unknown)} "
+            f"(known: {', '.join(SUITES)})"
         )
-        return 2
     return run_suites(
         args.suites, record=args.record, rev=args.rev,
         timestamp=args.timestamp,
@@ -796,8 +788,7 @@ def _cmd_solve(args) -> int:
         with open(args.input) as handle:
             tree = tree_from_dict(json.load(handle))
     except (OSError, json.JSONDecodeError, PersistenceError) as error:
-        print(f"error: cannot read input: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"cannot read input: {error}") from error
     options = {"budget": args.budget} if args.planner == "budgeted" else {}
     result = plan(tree, args.channels, method=args.planner, **options)
     schedule = result.schedule
@@ -829,8 +820,6 @@ def _cmd_faults(args) -> int:
 
     methods = _comma_list("--planners", args.planners, str.strip, "names")
     losses = _comma_list("--losses", args.losses, float, "probabilities")
-    if losses is None:
-        return 2
     if 0.0 not in losses:
         losses = [0.0, *losses]
     report = run_fault_sweep(
@@ -1183,12 +1172,9 @@ def _cmd_loadtest(args) -> int:
 
     faults = _net_faults(args)
     if args.check_parity and faults is not None:
-        print(
-            "error: --check-parity requires lossless air "
-            "(drop --loss/--corruption)",
-            file=sys.stderr,
+        raise _UsageError(
+            "--check-parity requires lossless air (drop --loss/--corruption)"
         )
-        return 2
     program = build_demo_program(**_demo_options(args))
     rng = np.random.default_rng(args.seed)
     trace = None
@@ -1396,8 +1382,6 @@ def _cmd_cluster_loadtest(args) -> int:
         if args.sweep
         else [args.shards]
     )
-    if counts is None:
-        return 2
     try:
         results = run_cluster_sweep(
             demo_catalog(args.items, args.seed),
@@ -1709,8 +1693,7 @@ def _cmd_obs_timeline(args) -> int:
     try:
         timeline = load_timeline(args.trace)
     except OSError as error:
-        print(f"error: cannot read trace: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"cannot read trace: {error}") from error
     print(format_timeline(timeline, limit=args.limit, channel=args.channel))
     return 0
 
@@ -1721,8 +1704,7 @@ def _cmd_obs_diff(args) -> int:
     try:
         diff = diff_trace_files(args.trace_a, args.trace_b)
     except OSError as error:
-        print(f"error: cannot read trace: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"cannot read trace: {error}") from error
     print(
         format_diff(
             diff,
@@ -1746,16 +1728,13 @@ def _cmd_obs_spans(args) -> int:
     try:
         events = list(read_events(args.trace))
     except OSError as error:
-        print(f"error: cannot read trace: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"cannot read trace: {error}") from error
     roots = span_tree(events, trace_id=args.trace_id)
     if not roots:
-        print(
-            "error: trace holds no finished spans "
-            "(was it recorded with 'sched loadtest --trace'?)",
-            file=sys.stderr,
+        raise _UsageError(
+            "trace holds no finished spans "
+            "(was it recorded with 'sched loadtest --trace'?)"
         )
-        return 2
     per_walk, mismatches = reconcile_with_attrib(events)
     if args.trace_id is not None:
         # The reconciliation table follows the filter: keep only walks
@@ -1795,11 +1774,9 @@ def _cmd_obs_postmortem(args) -> int:
     try:
         bundle = load_bundle(args.bundle)
     except OSError as error:
-        print(f"error: cannot read bundle: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"cannot read bundle: {error}") from error
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(error)) from error
     print(format_postmortem(bundle))
     if args.tree:
         roots = bundle_span_tree(bundle)
@@ -1817,15 +1794,12 @@ def _cmd_obs_attrib(args) -> int:
     try:
         attributions = attribute_events(read_events(args.trace))
     except OSError as error:
-        print(f"error: cannot read trace: {error}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"cannot read trace: {error}") from error
     if not attributions:
-        print(
-            "error: trace holds no finished walks to attribute "
-            "(was it recorded with 'loadtest --trace'?)",
-            file=sys.stderr,
+        raise _UsageError(
+            "trace holds no finished walks to attribute "
+            "(was it recorded with 'loadtest --trace'?)"
         )
-        return 2
     print(format_attribution(attributions, slowest=args.slowest))
     inexact = [a for a in attributions if not a.exact]
     if inexact:

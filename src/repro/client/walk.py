@@ -101,11 +101,15 @@ class RecoveryPolicy:
             )
 
 
+#: The policy of a walk given none; frozen, so every walk can share it.
+_DEFAULT_POLICY = RecoveryPolicy()
+
+
 class LookupFailed(ReproError):
     """The key routed to a data bucket that does not carry it."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Listen:
     """One tuning instruction: wake up and read this airing.
 
@@ -119,9 +123,11 @@ class Listen:
     absolute_slot: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WalkResult:
     """Measured outcome of one key-routed walk.
+
+    Built once, when the walk finishes, and owned by whoever drove it.
 
     Field meanings match :class:`~repro.client.protocol.AccessRecord` /
     :class:`~repro.client.protocol.RecoveredAccessRecord` (``key``
@@ -191,7 +197,21 @@ class PointerWalk:
             bucket = ...read the airing listen names...
             walk.deliver(bucket)        # or walk.on_loss(...)
         record = walk.result
+
+    Across a cutover to a plan with another cycle length, the walk
+    learns the new cycle from the root it reads after restarting (a
+    channel-1 root's next-cycle offset is the cycle length); until
+    then a loss re-probes channel 1.
     """
+
+    __slots__ = (
+        "key", "tune_slot", "cycle", "policy", "walk_id", "version",
+        "_tracer", "_deadline", "_air_cycle", "_state", "_listen",
+        "_current_channel", "_tuning", "_switches", "_lost", "_corrupt",
+        "_retries", "_cutovers", "_probe_wait", "_depth", "_spans",
+        "_wire_trace", "_segment_trace", "_segment_start",
+        "_segment_index", "_good", "_result",
+    )
 
     def __init__(
         self,
@@ -210,10 +230,13 @@ class PointerWalk:
         self.key = key
         self.tune_slot = tune_slot
         self.cycle = cycle_length
-        self.policy = policy if policy is not None else RecoveryPolicy()
+        self.policy = policy if policy is not None else _DEFAULT_POLICY
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self.walk_id = NO_WALK if walk_id is None else walk_id
         self._deadline = self.policy.max_cycles * cycle_length
+        # Cycle length of the plan on air, which loss recovery counts
+        # in; ``None`` from a cutover restart until the new root is read.
+        self._air_cycle: int | None = cycle_length
 
         self._state = _PROBE
         self._listen: Listen | None = Listen(1, tune_slot)
@@ -240,8 +263,8 @@ class PointerWalk:
         self._segment_trace: TraceContext = NO_TRACE
         self._segment_start = tune_slot
         self._segment_index = 0
-        # Successfully read index hops (depth, channel, cycle-relative
-        # slot) — the resume points of the "retry-parent" policy.
+        # Successfully read index hops (depth, channel, absolute slot) —
+        # the resume points of the "retry-parent" policy.
         self._good: list[tuple[int, int, int]] = []
         self._result: WalkResult | None = None
 
@@ -267,7 +290,9 @@ class PointerWalk:
 
     def deliver(self, bucket: DecodedBucket) -> None:
         """Feed the successfully decoded bucket of the pending listen."""
-        listen = self._require_listen()
+        listen = self._listen
+        if listen is None:
+            raise ReproError("walk already finished; nothing is listening")
         if self._spans is not None:
             self._adopt_segment_trace()
         self._register_read(listen, "ok")
@@ -286,6 +311,9 @@ class PointerWalk:
         waits for its next airing one cycle later (``next-cycle``, and
         always for the root, which has no parent to retry) or re-tunes
         to the deepest successfully read index node (``retry-parent``).
+        A walk that a cutover restarted and that has not yet read the new
+        plan's root does not know that plan's cycle, so it probes
+        channel 1 again.
         """
         listen = self._require_listen()
         if self._spans is not None:
@@ -296,14 +324,20 @@ class PointerWalk:
             self._corrupt += 1
         else:
             self._lost += 1
-        if self._state == _PROBE:
+        cycle = self._air_cycle
+        if self._state == _PROBE or cycle is None:
+            # A restarted walk does not know the new plan's cycle until
+            # it reads the root, so it can only probe channel 1 again.
+            self._state = _PROBE
+            self._depth = 0
+            self._good.clear()
             self._schedule(1, listen.absolute_slot + 1)
         elif self.policy.mode == "next-cycle" or not self._good:
-            self._schedule(listen.channel, listen.absolute_slot + self.cycle)
+            self._schedule(listen.channel, listen.absolute_slot + cycle)
         else:
-            self._depth, channel, rel_slot = self._good.pop()
+            self._depth, channel, slot = self._good.pop()
             self._schedule(
-                channel, _next_airing(rel_slot, listen.absolute_slot, self.cycle)
+                channel, _next_airing(slot, listen.absolute_slot, cycle)
             )
 
     def observe_trace(self, trace_id: int, span_id: int) -> None:
@@ -388,6 +422,7 @@ class PointerWalk:
         self._state = _PROBE
         self._depth = 0
         self._good.clear()
+        self._air_cycle = None
         self._schedule(1, listen.absolute_slot + 1)
 
     # -- internals ----------------------------------------------------------
@@ -486,6 +521,9 @@ class PointerWalk:
                 )
             if self._probe_wait == 0:
                 self._probe_wait = listen.absolute_slot - self.tune_slot + 1
+            if self._air_cycle is None:
+                # A channel-1 root's next-cycle pointer spans one cycle.
+                self._air_cycle = bucket.next_cycle_offset or None
         if bucket.kind == "data":
             if bucket.label != self.key and not bucket.label.startswith(
                 self.key
@@ -503,9 +541,7 @@ class PointerWalk:
                 f"non-positive pointer offset {pointer.offset} in index "
                 f"bucket {bucket.label!r}"
             )
-        self._good.append(
-            (self._depth, listen.channel, _relative(listen.absolute_slot, self.cycle))
-        )
+        self._good.append((self._depth, listen.channel, listen.absolute_slot))
         self._depth += 1
         self._schedule(pointer.channel, listen.absolute_slot + pointer.offset)
 
@@ -574,13 +610,9 @@ class PointerWalk:
 def _next_airing(slot: int, after: int, cycle: int) -> int:
     """First absolute time strictly after ``after`` when ``slot`` airs.
 
-    ``slot`` is cycle-relative (1-based); the broadcast repeats, so the
-    bucket airs at ``slot + j·cycle`` for every ``j ≥ 0``.
+    ``slot`` is the absolute slot of one airing of the bucket; the
+    broadcast repeats, so the bucket airs at ``slot + j·cycle`` for
+    every integer ``j``.
     """
     airing = after + (slot - after) % cycle
     return airing if airing > after else airing + cycle
-
-
-def _relative(absolute: int, cycle: int) -> int:
-    """Cycle-relative slot (1-based) of 1-based absolute slot."""
-    return (absolute - 1) % cycle + 1

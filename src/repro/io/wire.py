@@ -394,7 +394,7 @@ _MAX_AIR_PAYLOAD = 0xFFFF
 _MAX_SCHEDULE_VERSION = 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AirFrame:
     """One airing as it crosses a transport: provenance + frame bytes.
 
@@ -432,7 +432,28 @@ class AirFrame:
 
 
 def encode_air_frame(air: AirFrame) -> bytes:
-    """Serialise one envelope (+ payload) for a byte-stream transport."""
+    """Serialise one envelope (+ payload) for a byte-stream transport.
+
+    Packing itself rejects every field outside its u8/u16/u32 range, so
+    the range checks run only when packing fails or one of the three
+    rules ``struct`` cannot see is broken (channel and slot are 1-based;
+    a lost airing carries no payload).
+    """
+    if air.channel < 1 or air.absolute_slot < 1 or (air.lost and air.payload):
+        _check_air_frame(air)
+    try:
+        return _AIR_HEADER.pack(
+            _AIR_MAGIC, _AIR_LOST if air.lost else _AIR_OK, air.channel,
+            air.absolute_slot, len(air.payload), air.schedule_version,
+            air.trace_id, air.span_id,
+        ) + air.payload
+    except struct.error:
+        _check_air_frame(air)
+        raise
+
+
+def _check_air_frame(air: AirFrame) -> None:
+    """Raise the first broken rule of ``air``, in field order."""
     if not 1 <= air.channel <= 0xFF:
         raise WireFormatError(f"air channel {air.channel} out of range")
     if not 1 <= air.absolute_slot <= 0xFFFFFFFF:
@@ -451,11 +472,6 @@ def encode_air_frame(air: AirFrame) -> bytes:
         raise WireFormatError(f"trace id {air.trace_id} out of range")
     if not 0 <= air.span_id <= 0xFFFFFFFF:
         raise WireFormatError(f"span id {air.span_id} out of range")
-    return _AIR_HEADER.pack(
-        _AIR_MAGIC, _AIR_LOST if air.lost else _AIR_OK, air.channel,
-        air.absolute_slot, len(air.payload), air.schedule_version,
-        air.trace_id, air.span_id,
-    ) + air.payload
 
 
 class FrameStreamDecoder:
@@ -470,50 +486,56 @@ class FrameStreamDecoder:
     """
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
+        self._tail = b""  # the start of an envelope still in flight
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered awaiting the rest of their envelope."""
-        return len(self._buffer)
+        return len(self._tail)
 
     def feed(self, data: bytes) -> list[AirFrame]:
-        """Absorb ``data``; return the envelopes it completed, in order."""
-        self._buffer.extend(data)
+        """Absorb ``data``; return the envelopes it completed, in order.
+
+        Envelopes are parsed straight from the received bytes, and only
+        an incomplete tail is kept for the next chunk.
+        """
+        if self._tail:
+            data = self._tail + data
+        elif type(data) is not bytes:
+            data = bytes(data)
+        # Until the loop ends, everything fed so far counts as pending,
+        # so a stream that fails to parse stays failed.
+        self._tail = data
         frames: list[AirFrame] = []
         cursor = 0
+        end = len(data)
         size = _AIR_HEADER.size
-        while len(self._buffer) - cursor >= 1:
-            if self._buffer[cursor] != _AIR_MAGIC:
+        while cursor < end:
+            if data[cursor] != _AIR_MAGIC:
                 raise WireFormatError(
-                    f"bad air-envelope magic {self._buffer[cursor]:#04x}; "
+                    f"bad air-envelope magic {data[cursor]:#04x}; "
                     "stream is desynchronised"
                 )
-            if len(self._buffer) - cursor < size:
+            start = cursor + size
+            if start > end:
                 break  # header still in flight
             (
                 _, status, channel, slot, length, version, trace_id, span_id,
-            ) = _AIR_HEADER.unpack_from(self._buffer, cursor)
+            ) = _AIR_HEADER.unpack_from(data, cursor)
             if status not in (_AIR_OK, _AIR_LOST):
                 raise WireFormatError(f"unknown air status {status}")
-            if len(self._buffer) - cursor - size < length:
+            stop = start + length
+            if stop > end:
                 break  # payload still in flight
-            start = cursor + size
-            payload = bytes(self._buffer[start:start + length])
-            if status == _AIR_LOST and payload:
+            if status == _AIR_LOST and length:
                 raise WireFormatError("lost airing carries a payload")
             frames.append(
                 AirFrame(
-                    channel=channel,
-                    absolute_slot=slot,
-                    payload=payload,
-                    lost=status == _AIR_LOST,
-                    schedule_version=version,
-                    trace_id=trace_id,
-                    span_id=span_id,
+                    channel, slot, data[start:stop], status == _AIR_LOST,
+                    version, trace_id, span_id,
                 )
             )
-            cursor = start + length
+            cursor = stop
         if cursor:
-            del self._buffer[:cursor]
+            self._tail = data[cursor:]
         return frames

@@ -17,6 +17,7 @@ test suite, closing the serialisation loop.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 from .wire import decode_bucket
@@ -51,12 +52,10 @@ def wire_walk(
     ``walk_id`` stamps the emitted events' ``walk`` correlation field
     (see :class:`~repro.obs.events.SlotRead`).
     """
-    # Imported lazily: repro.client.walk itself builds on repro.io.wire,
-    # and the package inits would otherwise form a cycle.
-    from ..client.walk import PointerWalk
-
     cycle = len(frames[0])
-    walk = PointerWalk(key, tune_slot, cycle, tracer=tracer, walk_id=walk_id)
+    walk = _pointer_walk()(
+        key, tune_slot, cycle, tracer=tracer, walk_id=walk_id
+    )
     while (listen := walk.next_listen()) is not None:
         slot = (listen.absolute_slot - 1) % cycle + 1
         bucket = decode_bucket(
@@ -66,3 +65,17 @@ def wire_walk(
         )
         walk.deliver(bucket)
     return walk.result
+
+
+@functools.cache
+def _pointer_walk():
+    """:class:`~repro.client.walk.PointerWalk`, imported on first use.
+
+    ``repro.client.walk`` builds on :mod:`repro.io.wire`, so importing
+    it when this module loads would form a cycle between the package
+    inits, and would load :mod:`repro.client` and :mod:`repro.obs`
+    with every import of :mod:`repro.io`.
+    """
+    from ..client.walk import PointerWalk
+
+    return PointerWalk

@@ -392,30 +392,21 @@ class BroadcastStation:
                     channel=channel, absolute_slot=absolute_slot, fate=fate
                 )
             )
-        if fate == LOST:
+        lost = fate == LOST
+        if lost:
             self.perf.count("net.station.lost_aired")
-            return AirFrame(
-                channel=channel,
-                absolute_slot=absolute_slot,
-                lost=True,
-                schedule_version=segment.version,
-                trace_id=segment.trace_id,
-                span_id=segment.span_id,
-            )
-        if fate == CORRUPT:
+            frame = b""
+        elif fate == CORRUPT:
             # Damage is seeded per airing so repeat queries agree.
             rng = np.random.default_rng(
                 [self.faults.seed, 0xC0, channel, absolute_slot]
             )
             self.perf.count("net.station.corrupt_aired")
             frame = corrupt_frame(frame, rng)
+        # Positional: this runs once per airing, and keywords cost more.
         return AirFrame(
-            channel=channel,
-            absolute_slot=absolute_slot,
-            payload=frame,
-            schedule_version=segment.version,
-            trace_id=segment.trace_id,
-            span_id=segment.span_id,
+            channel, absolute_slot, frame, lost, segment.version,
+            segment.trace_id, segment.span_id,
         )
 
     def welcome(self) -> bytes:

@@ -126,7 +126,10 @@ def _tree_from_levels(
             _, left = stack.pop()
             stack.append((level_top - 1, IndexNode("", [left, right])))
     if len(stack) != 1 or stack[0][0] != 0:
-        raise ValueError(f"invalid alphabetic level sequence: {list(levels)}")
+        raise ValueError(
+            f"invalid alphabetic level sequence: {len(levels)} levels "
+            f"reduce to {len(stack)} subtrees, not one root"
+        )
     root = stack[0][1]
     if isinstance(root, DataNode):
         root = IndexNode("", [root])
@@ -260,6 +263,11 @@ def garsia_wachs_levels(weights: Sequence[float]) -> list[int]:
     This simple list-based realisation is O(n^2); the classic paper
     gets O(n log n) with balanced trees, unnecessary at broadcast
     catalog sizes.
+
+    Weights are summed and compared exactly (:func:`_exact_weights`):
+    float sums round differently in different orders, and on tie-heavy
+    weights the near-ties that leaves can yield a level sequence with no
+    alphabetic realisation.
     """
     count = len(weights)
     if count == 0:
@@ -271,7 +279,7 @@ def garsia_wachs_levels(weights: Sequence[float]) -> list[int]:
     # Work items: [weight, leaf_indices]; sentinels carry no leaves.
     work: list[list] = (
         [[infinity, []]]
-        + [[float(w), [i]] for i, w in enumerate(weights)]
+        + [[w, [i]] for i, w in enumerate(_exact_weights(weights))]
         + [[infinity, []]]
     )
     levels = [0] * count
@@ -299,6 +307,19 @@ def garsia_wachs_levels(weights: Sequence[float]) -> list[int]:
         )
         work.insert(insert_after + 1, [merged_weight, merged_leaves])
     return levels
+
+
+def _exact_weights(weights: Sequence[float]) -> list[int]:
+    """``weights`` as integers on one common scale, so sums never round.
+
+    Every float is an integer over a power of two; scaling each by the
+    largest such denominator keeps every sum and comparison exact.
+    """
+    ratios = [float(w).as_integer_ratio() for w in weights]
+    scale = max(denominator for _, denominator in ratios)
+    return [
+        numerator * (scale // denominator) for numerator, denominator in ratios
+    ]
 
 
 def garsia_wachs_tree(

@@ -9,6 +9,8 @@ frame stream could present.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.client.protocol import (
@@ -16,7 +18,7 @@ from repro.client.protocol import (
     object_walk,
     recovering_walk,
 )
-from repro.client.walk import Listen, LookupFailed, PointerWalk
+from repro.client.walk import Listen, LookupFailed, PointerWalk, WalkResult
 from repro.exceptions import ReproError
 from repro.faults import CORRUPT, LOST, FaultConfig, FaultInjector
 from repro.io.wire import (
@@ -215,3 +217,97 @@ class TestMachineEdges:
         # The key exceeds every separator; the walk must still land
         # somewhere — on the last pointer, channel 2, 3 slots on.
         assert walk.next_listen() == Listen(channel=2, absolute_slot=7)
+
+
+def _root(cycle: int, *pointers: DecodedPointer) -> DecodedBucket:
+    """A channel-1 root: its next-cycle pointer spans one cycle."""
+    return DecodedBucket(
+        "index", label="root", next_cycle_offset=cycle, pointers=pointers
+    )
+
+
+class TestRestartRecovery:
+    """After a cutover restart, losses are recovered in the new cycle."""
+
+    def restarted(self) -> PointerWalk:
+        walk = PointerWalk("A", 1, 10)
+        walk.observe_version(1)
+        walk.deliver(DecodedBucket("empty", next_cycle_offset=10))
+        assert walk.observe_version(2)  # cutover at slot 11
+        assert walk.next_listen() == Listen(1, 12)
+        return walk
+
+    def test_a_lost_root_before_the_cycle_is_known_reprobes(self):
+        walk = self.restarted()
+        walk.deliver(DecodedBucket("empty", next_cycle_offset=5))
+        assert walk.next_listen() == Listen(1, 17)
+        walk.on_loss()
+        # The retired cycle (10) would say slot 27; the walk cannot
+        # know the new plan's, so it probes channel 1 again.
+        assert walk.next_listen() == Listen(1, 18)
+        assert walk.depth is None
+
+    def test_the_root_teaches_the_new_cycle(self):
+        walk = self.restarted()
+        walk.deliver(DecodedBucket("empty", next_cycle_offset=4))
+        walk.deliver(_root(7, DecodedPointer(2, 3, "Z")))  # root at 16
+        assert walk.next_listen() == Listen(2, 19)
+        walk.on_loss()
+        # retry-parent: the root's next airing in the new 7-slot cycle.
+        assert walk.next_listen() == Listen(1, 23)
+        walk.deliver(_root(7, DecodedPointer(2, 3, "Z")))
+        walk.on_loss(corrupt=True)
+        assert walk.next_listen() == Listen(1, 30)
+
+    def test_next_cycle_mode_waits_one_new_cycle(self):
+        walk = PointerWalk("A", 1, 10, policy=RecoveryPolicy(mode="next-cycle"))
+        walk.observe_version(1)
+        walk.deliver(DecodedBucket("empty", next_cycle_offset=10))
+        assert walk.observe_version(2)
+        walk.deliver(DecodedBucket("empty", next_cycle_offset=4))
+        walk.deliver(_root(7, DecodedPointer(2, 3, "Z")))
+        walk.on_loss()
+        assert walk.next_listen() == Listen(2, 19 + 7)
+
+    def test_without_a_cutover_the_built_cycle_counts(self):
+        walk = PointerWalk("A", 1, 10)
+        walk.deliver(DecodedBucket("empty", next_cycle_offset=4))
+        walk.on_loss()  # the root, before any parent was read
+        assert walk.next_listen() == Listen(1, 15)
+
+
+class TestWalkResultRecord:
+    FIELDS = [
+        ("key", dataclasses.MISSING),
+        ("tune_slot", dataclasses.MISSING),
+        ("access_time", dataclasses.MISSING),
+        ("probe_wait", dataclasses.MISSING),
+        ("data_wait", dataclasses.MISSING),
+        ("tuning_time", dataclasses.MISSING),
+        ("channel_switches", dataclasses.MISSING),
+        ("lost_buckets", 0),
+        ("corrupt_buckets", 0),
+        ("retries", 0),
+        ("wasted_probes", 0),
+        ("cycles_spent", 1),
+        ("abandoned", False),
+        ("cutovers", 0),
+        ("payload", b""),
+    ]
+
+    def test_fields_order_and_defaults_are_kept(self):
+        assert [
+            (field.name, field.default)
+            for field in dataclasses.fields(WalkResult)
+        ] == self.FIELDS
+
+    def test_keyword_construction_and_replace(self, program):
+        record = drive(program, encode_program(program), "K003", 2)
+        again = WalkResult(
+            **{field.name: getattr(record, field.name)
+               for field in dataclasses.fields(WalkResult)}
+        )
+        assert again == record
+        abandoned = dataclasses.replace(record, abandoned=True, payload=b"")
+        assert abandoned.abandoned and abandoned.payload == b""
+        assert abandoned.key == record.key and not record.abandoned

@@ -20,7 +20,8 @@ import pytest
 
 from repro.client.protocol import RecoveryPolicy
 from repro.client.walk import PointerWalk
-from repro.io.wire import decode_bucket
+from repro.faults import FaultConfig
+from repro.io.wire import WireFormatError, decode_bucket
 from repro.net.harness import build_demo_plan
 from repro.net.station import BroadcastStation
 from repro.obs.events import RingBufferTracer
@@ -122,7 +123,12 @@ def drive(walk: PointerWalk, station: BroadcastStation) -> int:
         if air.lost:
             walk.on_loss()
             continue
-        walk.deliver(decode_bucket(air.payload))
+        try:
+            bucket = decode_bucket(air.payload)
+        except WireFormatError:
+            walk.on_loss(corrupt=True)  # the CRC caught the damage
+            continue
+        walk.deliver(bucket)
     return reads
 
 
@@ -232,3 +238,58 @@ class TestCutoverLoadtest:
         versions = record["result"]["store"]["versions"]
         assert [v["version"] for v in versions] == [1, 2, 3]
         assert versions[0]["content_id"] == versions[2]["content_id"]
+
+
+class TestCutoverUnderLoss:
+    """Walks restarted onto a plan with another cycle length, on lossy air.
+
+    After a restart a walk must recover in the new plan's cycle: a retry
+    counted in the retired plan's cycle lands on the wrong bucket.
+    """
+
+    ITEMS = 24
+
+    @pytest.fixture(scope="class")
+    def programs(self):
+        short = build_demo_plan(items=self.ITEMS, channels=2, fanout=3)
+        long = build_demo_plan(items=self.ITEMS, channels=2, fanout=2,
+                               theta=0.35)
+        programs = short.compile(), long.compile()
+        assert programs[0].cycle_length != programs[1].cycle_length
+        return programs
+
+    def station(self, programs, seed):
+        short, long = programs
+        station = BroadcastStation(
+            short,
+            schedule_version=1,
+            faults=FaultConfig(loss=0.05, corruption=0.01, seed=seed),
+        )
+        replan = station.publish(
+            long, version=2, activate_at_slot=1 + 2 * short.cycle_length
+        )
+        station.publish(
+            short, version=3, activate_at_slot=replan + 3 * long.cycle_length
+        )
+        return station
+
+    @pytest.mark.parametrize("mode", ["retry-parent", "next-cycle"])
+    def test_every_walk_completes_with_its_payload(self, programs, mode):
+        policy = RecoveryPolicy(mode=mode, max_cycles=64)
+        cycle = programs[0].cycle_length
+        restarted = 0
+        for seed in range(4):
+            station = self.station(programs, seed)
+            for index in range(self.ITEMS):
+                key = f"K{index:03d}"
+                # Tune in during the first cycle, so every walk reads
+                # across the replan, and some across the rollback too.
+                walk = PointerWalk(key, index % cycle + 1, cycle,
+                                   policy=policy)
+                reads = drive(walk, station)
+                record = walk.result
+                assert not record.abandoned, (seed, key)
+                assert record.payload == f"item:{key}".encode(), (seed, key)
+                assert record.tuning_time == reads
+                restarted += record.cutovers > 0
+        assert restarted > 0

@@ -226,12 +226,39 @@ class TestOneLineErrors:
                 2, "error: cannot read input: not a broadcast-alloc tree "
                 "document",
             ),
+            (
+                ["bench", "nope"],
+                2, "error: unknown bench suite(s): nope (known: ",
+            ),
+            (
+                ["obs", "spans", "{empty}"],
+                2, "error: trace holds no finished spans "
+                "(was it recorded with 'sched loadtest --trace'?)\n",
+            ),
+            (
+                ["obs", "attrib", "{empty}"],
+                2, "error: trace holds no finished walks to attribute "
+                "(was it recorded with 'loadtest --trace'?)\n",
+            ),
+            (
+                ["obs", "postmortem", "{not_bundle}"],
+                2, "list.json is not a postmortem bundle\n",
+            ),
+            (["obs", "spans", "{missing}"], 2, "error: cannot read trace:"),
+            (["obs", "attrib", "{missing}"], 2, "error: cannot read trace:"),
+            (
+                ["obs", "postmortem", "{missing}"],
+                2, "error: cannot read bundle:",
+            ),
         ],
         ids=[
             "faults-planner", "solve-planner", "serve-planner",
             "loadtest-planner", "loadtest-batch-planner", "faults-losses",
             "solve-missing-input", "solve-malformed-input",
-            "solve-not-a-tree",
+            "solve-not-a-tree", "bench-unknown-suite", "spans-no-spans",
+            "attrib-no-walks", "postmortem-not-a-bundle",
+            "spans-missing-trace", "attrib-missing-trace",
+            "postmortem-missing-bundle",
         ],
     )
     def test_exits_with_one_error_line(
@@ -241,16 +268,21 @@ class TestOneLineErrors:
         not_json.write_text("{not json")
         not_tree = tmp_path / "list.json"
         not_tree.write_text("[1]")
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
         paths = {
             "tree": tree_file,
             "missing": tmp_path / "missing.json",
             "not_json": not_json,
             "not_tree": not_tree,
+            "empty": empty,
+            "not_bundle": not_tree,
         }
         argv = [token.format(**paths) for token in argv]
         assert main(argv) == code
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
         assert message in captured.err
         _no_traceback(captured)
 

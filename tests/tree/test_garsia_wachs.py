@@ -98,3 +98,43 @@ class TestGarsiaWachsTree:
         hu_tucker_tree(labels, weights)
         ht_time = time.perf_counter() - start
         assert gw_time < ht_time
+
+
+class TestTieHeavyWeights:
+    """Weights with many exact ties, where float sums leave near-ties."""
+
+    @pytest.fixture(scope="class")
+    def catalog(self):
+        from repro.workloads.weights import zipf_weights
+
+        raw = zipf_weights(np.random.default_rng(2501), 2500, theta=1.2)
+        weights = [round(float(weight), 2) for weight in raw]
+        assert len(set(weights)) < 200  # tie-heavy
+        return [f"K{index:04d}" for index in range(2500)], weights
+
+    def test_builds_a_tree_of_the_levels_cost(self, catalog):
+        labels, weights = catalog
+        tree = garsia_wachs_tree(labels, weights)
+        levels = garsia_wachs_levels(weights)
+        assert [leaf.label for leaf in tree.data_nodes()] == labels
+        assert is_alphabetic(tree)
+        assert alphabetic_cost(tree) == sum(
+            weight * level for weight, level in zip(weights, levels)
+        )
+
+    def test_sorting_plans_the_catalog_at_fanout_2(self, catalog):
+        from repro.planners import plan_catalog
+
+        labels, weights = catalog
+        result = plan_catalog(labels, weights, 3, method="sorting", fanout=2)
+        assert result.method == "sorting"
+
+    def test_invalid_levels_are_reported_briefly(self):
+        from repro.tree.alphabetic import _tree_from_levels
+
+        with pytest.raises(ValueError) as caught:
+            _tree_from_levels(["A", "B", "C"], [1.0] * 3, [2, 1, 2], None)
+        assert str(caught.value) == (
+            "invalid alphabetic level sequence: 3 levels reduce to 3 "
+            "subtrees, not one root"
+        )
