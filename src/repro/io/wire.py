@@ -122,23 +122,37 @@ class DecodedBucket:
     payload: bytes = b""
 
 
-def _subtree_max_key(node: Node) -> str:
-    """The largest routing key under ``node`` (keys default to labels)."""
-    best = ""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, DataNode):
-            key = str(current.key) if current.key is not None else current.label
-            best = max(best, key)
+def _subtree_max_keys(root: Node) -> dict[Node, str]:
+    """The largest routing key under every node of ``root``'s subtree.
+
+    Keys default to labels, and a childless index node's is ``""``. One
+    pass: listed parents first, so in reverse every child's key is known
+    before its parent's.
+    """
+    order = [root]
+    for node in order:  # grows as it goes: a breadth-first listing
+        if isinstance(node, IndexNode):
+            order.extend(node.children)
+    best: dict[Node, str] = {}
+    for node in reversed(order):
+        if isinstance(node, DataNode):
+            best[node] = str(node.key) if node.key is not None else node.label
         else:
-            assert isinstance(current, IndexNode)
-            stack.extend(current.children)
+            best[node] = max((best[child] for child in node.children), default="")
     return best
 
 
 def encode_bucket(bucket, bucket_size: int = DEFAULT_BUCKET_SIZE) -> bytes:
     """Serialise one :class:`~repro.broadcast.bucket.Bucket` to a frame."""
+    max_keys: dict[Node, str] = {}
+    if isinstance(bucket.node, IndexNode):
+        for child in bucket.node.children:
+            max_keys.update(_subtree_max_keys(child))
+    return _encode_bucket(bucket, bucket_size, max_keys)
+
+
+def _encode_bucket(bucket, bucket_size: int, max_keys: dict[Node, str]) -> bytes:
+    """:func:`encode_bucket`, with each child's largest key looked up."""
     next_offset = (
         bucket.next_cycle_pointer.offset if bucket.next_cycle_pointer else 0
     )
@@ -159,7 +173,7 @@ def encode_bucket(bucket, bucket_size: int = DEFAULT_BUCKET_SIZE) -> bytes:
             for pointer, child in zip(
                 bucket.child_pointers, bucket.node.children
             ):
-                key = _subtree_max_key(child).encode()
+                key = max_keys[child].encode()
                 if len(key) > 255:
                     raise WireFormatError("routing key longer than 255 bytes")
                 if not 0 < pointer.offset <= 0xFFFF:
@@ -342,8 +356,9 @@ def encode_program(
     program: BroadcastProgram, bucket_size: int = DEFAULT_BUCKET_SIZE
 ) -> list[list[bytes]]:
     """Serialise a whole cycle: ``frames[channel-1][slot-1]``."""
+    max_keys = _subtree_max_keys(program.schedule.tree.root)
     return [
-        [encode_bucket(bucket, bucket_size) for bucket in row]
+        [_encode_bucket(bucket, bucket_size, max_keys) for bucket in row]
         for row in program.buckets
     ]
 

@@ -186,9 +186,15 @@ class TunerClient(asyncio.Protocol):
         return result
 
     def _pump(self, data: bytes = b"") -> None:
-        """Feed arrived envelopes to the walk, one LISTEN per envelope."""
+        """Feed arrived envelopes to the walk, one LISTEN per envelope.
+
+        The decoder sees only bytes: new ones, or a tail it kept. A
+        stream that failed to parse keeps its bytes as that tail, so
+        every later call parses them again and fails the same way.
+        """
         try:
-            self._arrived.extend(self._decoder.feed(data))
+            if data or self._decoder.pending_bytes:
+                self._arrived.extend(self._decoder.feed(data))
             while self._walk is not None and self._arrived:
                 self._on_air(self._walk, self._arrived.popleft())
                 self._send_listen()

@@ -9,8 +9,9 @@ plans durable, versioned and reversible:
 
 * :mod:`repro.sched.delta` — the canonical plan document
   (:func:`~repro.sched.delta.plan_to_doc`), content addressing over its
-  canonical JSON bytes, and a structural delta codec so consecutive
-  versions store cheaply (``apply(delta(a, b), a) == b``, byte-exact);
+  canonical JSON bytes, and a structural delta codec so a version
+  that differs little from its parent stores cheaply
+  (``apply(delta(a, b), a) == b``, byte-exact);
 * :mod:`repro.sched.store` — :class:`ScheduleStore`, an append-only
   version log over a content-addressed object directory, with
   integrity-checked loads, snapshot/delta chains, rollback (re-publish

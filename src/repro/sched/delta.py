@@ -10,11 +10,14 @@ non-finite floats — which is what makes content addressing
 (:func:`content_id`) and the store's byte-exact round-trip gate
 meaningful.
 
-Consecutive versions of a drifting workload share most of their
-document, so the store encodes follow-up versions as **structural
-deltas**: :func:`delta` diffs two documents into a flat list of
-path-addressed ops, :func:`apply_delta` replays them. The pair
-satisfies the exact-inverse property the hypothesis suite locks::
+Consecutive versions of a workload can share most of their document,
+so the store can encode a follow-up version as a **structural delta**:
+:func:`delta` diffs two documents into a flat list of path-addressed
+ops, :func:`apply_delta` replays them. A changed tree or a drift that
+touches every weight makes a delta larger than the document itself, so
+:func:`delta` takes a size ``limit`` and stops once the ops cannot fit
+under it. The pair satisfies the exact-inverse property the hypothesis
+suite locks::
 
     canonical_bytes(apply_delta(delta(a, b), a)) == canonical_bytes(b)
 
@@ -39,6 +42,7 @@ __all__ = [
     "PLAN_FORMAT",
     "DELTA_FORMAT",
     "DeltaError",
+    "plan_bytes",
     "plan_to_doc",
     "plan_from_doc",
     "canonical_bytes",
@@ -86,6 +90,25 @@ def content_id(doc: Any) -> str:
     return hashlib.sha256(canonical_bytes(doc)).hexdigest()
 
 
+def plan_bytes(result: PlanResult) -> bytes:
+    """The canonical bytes of a :class:`~repro.planners.PlanResult`'s document.
+
+    The document is serialised once. ``stats`` is the one free-form
+    part, so it alone goes through ``json`` first: a key that is not a
+    string sorts as a string only after that round trip. The rest of
+    the document has string keys only, so these bytes equal
+    ``canonical_bytes(plan_to_doc(result))``.
+    """
+    return canonical_bytes({
+        "format": PLAN_FORMAT,
+        "version": 1,
+        "schedule": schedule_to_dict(result.schedule),
+        "cost": result.cost,
+        "method": result.method,
+        "stats": json.loads(canonical_bytes(result.stats)),
+    })
+
+
 def plan_to_doc(result: PlanResult) -> dict:
     """Serialise a :class:`~repro.planners.PlanResult` to its document.
 
@@ -94,19 +117,15 @@ def plan_to_doc(result: PlanResult) -> dict:
     is *already* canonical-typed: serialising the result of
     :func:`plan_from_doc` reproduces it byte for byte.
     """
-    doc = {
-        "format": PLAN_FORMAT,
-        "version": 1,
-        "schedule": schedule_to_dict(result.schedule),
-        "cost": result.cost,
-        "method": result.method,
-        "stats": result.stats,
-    }
-    return json.loads(canonical_bytes(doc).decode())
+    return json.loads(plan_bytes(result))
 
 
 def plan_from_doc(doc: dict) -> PlanResult:
-    """Rebuild the :class:`~repro.planners.PlanResult` of a document."""
+    """Rebuild the :class:`~repro.planners.PlanResult` of a document.
+
+    The result keeps no reference into ``doc`` (``stats`` is copied), so
+    the store hands its cached, verified documents here without copying.
+    """
     if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
         raise DeltaError("not a broadcast-alloc plan document")
     if doc.get("version") != 1:
@@ -127,7 +146,9 @@ def plan_from_doc(doc: dict) -> PlanResult:
 # structural diff / patch
 # ---------------------------------------------------------------------------
 
-def delta(base: Any, target: Any) -> list[dict]:
+def delta(
+    base: Any, target: Any, *, limit: int | None = None
+) -> list[dict] | None:
     """Diff two JSON documents into path-addressed ops.
 
     Ops (each a JSON-able dict):
@@ -144,45 +165,135 @@ def delta(base: Any, target: Any) -> list[dict]:
     deterministic (dict keys are visited sorted), so the same pair of
     documents always produces the same delta — and therefore the same
     content-addressed delta object in the store.
+
+    With ``limit``, the diff returns ``None`` as soon as a lower bound on
+    ``len(canonical_bytes(ops))`` reaches ``limit``: a caller that only
+    wants a delta smaller than some size stops paying for one that
+    cannot be.
     """
-    ops: list[dict] = []
-    _diff(base, target, [], ops)
-    return ops
+    differ = _Differ(limit)
+    try:
+        differ.diff(base, target, [], 1)
+    except _OverLimit:
+        return None
+    return differ.ops
 
 
-def _diff(a: Any, b: Any, path: list, ops: list[dict]) -> None:
-    if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(a.keys() - b.keys()):
-            ops.append({"op": "del", "path": path + [key]})
-        for key in sorted(b):
-            if key in a:
-                _diff(a[key], b[key], path + [key], ops)
-            else:
-                ops.append({"op": "set", "path": path + [key], "value": b[key]})
-        return
-    if (
-        isinstance(a, list)
-        and isinstance(b, list)
-        and not isinstance(a, str)
-        and not isinstance(b, str)
-    ):
-        common = min(len(a), len(b))
-        for index in range(common):
-            _diff(a[index], b[index], path + [index], ops)
-        if len(b) > len(a):
-            ops.append({"op": "push", "path": list(path), "values": b[common:]})
-        elif len(b) < len(a):
-            ops.append({"op": "trim", "path": list(path), "length": len(b)})
-        return
-    # Scalars (or mismatched containers). ``type`` must agree as well as
-    # value: bool/int and int/float cross-compare equal in Python but
-    # serialise differently, which would break byte-exactness. The same
-    # trap hides inside float equality itself (-0.0 == 0.0 but they
-    # serialise as "-0.0" and "0.0"), hence the repr check.
-    if type(a) is type(b) and a == b:
-        if not isinstance(a, float) or repr(a) == repr(b):
+class _OverLimit(Exception):
+    """The ops' size floor reached the caller's limit."""
+
+
+def _frame(op: dict, filler: int) -> int:
+    """Canonical bytes of ``op`` minus ``filler`` placeholder bytes."""
+    return len(canonical_bytes(op)) - filler
+
+
+# Each op kind's bytes around its path and value, measured on an empty
+# path ("[]") and a one-byte value or length ("0").
+_SET_FRAME = _frame({"op": "set", "path": [], "value": 0}, 3)
+_DEL_FRAME = _frame({"op": "del", "path": []}, 2)
+_PUSH_FRAME = _frame({"op": "push", "path": [], "values": 0}, 3)
+_TRIM_FRAME = _frame({"op": "trim", "path": [], "length": 0}, 3)
+
+
+def _floor(value: Any) -> int:
+    """Fewest canonical bytes ``value`` can take.
+
+    Numbers are exact (``json`` writes ``repr``); a string takes its
+    quotes and at least one byte per character, a container its
+    brackets and a byte and a separator per element.
+    """
+    kind = type(value)
+    if kind is str:
+        return len(value) + 2
+    if kind is float or kind is int:
+        return len(repr(value))
+    if kind is list or kind is dict:
+        return 2 * len(value) + 1 if value else 2
+    if value is None or value is True or value is False:
+        return 4
+    return 1
+
+
+class _Differ:
+    """One :func:`delta` call: the ops so far and a floor on their size.
+
+    ``diff`` carries ``size``, a floor on the bytes ``path`` takes as
+    canonical JSON (one short of "[]" for the empty path): each step
+    adds its own floor plus a separator, and the brackets stand in for
+    the first step's separator.
+    """
+
+    __slots__ = ("ops", "floor", "limit")
+
+    def __init__(self, limit: int | None) -> None:
+        self.ops: list[dict] = []
+        # "[" and "]" of the op list, less the separator the first op
+        # does not take.
+        self.floor = 1
+        self.limit = limit
+
+    def emit(self, op: dict, floor: int) -> None:
+        self.ops.append(op)
+        if self.limit is not None:
+            self.floor += floor + 1
+            if self.floor >= self.limit:
+                raise _OverLimit
+
+    def diff(self, a: Any, b: Any, path: list, size: int) -> None:
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in sorted(a.keys() - b.keys()):
+                self.emit(
+                    {"op": "del", "path": path + [key]},
+                    _DEL_FRAME + max(2, size + _floor(key) + 1),
+                )
+            for key in sorted(b):
+                # Keys are strings in JSON documents: inline their floor.
+                step = size + (
+                    len(key) + 3 if type(key) is str else _floor(key) + 1
+                )
+                if key in a:
+                    self.diff(a[key], b[key], path + [key], step)
+                else:
+                    value = b[key]
+                    self.emit(
+                        {"op": "set", "path": path + [key], "value": value},
+                        _SET_FRAME + max(2, step) + _floor(value),
+                    )
             return
-    ops.append({"op": "set", "path": list(path), "value": b})
+        if (
+            isinstance(a, list)
+            and isinstance(b, list)
+            and not isinstance(a, str)
+            and not isinstance(b, str)
+        ):
+            common = min(len(a), len(b))
+            for index in range(common):
+                self.diff(a[index], b[index], path + [index], size + 2)
+            if len(b) > len(a):
+                values = b[common:]
+                self.emit(
+                    {"op": "push", "path": list(path), "values": values},
+                    _PUSH_FRAME + max(2, size) + _floor(values),
+                )
+            elif len(b) < len(a):
+                self.emit(
+                    {"op": "trim", "path": list(path), "length": len(b)},
+                    _TRIM_FRAME + max(2, size) + _floor(len(b)),
+                )
+            return
+        # Scalars (or mismatched containers). ``type`` must agree as well
+        # as value: bool/int and int/float cross-compare equal in Python
+        # but serialise differently, which would break byte-exactness.
+        # The same trap hides inside float equality itself (-0.0 == 0.0
+        # but they serialise as "-0.0" and "0.0"), hence the repr check.
+        if type(a) is type(b) and a == b:
+            if not isinstance(a, float) or repr(a) == repr(b):
+                return
+        self.emit(
+            {"op": "set", "path": list(path), "value": b},
+            _SET_FRAME + max(2, size) + _floor(b),
+        )
 
 
 def _resolve(doc: Any, path: list) -> Any:

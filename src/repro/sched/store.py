@@ -7,9 +7,10 @@ directory holding
 
 * ``objects/<sha256>.json`` — content-addressed documents: full plan
   snapshots (:func:`repro.sched.delta.plan_to_doc`) and delta documents
-  between consecutive versions. Identical content is stored once, which
-  is what makes a rollback version *free*: its document already exists
-  under the original version's address.
+  between consecutive versions. Each object's name is the SHA-256 of
+  its bytes. Identical content is stored once, which is what makes a
+  rollback version *free*: its document already exists under the
+  original version's address.
 * ``log.jsonl`` — the append-only version log, one line per published
   version with a parent link, the document's content id, and whether
   the version is stored as a snapshot or as a delta against its parent.
@@ -19,17 +20,26 @@ directory holding
   (:meth:`save_state`/:meth:`load_state`) the serving loop uses to
   resume after an interrupt.
 
+A version is stored as a delta against its parent only when the
+delta's canonical bytes are smaller than the version's own snapshot
+bytes. A weight drift that touches every item, or a changed tree,
+gives a delta several times the snapshot's size, and such a version is
+stored whole. A full snapshot is also written every ``snapshot_every``
+versions to bound chain length.
+
 Every load reconstructs the requested version from the nearest snapshot
-plus the delta chain and verifies the result's SHA-256 against the
-logged content id — a flipped bit anywhere in the chain surfaces as
-:class:`StoreError`, never as a silently wrong schedule. A full
-snapshot is written every ``snapshot_every`` versions to bound chain
-length.
+(or a verified document still in memory) plus the delta chain and
+verifies the result's SHA-256 against the logged content id — a flipped
+bit anywhere in the chain surfaces as :class:`StoreError`, never as a
+silently wrong schedule. The store keeps the verified documents of the
+last two versions it published or loaded: the next publish diffs
+against the head, and a load usually follows its publish.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -46,8 +56,8 @@ from .delta import (
     canonical_bytes,
     content_id,
     delta,
+    plan_bytes,
     plan_from_doc,
-    plan_to_doc,
 )
 
 __all__ = ["StoreError", "VersionRecord", "ScheduleStore"]
@@ -55,6 +65,10 @@ __all__ = ["StoreError", "VersionRecord", "ScheduleStore"]
 _LOG_NAME = "log.jsonl"
 _OBJECTS_DIR = "objects"
 _STATE_NAME = "state.json"
+
+#: Verified documents a store keeps: the head, which the next publish
+#: diffs against, and the version last loaded or published before it.
+_CACHED_DOCS = 2
 
 
 class StoreError(ReproError):
@@ -67,7 +81,8 @@ class VersionRecord:
 
     ``content_id`` addresses the *full* document of this version (and is
     what integrity verification checks); ``delta_id`` addresses the
-    stored delta object when ``kind == "delta"``. ``parent`` is the
+    stored delta object when ``kind == "delta"``, which the store writes
+    only when it is smaller than the snapshot. ``parent`` is the
     version this one was published on top of (``None`` for version 1).
     """
 
@@ -115,7 +130,9 @@ class ScheduleStore:
     snapshot_every:
         A full snapshot is stored whenever the delta chain since the
         last one would otherwise reach this length. ``1`` stores every
-        version as a snapshot (no deltas at all).
+        version as a snapshot (no deltas at all). Below that length a
+        version is still stored whole when its delta would not be
+        smaller than its snapshot.
     perf:
         Optional shared recorder; counters are namespaced ``sched.*``
         (``sched.publishes``, ``sched.loads``, ``sched.rollbacks``,
@@ -153,6 +170,7 @@ class ScheduleStore:
         self.recorder = flight_recorder
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / _OBJECTS_DIR).mkdir(exist_ok=True)
+        # Verified documents by version, least recently used first.
         self._doc_cache: dict[int, dict] = {}
         self._read_log()  # validate eagerly: a corrupt log fails open()
 
@@ -224,11 +242,19 @@ class ScheduleStore:
             raise self._integrity_error(
                 f"missing store object {object_id}"
             ) from error
-        if content_id(json.loads(payload)) != object_id:
+        if hashlib.sha256(payload).hexdigest() == object_id:
+            return json.loads(payload)  # the bytes this store wrote
+        # Other bytes pass if their canonical form is the object.
+        try:
+            doc = json.loads(payload)
+            intact = content_id(doc) == object_id
+        except ValueError:  # not JSON, or not canonical JSON
+            intact = False
+        if not intact:
             raise self._integrity_error(
                 f"store object {object_id} failed its integrity check"
             )
-        return json.loads(payload)
+        return doc
 
     def _integrity_error(self, message: str) -> StoreError:
         """A :class:`StoreError` that dumps the flight recorder first.
@@ -255,29 +281,34 @@ class ScheduleStore:
         """Append ``result`` as the next version; returns its record.
 
         The first version — and every ``snapshot_every``-th since the
-        last snapshot — is stored whole; other versions store only the
-        structural delta against their parent. A document whose content
-        already exists (a rollback, an unchanged replan) is stored as a
-        snapshot record pointing at the existing object: no new bytes.
+        last snapshot — is stored whole. Another version stores only the
+        structural delta against its parent when that delta's canonical
+        bytes are smaller than the version's own, and is stored whole
+        otherwise. A document whose content already exists (a rollback,
+        an unchanged replan) is stored as a snapshot record pointing at
+        the existing object: no new bytes.
 
         ``trace`` is an optional ``(trace_id, span_id)`` causal context
         (typically the replan span the caller opened); when the store's
         tracer is span-capable a ``store.publish`` span covering logical
         ``slot`` is emitted under it.
         """
-        doc = plan_to_doc(result)
-        cid = content_id(doc)
+        payload = plan_bytes(result)
+        cid = hashlib.sha256(payload).hexdigest()
+        doc = json.loads(payload)
         records = self._read_log()
         parent = records[-1] if records else None
         version = len(records) + 1
 
-        as_snapshot = (
+        stored = None
+        if not (
             parent is None
             or self._object_path(cid).exists()
             or self._chain_length(records) + 1 >= self.snapshot_every
-        )
-        if as_snapshot:
-            self._write_object(cid, canonical_bytes(doc))
+        ):
+            stored = self._smaller_delta(records, cid, doc, len(payload))
+        if stored is None:
+            self._write_object(cid, payload)
             record = VersionRecord(
                 version=version,
                 content_id=cid,
@@ -286,17 +317,8 @@ class ScheduleStore:
                 note=note,
             )
         else:
-            base_doc = self._reconstruct(records, parent.version)
-            ops = delta(base_doc, doc)
-            delta_doc = {
-                "format": DELTA_FORMAT,
-                "version": 1,
-                "base": parent.content_id,
-                "target": cid,
-                "ops": ops,
-            }
-            did = content_id(delta_doc)
-            self._write_object(did, canonical_bytes(delta_doc))
+            did, delta_payload = stored
+            self._write_object(did, delta_payload)
             record = VersionRecord(
                 version=version,
                 content_id=cid,
@@ -308,7 +330,7 @@ class ScheduleStore:
         with open(self._log_path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
             handle.flush()
-        self._doc_cache[version] = doc
+        self._remember(version, doc)
         self.perf.count("sched.publishes")
         if self._spans is not None and trace is not None:
             self._spans.finish(
@@ -326,6 +348,37 @@ class ScheduleStore:
             )
         return record
 
+    def _smaller_delta(
+        self, records: list[VersionRecord], cid: str, doc: dict, size: int
+    ) -> tuple[str, bytes] | None:
+        """The delta object onto the head, if under ``size`` bytes.
+
+        Returns its id and canonical bytes, or ``None`` when the delta
+        would take ``size`` bytes or more. The diff gives up as soon as
+        a floor on the ops' bytes says so.
+        """
+        parent = records[-1]
+        delta_doc = {
+            "format": DELTA_FORMAT,
+            "version": 1,
+            "base": parent.content_id,
+            "target": cid,
+            "ops": [],
+        }
+        # The document's bytes around its op list ("[]").
+        frame = len(canonical_bytes(delta_doc)) - 2
+        ops = delta(
+            self._reconstruct(records, parent.version), doc,
+            limit=size - frame,
+        )
+        if ops is None:
+            return None
+        delta_doc["ops"] = ops
+        delta_payload = canonical_bytes(delta_doc)
+        if len(delta_payload) >= size:
+            return None
+        return hashlib.sha256(delta_payload).hexdigest(), delta_payload
+
     def _chain_length(self, records: list[VersionRecord]) -> int:
         """Deltas since (and excluding) the most recent snapshot."""
         length = 0
@@ -335,16 +388,29 @@ class ScheduleStore:
             length += 1
         return length
 
+    def _remember(self, version: int, doc: dict) -> None:
+        """Keep ``version``'s verified document as the most recent."""
+        cache = self._doc_cache
+        cache.pop(version, None)
+        cache[version] = doc
+        while len(cache) > _CACHED_DOCS:
+            del cache[next(iter(cache))]
+
     def _reconstruct(self, records: list[VersionRecord], version: int) -> dict:
-        cached = self._doc_cache.get(version)
-        if cached is not None:
-            return cached
+        """The verified document of ``version``; callers must not mutate it.
+
+        The chain starts at the nearest earlier snapshot, or at a
+        version whose verified document is still cached.
+        """
+        cache = self._doc_cache
         base = version
-        while records[base - 1].kind != "snapshot":
+        while base not in cache and records[base - 1].kind != "snapshot":
             base -= 1
             if base < 1:
                 raise StoreError("version log has no snapshot to start from")
-        doc = self._read_object(records[base - 1].content_id)
+        doc = cache.get(base)
+        if doc is None:
+            doc = self._read_object(records[base - 1].content_id)
         for index in range(base + 1, version + 1):
             record = records[index - 1]
             delta_doc = self._read_object(record.delta_id)
@@ -357,16 +423,20 @@ class ScheduleStore:
                     f"delta for version {index} does not chain from its parent"
                 )
             doc = apply_delta(delta_doc["ops"], doc)
-        if content_id(doc) != records[version - 1].content_id:
+        # With no delta applied, the document is a cached one or a
+        # snapshot object checked against its id as it was read.
+        if base != version and (
+            content_id(doc) != records[version - 1].content_id
+        ):
             raise self._integrity_error(
                 f"version {version} failed its integrity check: "
                 "reconstructed document does not match the logged content id"
             )
-        self._doc_cache[version] = doc
+        self._remember(version, doc)
         return doc
 
-    def doc(self, version: int | None = None) -> dict:
-        """The full, integrity-verified document of ``version`` (or head)."""
+    def _verified_doc(self, version: int | None) -> dict:
+        """The shared, verified document of ``version`` (or head)."""
         records = self._read_log()
         if not records:
             raise StoreError("store is empty")
@@ -376,11 +446,15 @@ class ScheduleStore:
             raise StoreError(
                 f"version {version} not in store (have 1..{len(records)})"
             )
-        return copy.deepcopy(self._reconstruct(records, version))
+        return self._reconstruct(records, version)
+
+    def doc(self, version: int | None = None) -> dict:
+        """The full, integrity-verified document of ``version`` (or head)."""
+        return copy.deepcopy(self._verified_doc(version))
 
     def load(self, version: int | None = None) -> PlanResult:
         """Rebuild the :class:`~repro.planners.PlanResult` of a version."""
-        result = plan_from_doc(self.doc(version))
+        result = plan_from_doc(self._verified_doc(version))
         self.perf.count("sched.loads")
         return result
 
@@ -401,9 +475,8 @@ class ScheduleStore:
         ``trace``/``slot`` carry the causal context through to
         :meth:`publish`.
         """
-        doc = self.doc(version)  # integrity-checked reconstruction
         record = self.publish(
-            plan_from_doc(doc),
+            plan_from_doc(self._verified_doc(version)),
             note=note or f"rollback to version {version}",
             trace=trace,
             slot=slot,

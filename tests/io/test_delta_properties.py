@@ -12,6 +12,7 @@ list) would silently corrupt the version log's integrity chain.
 
 from __future__ import annotations
 
+import json
 import math
 
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +20,14 @@ from hypothesis import strategies as st
 
 from repro.net.harness import build_demo_plan
 from repro.sched import apply_delta, canonical_bytes, content_id, delta
-from repro.sched.delta import plan_from_doc, plan_to_doc
+from repro.planners import PlanResult
+from repro.sched.delta import (
+    PLAN_FORMAT,
+    plan_bytes,
+    plan_from_doc,
+    plan_to_doc,
+)
+from repro.io.json_io import schedule_to_dict
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -77,6 +85,20 @@ class TestDeltaRoundTrip:
             patched = apply_delta(ops, base)
             assert canonical_bytes(patched) == canonical_bytes(target)
 
+    @settings(max_examples=250, **COMMON)
+    @given(
+        a=json_docs, b=json_docs, limit=st.integers(min_value=0, max_value=400)
+    )
+    def test_limit_gives_up_only_on_deltas_that_large(self, a, b, limit):
+        """The size floor never exceeds the ops' canonical size."""
+        ops = delta(a, b)
+        size = len(canonical_bytes(ops))
+        limited = delta(a, b, limit=limit)
+        assert limited is None or limited == ops
+        if size < limit:
+            assert limited == ops
+        assert delta(a, b, limit=size + 1) == ops
+
     @settings(max_examples=100, **COMMON)
     @given(value=st.floats(allow_nan=False, allow_infinity=False))
     def test_float_values_survive_exactly(self, value):
@@ -107,3 +129,42 @@ class TestPlanDocumentRoundTrip:
         # And the patched document is a loadable plan, not just bytes.
         rebuilt = plan_from_doc(patched)
         assert canonical_bytes(plan_to_doc(rebuilt)) == canonical_bytes(doc_b)
+
+
+def frozen_plan_to_doc(result: PlanResult) -> dict:
+    """The document as the store built it before ``plan_bytes``: the
+    whole document through one ``json`` round trip."""
+    doc = {
+        "format": PLAN_FORMAT,
+        "version": 1,
+        "schedule": schedule_to_dict(result.schedule),
+        "cost": result.cost,
+        "method": result.method,
+        "stats": result.stats,
+    }
+    return json.loads(canonical_bytes(doc).decode())
+
+
+class TestPlanBytes:
+    """One serialisation gives the bytes the round trip gave."""
+
+    @settings(max_examples=12, **COMMON)
+    @given(
+        planner=st.sampled_from(["sorting", "meta", "ptas", "shrink-combine"]),
+        theta=st.sampled_from([0.35, 0.95, 1.2]),
+        seed=st.integers(min_value=0, max_value=50),
+    )
+    def test_equals_the_round_tripped_document(self, planner, theta, seed):
+        result = build_demo_plan(
+            items=12, channels=3, planner=planner, theta=theta, seed=seed
+        )
+        assert plan_bytes(result) == canonical_bytes(frozen_plan_to_doc(result))
+
+    def test_stats_keys_sort_as_strings(self):
+        """Non-string keys in ``stats`` serialise as the round trip did."""
+        result = build_demo_plan(items=6, channels=2)
+        odd = PlanResult(
+            result.schedule, result.cost, result.method,
+            {2: {3: 1.5, 20: None}, 10: (1, 2)},
+        )
+        assert plan_bytes(odd) == canonical_bytes(frozen_plan_to_doc(odd))

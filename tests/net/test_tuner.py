@@ -10,7 +10,7 @@ import pytest
 
 from repro.client.protocol import RecoveryPolicy, object_walk
 from repro.faults import FaultConfig
-from repro.io.wire import AirFrame, encode_air_frame
+from repro.io.wire import AirFrame, WireFormatError, encode_air_frame
 from repro.net import BroadcastStation, TunerClient, build_demo_program
 from repro.net.tuner import TunerProtocolError
 
@@ -254,5 +254,55 @@ class TestFraming:
                 await asyncio.sleep(0.05)
                 with pytest.raises(TunerProtocolError, match="station aired"):
                     await tuner.fetch(leaf.label, 2)
+
+        run(scenario())
+
+
+class TestDecoderFeeds:
+    def test_walks_feed_the_decoder_only_bytes(self, program):
+        leaves = program.schedule.tree.data_nodes()
+        fed = []
+
+        async def scenario():
+            async with BroadcastStation(program) as station:
+                async with TunerClient(station.host, station.port) as tuner:
+                    feed = tuner._decoder.feed
+
+                    def spy(data):
+                        fed.append(len(data))
+                        return feed(data)
+
+                    tuner._decoder.feed = spy
+                    return [await tuner.fetch(leaf.label, 2) for leaf in leaves]
+
+        for leaf, result in zip(leaves, run(scenario())):
+            _assert_object_walk(program, leaf, 2, result)
+        assert fed and 0 not in fed
+
+    def test_a_failed_stream_fails_every_later_fetch(self, program):
+        """The station sends garbage once, then answers no LISTEN: each
+        fetch must fail from the bytes already received."""
+        leaf = program.schedule.tree.data_nodes()[0]
+        welcome = BroadcastStation(program).welcome()
+
+        async def garbler(reader, writer):
+            writer.write(welcome + b"\x00garbage")
+            await writer.drain()
+            while await reader.readline():
+                pass
+
+        async def scenario():
+            server = await asyncio.start_server(garbler, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                async with TunerClient("127.0.0.1", port) as tuner:
+                    for _ in range(3):
+                        with pytest.raises(WireFormatError, match="magic 0x00"):
+                            await asyncio.wait_for(
+                                tuner.fetch(leaf.label, 2), 2
+                            )
+            finally:
+                server.close()
+                await server.wait_closed()
 
         run(scenario())

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.net.harness import build_demo_plan
+from repro.net.harness import build_demo_plan, demo_labels
 from repro.perf import PerfRecorder
+from repro.planners import plan_catalog
+from repro.sched import store as store_module
 from repro.sched import (
     ScheduleStore,
     StoreError,
@@ -15,6 +22,7 @@ from repro.sched import (
     content_id,
     plan_to_doc,
 )
+from repro.workloads.weights import zipf_weights
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +32,25 @@ def plans():
         build_demo_plan(items=10, channels=2, theta=theta)
         for theta in (0.95, 0.6, 0.35)
     ]
+
+
+@pytest.fixture(scope="module")
+def nudged():
+    """Five plans of one catalog whose last weight grows 1% a step.
+
+    The tree and the placement stay the same, so a delta between two
+    of them is two ops (the cost and one weight), far smaller than a
+    snapshot: the store writes it.
+    """
+    weights = zipf_weights(np.random.default_rng(2000), 10, theta=0.95)
+    result = []
+    for step in range(5):
+        nudge = [float(w) for w in weights]
+        nudge[-1] *= 1 + 0.01 * step
+        result.append(
+            plan_catalog(demo_labels(10), nudge, 2, method="sorting", fanout=3)
+        )
+    return result
 
 
 def object_count(store: ScheduleStore) -> int:
@@ -38,25 +65,42 @@ class TestPublish:
         assert [r.parent for r in records] == [None, 1, 2]
         assert store.head.version == 3
 
-    def test_first_version_is_a_snapshot_then_deltas(self, tmp_path, plans):
+    def test_first_version_is_a_snapshot_then_deltas(self, tmp_path, nudged):
         store = ScheduleStore(tmp_path, snapshot_every=8)
-        kinds = [store.publish(plan).kind for plan in plans]
+        kinds = [store.publish(plan).kind for plan in nudged[:3]]
         assert kinds == ["snapshot", "delta", "delta"]
 
-    def test_snapshot_every_bounds_the_chain(self, tmp_path, plans):
+    def test_snapshot_every_bounds_the_chain(self, tmp_path, nudged):
         store = ScheduleStore(tmp_path, snapshot_every=3)
-        sequence = plans + plans[:2]  # five distinct-content publishes
-        kinds = []
-        for index, plan in enumerate(sequence):
-            if index >= 3:
-                # Re-publishing earlier content dedups to a snapshot
-                # record regardless of chain length; force fresh
-                # content instead.
-                plan = build_demo_plan(
-                    items=10, channels=2, seed=100 + index, theta=0.7
-                )
-            kinds.append(store.publish(plan).kind)
+        # Five distinct-content publishes: re-publishing earlier
+        # content would dedup to a snapshot record regardless of chain
+        # length.
+        kinds = [store.publish(plan).kind for plan in nudged]
         assert kinds == ["snapshot", "delta", "delta", "snapshot", "delta"]
+
+    def test_a_delta_larger_than_its_snapshot_is_not_written(
+        self, tmp_path, plans
+    ):
+        """Plans of different skew change the tree: their deltas do not pay."""
+        store = ScheduleStore(tmp_path, snapshot_every=8)
+        kinds = [store.publish(plan).kind for plan in plans]
+        assert kinds == ["snapshot"] * 3
+        assert object_count(store) == 3
+
+    def test_a_delta_is_sized_by_its_bytes_not_its_floor(
+        self, tmp_path, nudged, monkeypatch
+    ):
+        """Ops that pass the diff's floor but not the size stay unwritten."""
+        real = store_module.delta
+
+        def padded(base, target, *, limit):
+            ops = real(base, target, limit=limit)
+            return ops + [{"op": "set", "path": [], "value": "x" * limit}]
+
+        monkeypatch.setattr(store_module, "delta", padded)
+        store = ScheduleStore(tmp_path)
+        kinds = [store.publish(plan).kind for plan in nudged[:2]]
+        assert kinds == ["snapshot", "snapshot"]
 
     def test_snapshot_every_one_never_deltas(self, tmp_path, plans):
         store = ScheduleStore(tmp_path, snapshot_every=1)
@@ -120,6 +164,16 @@ class TestLoad:
         with pytest.raises(StoreError, match="empty"):
             ScheduleStore(tmp_path / "other").doc()
 
+    def test_loaded_stats_are_the_callers_own(self, tmp_path):
+        plan = build_demo_plan(items=10, channels=2, planner="meta")
+        store = ScheduleStore(tmp_path)
+        store.publish(plan)
+        first = store.load(1)
+        assert first.stats  # meta records its decision here
+        first.stats["mode"] = "mutated"
+        first.stats.setdefault("meta", {})["extra"] = [1, 2]
+        assert store.load(1).stats == plan.stats
+
     def test_doc_is_a_defensive_copy(self, tmp_path, plans):
         store = ScheduleStore(tmp_path)
         record = store.publish(plans[0])
@@ -139,14 +193,28 @@ class TestIntegrity:
         with pytest.raises(StoreError, match="integrity"):
             ScheduleStore(tmp_path).load(1)
 
-    def test_corrupt_delta_chain_fails_the_load(self, tmp_path, plans):
+    def test_corrupt_delta_chain_fails_the_load(self, tmp_path, nudged):
         store = ScheduleStore(tmp_path)
-        store.publish(plans[0])
-        record = store.publish(plans[1])
+        store.publish(nudged[0])
+        record = store.publish(nudged[1])
         assert record.kind == "delta"
         path = store.root / "objects" / f"{record.delta_id}.json"
         path.write_text(path.read_text().replace("set", "sEt", 1))
         with pytest.raises(StoreError):
+            ScheduleStore(tmp_path).load(2)
+
+    def test_a_delta_version_with_a_wrong_logged_id_fails(
+        self, tmp_path, nudged
+    ):
+        store = ScheduleStore(tmp_path)
+        first = store.publish(nudged[0])
+        assert store.publish(nudged[1]).kind == "delta"
+        log = store.root / "log.jsonl"
+        lines = log.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["content_id"] = first.content_id[::-1]
+        log.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(StoreError, match="integrity"):
             ScheduleStore(tmp_path).load(2)
 
     def test_noncontiguous_log_fails_open(self, tmp_path, plans):
@@ -233,3 +301,89 @@ class TestCrashState:
         (store.root / "state.json").write_text("{not json")
         with pytest.raises(StoreError, match="corrupt state"):
             store.load_state()
+
+
+class TestParentWrittenStore:
+    """A store written before deltas had to be smaller than snapshots.
+
+    ``data/parent_store`` was published by the store as of f8150f0: six
+    items on two channels, a nudged weight (a small delta), a flatter
+    skew and back (two deltas larger than their snapshot), then a
+    rollback to version 1.
+    """
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        source = Path(__file__).parent / "data" / "parent_store"
+        return ScheduleStore(shutil.copytree(source, tmp_path / "store"))
+
+    @staticmethod
+    def nudged(step):
+        weights = zipf_weights(np.random.default_rng(2000), 6, theta=0.95)
+        nudge = [float(w) for w in weights]
+        nudge[-1] *= 1 + 0.01 * step
+        return plan_catalog(demo_labels(6), nudge, 2, method="sorting", fanout=3)
+
+    def test_every_version_loads_and_verifies(self, store):
+        records = store.versions()
+        assert [r.kind for r in records] == [
+            "snapshot", "delta", "delta", "delta", "snapshot"
+        ]
+        assert store.verify() == 5
+        for record in records:
+            loaded = store.load(record.version)
+            assert content_id(plan_to_doc(loaded)) == record.content_id
+
+    def test_todays_plans_have_the_logged_ids(self, store, tmp_path):
+        """Same plans, same bytes: ids and the one small delta match."""
+        logged = store.versions()
+        fresh = ScheduleStore(tmp_path / "fresh")
+        assert fresh.publish(self.nudged(0)).content_id == logged[0].content_id
+        second = fresh.publish(self.nudged(1))
+        assert (second.kind, second.content_id, second.delta_id) == (
+            "delta", logged[1].content_id, logged[1].delta_id
+        )
+        assert (
+            content_id(plan_to_doc(self.nudged(2))) == logged[3].content_id
+        )
+
+    def test_rolls_back_to_a_version_stored_as_a_delta(self, store):
+        target = store.record(3)
+        record = store.rollback(3)
+        assert record.version == 6
+        assert record.content_id == target.content_id
+        assert record.kind == "snapshot"  # its delta would not be smaller
+        assert store.verify() == 6
+
+
+class TestDocumentCache:
+    def test_thirty_versions_retain_about_two_documents(self, tmp_path):
+        """The store keeps two parsed documents, not one per version."""
+        labels = demo_labels(300)
+        base = zipf_weights(np.random.default_rng(2000), 300, theta=1.2)
+        rng = np.random.default_rng(7)
+        plans = [
+            plan_catalog(
+                labels,
+                [float(w) for w in base * np.exp(0.3 * rng.standard_normal(300))],
+                3,
+                method="sorting",
+                fanout=3,
+            )
+            for _ in range(30)
+        ]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            one_doc = plan_to_doc(plans[0])
+            doc_bytes = tracemalloc.get_traced_memory()[0] - before
+            del one_doc
+            store = ScheduleStore(tmp_path)
+            before = tracemalloc.get_traced_memory()[0]
+            for plan in plans:
+                store.publish(plan)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(store.versions()) == 30
+        assert retained < 3 * doc_bytes, (retained, doc_bytes)
