@@ -18,16 +18,16 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.io.json_io import schedule_to_dict
 from repro.net.harness import build_demo_plan
-from repro.sched import apply_delta, canonical_bytes, content_id, delta
 from repro.planners import PlanResult
+from repro.sched import apply_delta, canonical_bytes, content_id, delta
 from repro.sched.delta import (
     PLAN_FORMAT,
     plan_bytes,
     plan_from_doc,
     plan_to_doc,
 )
-from repro.io.json_io import schedule_to_dict
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 

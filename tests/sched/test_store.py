@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import shutil
 import tracemalloc
@@ -14,7 +13,6 @@ import pytest
 from repro.net.harness import build_demo_plan, demo_labels
 from repro.perf import PerfRecorder
 from repro.planners import plan_catalog
-from repro.sched import store as store_module
 from repro.sched import (
     ScheduleStore,
     StoreError,
@@ -22,6 +20,7 @@ from repro.sched import (
     content_id,
     plan_to_doc,
 )
+from repro.sched import store as store_module
 from repro.workloads.weights import zipf_weights
 
 
