@@ -17,7 +17,7 @@ from ..tree.node import Node
 __all__ = ["Pointer", "Bucket"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pointer:
     """A (channel, slot) reference to a future bucket.
 
@@ -41,7 +41,7 @@ class Pointer:
     label: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Bucket:
     """One (channel, slot) cell of the broadcast grid.
 

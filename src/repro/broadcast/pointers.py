@@ -15,9 +15,9 @@ The resulting :class:`BroadcastProgram` is what the client simulator in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from ..tree.node import IndexNode, Node
+from ..tree.node import IndexNode
 from .bucket import Bucket, Pointer
 from .schedule import BroadcastSchedule
 
@@ -35,6 +35,11 @@ class BroadcastProgram:
 
     schedule: BroadcastSchedule
     buckets: list[list[Bucket]]
+    # Encoded frames per bucket size, with the grid they were encoded
+    # from (see :func:`repro.io.wire.encode_program`).
+    _frames: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def channels(self) -> int:
@@ -58,41 +63,30 @@ class BroadcastProgram:
 
 def compile_program(schedule: BroadcastSchedule) -> BroadcastProgram:
     """Wire child and next-cycle pointers into a bucket grid."""
+    placement = schedule._placement
     cycle = schedule.cycle_length
     buckets = [
-        [Bucket(channel=c, slot=s) for s in range(1, cycle + 1)]
+        [Bucket(c, s) for s in range(1, cycle + 1)]
         for c in range(1, schedule.channels + 1)
     ]
 
-    for node in schedule.nodes():
-        channel, slot = schedule.position(node)
+    for node, (channel, slot) in placement.items():
         bucket = buckets[channel - 1][slot - 1]
         bucket.node = node
         if isinstance(node, IndexNode):
-            bucket.child_pointers = [
-                _pointer_to(schedule, node, child) for child in node.children
-            ]
+            pointers = []
+            for child in node.children:
+                child_channel, child_slot = placement[child]
+                pointers.append(Pointer(
+                    child_channel, child_slot, child_slot - slot, child.label
+                ))
+            bucket.child_pointers = pointers
 
-    root_channel, root_slot = schedule.position(schedule.tree.root)
-    for slot_index in range(cycle):
-        bucket = buckets[0][slot_index]
+    root = schedule.tree.root
+    root_channel, root_slot = placement[root]
+    for slot, bucket in enumerate(buckets[0], start=1):
         # Offset from this slot to the root bucket of the *next* cycle.
-        offset = cycle - (slot_index + 1) + root_slot
         bucket.next_cycle_pointer = Pointer(
-            channel=root_channel,
-            slot=root_slot,
-            offset=offset,
-            label=schedule.tree.root.label,
+            root_channel, root_slot, cycle - slot + root_slot, root.label
         )
     return BroadcastProgram(schedule=schedule, buckets=buckets)
-
-
-def _pointer_to(schedule: BroadcastSchedule, parent: Node, child: Node) -> Pointer:
-    parent_slot = schedule.slot_of(parent)
-    channel, slot = schedule.position(child)
-    return Pointer(
-        channel=channel,
-        slot=slot,
-        offset=slot - parent_slot,
-        label=child.label,
-    )

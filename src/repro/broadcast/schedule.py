@@ -147,42 +147,7 @@ class BroadcastSchedule:
         (channel, slot) cell; and every child airs strictly after its
         parent (§2.2 feasibility).
         """
-        tree_nodes = self.tree.nodes()
-        if len(self._placement) != len(tree_nodes):
-            raise ScheduleError(
-                f"placement covers {len(self._placement)} nodes, "
-                f"tree has {len(tree_nodes)}"
-            )
-        placed = {id(node) for node in self._placement}
-        for node in tree_nodes:
-            if id(node) not in placed:
-                raise ScheduleError(f"node {node.label!r} is not placed")
-
-        cells: set[tuple[int, int]] = set()
-        for node, (channel, slot) in self._placement.items():
-            if not 1 <= channel <= self.channels:
-                raise ScheduleError(
-                    f"node {node.label!r} on channel {channel}, "
-                    f"schedule has {self.channels}"
-                )
-            if slot < 1:
-                raise ScheduleError(f"node {node.label!r} at slot {slot} < 1")
-            if (channel, slot) in cells:
-                raise ScheduleError(
-                    f"two nodes share channel {channel} slot {slot}"
-                )
-            cells.add((channel, slot))
-
-        for node in tree_nodes:
-            parent = node.parent
-            if parent is None:
-                continue
-            if self.slot_of(node) <= self.slot_of(parent):
-                raise ScheduleError(
-                    f"child {node.label!r} (slot {self.slot_of(node)}) does "
-                    f"not air after parent {parent.label!r} "
-                    f"(slot {self.slot_of(parent)})"
-                )
+        _validate_placement(self, self.tree.nodes())
 
     # -- rendering -----------------------------------------------------------------
     def to_ascii(self) -> str:
@@ -205,3 +170,47 @@ class BroadcastSchedule:
             f"<BroadcastSchedule channels={self.channels} "
             f"cycle={self.cycle_length} wait={self.data_wait():.3f}>"
         )
+
+
+def _validate_placement(
+    schedule: BroadcastSchedule, tree_nodes: list[Node]
+) -> None:
+    """:meth:`BroadcastSchedule.validate` over the tree's preorder nodes."""
+    placement = schedule._placement
+    if len(placement) != len(tree_nodes):
+        raise ScheduleError(
+            f"placement covers {len(placement)} nodes, "
+            f"tree has {len(tree_nodes)}"
+        )
+    for node in tree_nodes:
+        if node not in placement:  # nodes hash and compare by identity
+            raise ScheduleError(f"node {node.label!r} is not placed")
+
+    channels = schedule.channels
+    cells: set[tuple[int, int]] = set()
+    for node, (channel, slot) in placement.items():
+        if not 1 <= channel <= channels:
+            raise ScheduleError(
+                f"node {node.label!r} on channel {channel}, "
+                f"schedule has {channels}"
+            )
+        if slot < 1:
+            raise ScheduleError(f"node {node.label!r} at slot {slot} < 1")
+        if (channel, slot) in cells:
+            raise ScheduleError(
+                f"two nodes share channel {channel} slot {slot}"
+            )
+        cells.add((channel, slot))
+
+    for node in tree_nodes:
+        parent = node.parent
+        if parent is None:
+            continue
+        slot = placement[node][1]
+        parent_slot = placement[parent][1]
+        if slot <= parent_slot:
+            raise ScheduleError(
+                f"child {node.label!r} (slot {slot}) does "
+                f"not air after parent {parent.label!r} "
+                f"(slot {parent_slot})"
+            )

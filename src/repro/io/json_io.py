@@ -20,9 +20,9 @@ import json
 from pathlib import Path
 from typing import Any
 
-from ..broadcast.schedule import BroadcastSchedule
+from ..broadcast.schedule import BroadcastSchedule, _validate_placement
 from ..exceptions import ReproError
-from ..tree.index_tree import IndexTree
+from ..tree.index_tree import IndexTree, _validate_nodes
 from ..tree.node import DataNode, IndexNode, Node
 
 __all__ = [
@@ -64,30 +64,61 @@ def tree_to_dict(tree: IndexTree) -> dict[str, Any]:
 
 def tree_from_dict(document: dict[str, Any]) -> IndexTree:
     """Rebuild a tree from its serialised form."""
+    return _decode_tree(document)[0]
+
+
+def _decode_tree(document: dict[str, Any]) -> tuple[IndexTree, list[Node]]:
+    """The validated tree of a document, and its nodes in preorder.
+
+    One preorder pass builds the nodes and numbers the index nodes as
+    :meth:`IndexTree.renumber` would; the tree's invariants are then
+    checked over that node list.
+    """
     if (
         not isinstance(document, dict)
         or document.get("format") != "broadcast-alloc/tree"
     ):
         raise PersistenceError("not a broadcast-alloc tree document")
-
-    def decode(node_document: dict[str, Any]) -> Node:
+    nodes: list[Node] = []
+    order = 0
+    # Node documents still to decode, each with the node to attach it
+    # to; children are pushed last-first.
+    pending: list[Any] = [document.get("root")]
+    parents: list[IndexNode | None] = [None]
+    while pending:
+        node_document = pending.pop()
+        parent = parents.pop()
         if not isinstance(node_document, dict):
             raise PersistenceError(
                 f"tree node is not an object: {node_document!r}"
             )
         kind = node_document.get("type")
         if kind == "data":
-            return DataNode(
+            node: Node = DataNode(
                 node_document["label"],
                 node_document["weight"],
-                key=node_document.get("key"),
+                node_document.get("key"),
             )
-        if kind == "index":
-            children = [decode(c) for c in node_document.get("children", [])]
-            return IndexNode(node_document.get("label", ""), children)
-        raise PersistenceError(f"unknown node type {kind!r}")
-
-    return IndexTree(decode(document.get("root")))
+        elif kind == "index":
+            children = node_document.get("children", [])
+            if type(children) is not list:
+                children = list(children)
+            node = IndexNode(node_document.get("label", ""))
+            order += 1
+            node.order = order
+            if not node.label:
+                node.label = str(order)
+            pending += reversed(children)
+            parents += [node] * len(children)
+        else:
+            raise PersistenceError(f"unknown node type {kind!r}")
+        if parent is not None:
+            node.parent = parent
+            parent.children.append(node)
+        nodes.append(node)
+    root = nodes[0]
+    _validate_nodes(root, nodes)
+    return IndexTree(root, renumber=False, validate=False), nodes
 
 
 def schedule_to_dict(schedule: BroadcastSchedule) -> dict[str, Any]:
@@ -109,8 +140,7 @@ def schedule_from_dict(document: dict[str, Any]) -> BroadcastSchedule:
     """Rebuild (and validate) a schedule from its serialised form."""
     if document.get("format") != "broadcast-alloc/schedule":
         raise PersistenceError("not a broadcast-alloc schedule document")
-    tree = tree_from_dict(document["tree"])
-    nodes = tree.nodes()
+    tree, nodes = _decode_tree(document["tree"])
     placement_rows = document["placement"]
     if len(placement_rows) != len(nodes):
         raise PersistenceError(
@@ -120,9 +150,11 @@ def schedule_from_dict(document: dict[str, Any]) -> BroadcastSchedule:
         node: (int(channel), int(slot))
         for node, (channel, slot) in zip(nodes, placement_rows)
     }
-    return BroadcastSchedule(
-        tree, placement, channels=int(document["channels"])
+    schedule = BroadcastSchedule(
+        tree, placement, channels=int(document["channels"]), validate=False
     )
+    _validate_placement(schedule, nodes)
+    return schedule
 
 
 def save_schedule(schedule: BroadcastSchedule, path: str | Path) -> None:

@@ -136,9 +136,13 @@ def _subtree_max_keys(root: Node) -> dict[Node, str]:
     best: dict[Node, str] = {}
     for node in reversed(order):
         if isinstance(node, DataNode):
-            best[node] = str(node.key) if node.key is not None else node.label
+            key = node.key
+            best[node] = node.label if key is None else str(key)
         else:
-            best[node] = max((best[child] for child in node.children), default="")
+            children = node.children
+            best[node] = (
+                max([best[child] for child in children]) if children else ""
+            )
     return best
 
 
@@ -151,54 +155,62 @@ def encode_bucket(bucket, bucket_size: int = DEFAULT_BUCKET_SIZE) -> bytes:
     return _encode_bucket(bucket, bucket_size, max_keys)
 
 
+_HEAD = struct.Struct(">BI")  # version marker, CRC-32
+_FIELDS = struct.Struct(">BHB")  # type, next-cycle offset, label length
+_COUNT = struct.Struct(">B")  # pointer count
+_POINTER = struct.Struct(">BHB")  # channel, offset, key length
+_PAYLOAD = struct.Struct(">H")  # payload length
+
+
 def _encode_bucket(bucket, bucket_size: int, max_keys: dict[Node, str]) -> bytes:
     """:func:`encode_bucket`, with each child's largest key looked up."""
-    next_offset = (
-        bucket.next_cycle_pointer.offset if bucket.next_cycle_pointer else 0
-    )
+    next_pointer = bucket.next_cycle_pointer
+    next_offset = next_pointer.offset if next_pointer else 0
     if not 0 <= next_offset <= 0xFFFF:
         raise WireFormatError(f"next-cycle offset {next_offset} out of range")
 
-    if bucket.node is None:
-        body = b""
-        kind = _TYPE_EMPTY
-        label = b""
+    node = bucket.node
+    if node is None:
+        content = _FIELDS.pack(_TYPE_EMPTY, next_offset, 0)
     else:
-        label = bucket.node.label.encode()
+        label = node.label.encode()
         if len(label) > 255:
             raise WireFormatError("label longer than 255 bytes")
-        if isinstance(bucket.node, IndexNode):
-            kind = _TYPE_INDEX
-            parts = [struct.pack(">B", len(bucket.child_pointers))]
-            for pointer, child in zip(
-                bucket.child_pointers, bucket.node.children
-            ):
+        # A frame is short: concatenation is cheaper than a join.
+        if isinstance(node, IndexNode):
+            pointers = bucket.child_pointers
+            content = (
+                _FIELDS.pack(_TYPE_INDEX, next_offset, len(label))
+                + label
+                + _COUNT.pack(len(pointers))
+            )
+            for pointer, child in zip(pointers, node.children):
                 key = max_keys[child].encode()
                 if len(key) > 255:
                     raise WireFormatError("routing key longer than 255 bytes")
-                if not 0 < pointer.offset <= 0xFFFF:
+                offset = pointer.offset
+                if not 0 < offset <= 0xFFFF:
                     raise WireFormatError(
-                        f"child offset {pointer.offset} out of range"
+                        f"child offset {offset} out of range"
                     )
-                parts.append(
-                    struct.pack(">BHB", pointer.channel, pointer.offset, len(key))
-                    + key
-                )
-            body = b"".join(parts)
+                content += _POINTER.pack(pointer.channel, offset, len(key)) + key
         else:
-            kind = _TYPE_DATA
-            payload = f"item:{bucket.node.label}".encode()
-            body = struct.pack(">H", len(payload)) + payload
+            content = (
+                _FIELDS.pack(_TYPE_DATA, next_offset, len(label))
+                + label
+                + _PAYLOAD.pack(len(label) + 5)
+                + b"item:"
+                + label
+            )
 
-    content = struct.pack(">BHB", kind, next_offset, len(label)) + label + body
     if _V1_HEADER + len(content) > bucket_size:
         raise WireFormatError(
             f"bucket content ({_V1_HEADER + len(content)} bytes) exceeds the "
             f"{bucket_size}-byte frame; lower the tree fanout or raise "
             "the bucket size"
         )
-    padded = content + b"\x00" * (bucket_size - _V1_HEADER - len(content))
-    return struct.pack(">BI", _MAGIC_V1, zlib.crc32(padded)) + padded
+    padded = content.ljust(bucket_size - _V1_HEADER, b"\x00")
+    return _HEAD.pack(_MAGIC_V1, zlib.crc32(padded)) + padded
 
 
 #: Distinct frames whose parse :func:`decode_bucket` keeps: every frame
@@ -355,12 +367,23 @@ def _decode_body(frame: bytes) -> DecodedBucket:
 def encode_program(
     program: BroadcastProgram, bucket_size: int = DEFAULT_BUCKET_SIZE
 ) -> list[list[bytes]]:
-    """Serialise a whole cycle: ``frames[channel-1][slot-1]``."""
-    max_keys = _subtree_max_keys(program.schedule.tree.root)
-    return [
-        [_encode_bucket(bucket, bucket_size, max_keys) for bucket in row]
-        for row in program.buckets
-    ]
+    """Serialise a whole cycle: ``frames[channel-1][slot-1]``.
+
+    The frames are cached on the program per bucket size, keyed to its
+    ``buckets`` grid by identity, as
+    :meth:`~repro.planners.PlanResult.compile` caches the program: a
+    station and a replan that air the same program encode it once.
+    Each call returns lists of its own.
+    """
+    cached = program._frames.get(bucket_size)
+    if cached is None or cached[0] is not program.buckets:
+        max_keys = _subtree_max_keys(program.schedule.tree.root)
+        frames = [
+            [_encode_bucket(bucket, bucket_size, max_keys) for bucket in row]
+            for row in program.buckets
+        ]
+        cached = program._frames[bucket_size] = (program.buckets, frames)
+    return [list(row) for row in cached[1]]
 
 
 def decode_cycle(frames: list[list[bytes]]) -> list[list[DecodedBucket]]:

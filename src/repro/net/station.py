@@ -199,6 +199,19 @@ class BroadcastStation:
         self.transport = transport
         self.queue_limit = queue_limit
         self.perf = perf if perf is not None else PerfRecorder()
+        # Every field is fixed for the station's lifetime, so every
+        # connection is greeted with the same bytes.
+        self._welcome = (
+            json.dumps(
+                {
+                    "cycle_length": self.cycle_length,
+                    "channels": self.channels,
+                    "bucket_size": self.bucket_size,
+                    "slot_duration": self.clock.slot_duration,
+                }
+            ).encode()
+            + b"\n"
+        )
 
         self._server: asyncio.base_events.Server | None = None
         self._datagram: asyncio.DatagramTransport | None = None
@@ -411,17 +424,7 @@ class BroadcastStation:
 
     def welcome(self) -> bytes:
         """The one-line JSON metadata greeting new TCP connections."""
-        return (
-            json.dumps(
-                {
-                    "cycle_length": self.cycle_length,
-                    "channels": self.channels,
-                    "bucket_size": self.bucket_size,
-                    "slot_duration": self.clock.slot_duration,
-                }
-            ).encode()
-            + b"\n"
-        )
+        return self._welcome
 
     # -- TCP fan-out --------------------------------------------------------
     def _parse_control(self, line: bytes) -> tuple[int, int] | str | None:

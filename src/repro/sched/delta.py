@@ -32,11 +32,14 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
+from ..broadcast.schedule import BroadcastSchedule
 from ..exceptions import ReproError
-from ..io.json_io import schedule_from_dict, schedule_to_dict
+from ..io.json_io import schedule_from_dict
 from ..planners import PlanResult
+from ..tree.node import IndexNode, Node
 
 __all__ = [
     "PLAN_FORMAT",
@@ -69,20 +72,20 @@ def _scalarize(value: Any):
     )
 
 
-def canonical_bytes(doc: Any) -> bytes:
-    """The one byte sequence of a document: sorted keys, no whitespace.
+#: ``allow_nan=False`` because ``NaN``/``Infinity`` are not JSON — a
+#: document containing them could never round-trip through the store.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True,
+    separators=(",", ":"),
+    ensure_ascii=True,
+    allow_nan=False,
+    default=_scalarize,
+)
 
-    ``allow_nan=False`` because ``NaN``/``Infinity`` are not JSON — a
-    document containing them could never round-trip through the store.
-    """
-    return json.dumps(
-        doc,
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
-        allow_nan=False,
-        default=_scalarize,
-    ).encode()
+
+def canonical_bytes(doc: Any) -> bytes:
+    """The one byte sequence of a document: sorted keys, no whitespace."""
+    return _CANONICAL.encode(doc).encode()
 
 
 def content_id(doc: Any) -> str:
@@ -93,20 +96,80 @@ def content_id(doc: Any) -> str:
 def plan_bytes(result: PlanResult) -> bytes:
     """The canonical bytes of a :class:`~repro.planners.PlanResult`'s document.
 
-    The document is serialised once. ``stats`` is the one free-form
-    part, so it alone goes through ``json`` first: a key that is not a
-    string sorts as a string only after that round trip. The rest of
-    the document has string keys only, so these bytes equal
+    The schedule is written straight to canonical JSON in one preorder
+    pass (:func:`_schedule_text`), with no document built first.
+    ``stats`` is the one free-form part, so it alone goes through
+    ``json`` first: a key that is not a string sorts as a string only
+    after that round trip. These bytes equal
     ``canonical_bytes(plan_to_doc(result))``.
     """
-    return canonical_bytes({
-        "format": PLAN_FORMAT,
-        "version": 1,
-        "schedule": schedule_to_dict(result.schedule),
-        "cost": result.cost,
-        "method": result.method,
-        "stats": json.loads(canonical_bytes(result.stats)),
-    })
+    stats = canonical_bytes(json.loads(canonical_bytes(result.stats)))
+    return "".join((
+        '{"cost":', _json(result.cost),
+        ',"format":"', PLAN_FORMAT, '","method":', _json(result.method),
+        ',"schedule":', _schedule_text(result.schedule),
+        ',"stats":', stats.decode(),
+        ',"version":1}',
+    )).encode()
+
+
+def _json(value: Any) -> str:
+    """One value as canonical JSON text."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float and value - value == 0:  # finite
+        return float.__repr__(value)
+    return _CANONICAL.encode(value)
+
+
+def _schedule_text(schedule: BroadcastSchedule) -> str:
+    """``canonical_bytes(schedule_to_dict(schedule))``, as text, in one pass.
+
+    Keys are written in sorted order. A string, a finite float and a
+    pair of ints are written as ``json`` writes them; every other value
+    goes through the canonical encoder, so it is written, or refused,
+    exactly as :func:`canonical_bytes` would.
+    """
+    placement = schedule._placement
+    rows: list[str] = []
+    parts: list[str] = []
+    row = rows.append
+    part = parts.append
+
+    def write(node: Node) -> None:
+        channel, slot = cell = placement[node]
+        if type(channel) is int and type(slot) is int:
+            row(f"[{channel},{slot}]")
+        else:
+            row(_json(cell))
+        label = _json(node.label)
+        if isinstance(node, IndexNode):
+            part('{"children":[')
+            for index, child in enumerate(node.children):
+                if index:
+                    part(",")
+                write(child)
+            part(f'],"label":{label},"type":"index"}}')
+            return
+        weight = _json(node.weight)
+        if node.key is None:
+            part(f'{{"label":{label},"type":"data","weight":{weight}}}')
+        else:
+            part(
+                f'{{"key":{_json(node.key)},"label":{label},'
+                f'"type":"data","weight":{weight}}}'
+            )
+
+    write(schedule.tree.root)
+    return "".join((
+        f'{{"channels":{_json(schedule.channels)},'
+        '"format":"broadcast-alloc/schedule","placement":[',
+        ",".join(rows),
+        '],"tree":{"format":"broadcast-alloc/tree","root":',
+        "".join(parts),
+        ',"version":1},"version":1}',
+    ))
 
 
 def plan_to_doc(result: PlanResult) -> dict:
@@ -173,7 +236,7 @@ def delta(
     """
     differ = _Differ(limit)
     try:
-        differ.diff(base, target, [], 1)
+        differ.diff(base, target, 1)
     except _OverLimit:
         return None
     return differ.ops
@@ -215,16 +278,23 @@ def _floor(value: Any) -> int:
     return 1
 
 
+#: Exact types of the JSON scalars: a pair of them is compared in
+#: place, with no call.
+_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
 class _Differ:
     """One :func:`delta` call: the ops so far and a floor on their size.
 
-    ``diff`` carries ``size``, a floor on the bytes ``path`` takes as
-    canonical JSON (one short of "[]" for the empty path): each step
-    adds its own floor plus a separator, and the brackets stand in for
-    the first step's separator.
+    ``path`` is the path of the node being diffed, extended and
+    shortened in place; an op copies it only when emitted. ``diff``
+    carries ``size``, a floor on the bytes ``path`` takes as canonical
+    JSON (one short of "[]" for the empty path): each step adds its own
+    floor plus a separator, and the brackets stand in for the first
+    step's separator.
     """
 
-    __slots__ = ("ops", "floor", "limit")
+    __slots__ = ("ops", "floor", "limit", "path")
 
     def __init__(self, limit: int | None) -> None:
         self.ops: list[dict] = []
@@ -232,6 +302,7 @@ class _Differ:
         # does not take.
         self.floor = 1
         self.limit = limit
+        self.path: list = []
 
     def emit(self, op: dict, floor: int) -> None:
         self.ops.append(op)
@@ -240,11 +311,31 @@ class _Differ:
             if self.floor >= self.limit:
                 raise _OverLimit
 
-    def diff(self, a: Any, b: Any, path: list, size: int) -> None:
+    def set_leaf(self, step: Any, value: Any, size: int) -> None:
+        """:meth:`emit` the op setting scalar ``value`` at ``path + [step]``.
+
+        ``size`` is the floor of that path. The scalar's floor is
+        :func:`_floor`'s, inlined.
+        """
+        self.ops.append(
+            {"op": "set", "path": [*self.path, step], "value": value}
+        )
+        if self.limit is not None:
+            kind = type(value)
+            self.floor += _SET_FRAME + 1 + (size if size > 2 else 2) + (
+                len(repr(value)) if kind is int or kind is float
+                else len(value) + 2 if kind is str
+                else 4
+            )
+            if self.floor >= self.limit:
+                raise _OverLimit
+
+    def diff(self, a: Any, b: Any, size: int) -> None:
+        path = self.path
         if isinstance(a, dict) and isinstance(b, dict):
-            for key in sorted(a.keys() - b.keys()):
+            for key in sorted([key for key in a if key not in b]):
                 self.emit(
-                    {"op": "del", "path": path + [key]},
+                    {"op": "del", "path": [*path, key]},
                     _DEL_FRAME + max(2, size + _floor(key) + 1),
                 )
             for key in sorted(b):
@@ -252,24 +343,43 @@ class _Differ:
                 step = size + (
                     len(key) + 3 if type(key) is str else _floor(key) + 1
                 )
-                if key in a:
-                    self.diff(a[key], b[key], path + [key], step)
-                else:
+                if key not in a:
                     value = b[key]
                     self.emit(
-                        {"op": "set", "path": path + [key], "value": value},
+                        {"op": "set", "path": [*path, key], "value": value},
                         _SET_FRAME + max(2, step) + _floor(value),
                     )
+                    continue
+                x, y = a[key], b[key]
+                kind = type(x)
+                if kind in _LEAVES and type(y) in _LEAVES:
+                    # Two scalars, as below, without the call.
+                    if kind is type(y) and x == y and (
+                        kind is not float or repr(x) == repr(y)
+                    ):
+                        continue
+                    self.set_leaf(key, y, step)
+                    continue
+                path.append(key)
+                self.diff(x, y, step)
+                path.pop()
             return
-        if (
-            isinstance(a, list)
-            and isinstance(b, list)
-            and not isinstance(a, str)
-            and not isinstance(b, str)
-        ):
+        if isinstance(a, list) and isinstance(b, list):
             common = min(len(a), len(b))
+            step = size + 2
             for index in range(common):
-                self.diff(a[index], b[index], path + [index], size + 2)
+                x, y = a[index], b[index]
+                kind = type(x)
+                if kind in _LEAVES and type(y) in _LEAVES:
+                    if kind is type(y) and x == y and (
+                        kind is not float or repr(x) == repr(y)
+                    ):
+                        continue
+                    self.set_leaf(index, y, step)
+                    continue
+                path.append(index)
+                self.diff(x, y, step)
+                path.pop()
             if len(b) > len(a):
                 values = b[common:]
                 self.emit(
@@ -282,8 +392,8 @@ class _Differ:
                     _TRIM_FRAME + max(2, size) + _floor(len(b)),
                 )
             return
-        # Scalars (or mismatched containers). ``type`` must agree as well
-        # as value: bool/int and int/float cross-compare equal in Python
+        # Scalars, or mismatched containers: ``type`` must agree as well
+        # as value. bool/int and int/float cross-compare equal in Python
         # but serialise differently, which would break byte-exactness.
         # The same trap hides inside float equality itself (-0.0 == 0.0
         # but they serialise as "-0.0" and "0.0"), hence the repr check.

@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..exceptions import ReproError
@@ -63,6 +64,9 @@ from .delta import (
 __all__ = ["StoreError", "VersionRecord", "ScheduleStore"]
 
 _LOG_NAME = "log.jsonl"
+#: Bytes of the log a store keeps from its last read, to tell an
+#: append from a rewrite.
+_LOG_TAIL = 256
 _OBJECTS_DIR = "objects"
 _STATE_NAME = "state.json"
 
@@ -120,6 +124,50 @@ class VersionRecord:
             raise StoreError(f"malformed log record {record!r}") from error
 
 
+@dataclass
+class _LogCursor:
+    """How much of the log a store has parsed, and what it held."""
+
+    file: tuple[int, int] | None = None  # (st_dev, st_ino)
+    offset: int = 0  # bytes parsed, always whole lines
+    lines: int = 0  # lines in those bytes, blank ones too
+    records: list[VersionRecord] = field(default_factory=list)
+    last: bytes = b""  # the final bytes parsed, to spot a rewrite
+    mtime_ns: int = -1
+
+
+def _parse_log(
+    data: bytes, lines: int, records: list[VersionRecord]
+) -> tuple[list[VersionRecord], int]:
+    """``records`` and those of the log text ``data``, and its line count.
+
+    ``data`` starts after line ``lines`` of the log, whose records are
+    ``records``. Lines split as a text-mode file splits them.
+    """
+    records = list(records)
+    number = lines
+    text = io.StringIO(data.decode("utf-8"), newline=None)
+    for number, line in enumerate(text, start=lines + 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as error:
+            raise StoreError(
+                f"log line {number} is not JSON: {error}"
+            ) from error
+        record = VersionRecord.from_dict(raw)
+        expected = len(records) + 1
+        if record.version != expected:
+            raise StoreError(
+                f"log line {number} has version {record.version}, "
+                f"expected {expected} (append-only, contiguous)"
+            )
+        records.append(record)
+    return records, number
+
+
 class ScheduleStore:
     """Durable versioned plans under one directory.
 
@@ -170,43 +218,66 @@ class ScheduleStore:
         self.recorder = flight_recorder
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / _OBJECTS_DIR).mkdir(exist_ok=True)
+        self._log_path = self.root / _LOG_NAME
         # Verified documents by version, least recently used first.
         self._doc_cache: dict[int, dict] = {}
+        self._log = _LogCursor()
         self._read_log()  # validate eagerly: a corrupt log fails open()
 
     # -- the log -------------------------------------------------------------
-    @property
-    def _log_path(self) -> Path:
-        return self.root / _LOG_NAME
+    def _read_log(self, *, full: bool = False) -> list[VersionRecord]:
+        """Every logged version record; callers must not mutate the list.
 
-    def _read_log(self) -> list[VersionRecord]:
-        records: list[VersionRecord] = []
-        if not self._log_path.exists():
-            return records
-        with open(self._log_path, encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError as error:
-                    raise StoreError(
-                        f"log line {number} is not JSON: {error}"
-                    ) from error
-                record = VersionRecord.from_dict(raw)
-                expected = len(records) + 1
-                if record.version != expected:
-                    raise StoreError(
-                        f"log line {number} has version {record.version}, "
-                        f"expected {expected} (append-only, contiguous)"
-                    )
-                records.append(record)
-        return records
+        Lines already parsed are kept, so a call parses only the bytes
+        appended since the last one: this handle's publishes and any
+        other handle's or process's. The whole log is parsed again when
+        ``full`` is set, or when the file was replaced, shrank, or no
+        longer has the bytes the last read ended with where that read
+        ended. A final line with no newline yet is parsed on every
+        call, and kept by none.
+        """
+        try:
+            stat = os.stat(self._log_path)
+        except FileNotFoundError:
+            self._log = _LogCursor()
+            return self._log.records
+        cursor = self._log
+        file = (stat.st_dev, stat.st_ino)
+        if full or file != cursor.file or stat.st_size < cursor.offset:
+            cursor = _LogCursor(file)
+        elif (
+            stat.st_size == cursor.offset
+            and stat.st_mtime_ns == cursor.mtime_ns
+        ):
+            return cursor.records
+        with open(self._log_path, "rb") as handle:
+            handle.seek(cursor.offset - len(cursor.last))
+            data = handle.read()
+            if data.startswith(cursor.last):
+                data = data[len(cursor.last):]
+            else:  # rewritten in place
+                cursor = _LogCursor(file)
+                handle.seek(0)
+                data = handle.read()
+        end = data.rfind(b"\n") + 1
+        if end:
+            records, lines = _parse_log(data[:end], cursor.lines, cursor.records)
+            cursor = _LogCursor(
+                file,
+                cursor.offset + end,
+                lines,
+                records,
+                (cursor.last + data[:end])[-_LOG_TAIL:],
+            )
+        cursor.mtime_ns = stat.st_mtime_ns
+        self._log = cursor
+        if end == len(data):
+            return cursor.records
+        return _parse_log(data[end:], cursor.lines, cursor.records)[0]
 
     def versions(self) -> list[VersionRecord]:
-        """Every published version, oldest first (re-read from disk)."""
-        return self._read_log()
+        """Every published version, oldest first (as the log holds now)."""
+        return list(self._read_log())
 
     @property
     def head(self) -> VersionRecord | None:
@@ -230,9 +301,17 @@ class ScheduleStore:
         path = self._object_path(object_id)
         if path.exists():
             return  # content-addressed: same id is the same bytes
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
+        # A temp file of this writer's own: two processes may write the
+        # same object at once, and each must rename only its own bytes.
+        tmp = path.with_name(f"{object_id}.{os.urandom(8).hex()}.tmp")
+        handle = open(tmp, "xb")
+        try:
+            with handle:
+                handle.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)  # a failed write leaves no temp file
+            raise
 
     def _read_object(self, object_id: str) -> dict:
         path = self._object_path(object_id)
@@ -327,9 +406,7 @@ class ScheduleStore:
                 delta_id=did,
                 note=note,
             )
-        with open(self._log_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-            handle.flush()
+        self._append_log(record)
         self._remember(version, doc)
         self.perf.count("sched.publishes")
         if self._spans is not None and trace is not None:
@@ -347,6 +424,33 @@ class ScheduleStore:
                 ),
             )
         return record
+
+    def _append_log(self, record: VersionRecord) -> None:
+        """Append ``record`` to the log.
+
+        When the log held just what the last read parsed, the record
+        joins the parsed log too, so the next read has nothing to parse.
+        """
+        line = (json.dumps(record.to_dict(), sort_keys=True) + "\n").encode()
+        with open(self._log_path, "ab") as handle:
+            start = handle.tell()
+            handle.write(line)
+            handle.flush()
+            stat = os.fstat(handle.fileno())
+        cursor = self._log
+        if (
+            (stat.st_dev, stat.st_ino) == cursor.file
+            and start == cursor.offset
+            and stat.st_size == start + len(line)
+        ):
+            self._log = _LogCursor(
+                cursor.file,
+                stat.st_size,
+                cursor.lines + 1,
+                [*cursor.records, record],
+                (cursor.last + line)[-_LOG_TAIL:],
+                stat.st_mtime_ns,
+            )
 
     def _smaller_delta(
         self, records: list[VersionRecord], cid: str, doc: dict, size: int
@@ -514,7 +618,7 @@ class ScheduleStore:
 
     def verify(self) -> int:
         """Integrity-check every version; returns how many were checked."""
-        records = self._read_log()
+        records = self._read_log(full=True)
         self._doc_cache.clear()
         for record in records:
             self._reconstruct(records, record.version)

@@ -13,7 +13,7 @@ paper's Personnel Assignment transformation does.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ..exceptions import TreeError
 from .node import DataNode, IndexNode, Node
@@ -67,15 +67,22 @@ class IndexTree:
 
     def nodes(self) -> list[Node]:
         """All nodes in preorder, as a list."""
-        return list(self.preorder())
+        result: list[Node] = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            result.append(node)
+            if isinstance(node, IndexNode):
+                stack.extend(reversed(node.children))
+        return result
 
     def index_nodes(self) -> list[IndexNode]:
         """All index nodes in preorder."""
-        return [n for n in self.preorder() if isinstance(n, IndexNode)]
+        return [n for n in self.nodes() if isinstance(n, IndexNode)]
 
     def data_nodes(self) -> list[DataNode]:
         """All data nodes in preorder (left-to-right leaf order)."""
-        return [n for n in self.preorder() if isinstance(n, DataNode)]
+        return [n for n in self.nodes() if isinstance(n, DataNode)]
 
     def levels(self) -> list[list[Node]]:
         """Nodes grouped by depth: ``levels()[0]`` is ``[root]``."""
@@ -147,12 +154,15 @@ class IndexTree:
         matching the paper's figures.
         """
         counter = 0
-        for node in self.preorder():
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             if isinstance(node, IndexNode):
                 counter += 1
                 node.order = counter
                 if not node.label:
                     node.label = str(counter)
+                stack.extend(reversed(node.children))
 
     def find(self, label: str) -> Node:
         """Return the first preorder node with the given ``label``.
@@ -173,35 +183,8 @@ class IndexTree:
         have at least one child, data nodes are leaves with non-negative
         weight, and index-node order numbers are unique.
         """
-        if self.root.parent is not None:
-            raise TreeError("root must not have a parent")
-        seen: set[int] = set()
-        orders: set[int] = set()
-        for node in self.preorder():
-            if id(node) in seen:
-                raise TreeError(f"node {node.label!r} reachable more than once")
-            seen.add(id(node))
-            if isinstance(node, IndexNode):
-                if not node.children:
-                    raise TreeError(f"index node {node.label!r} has no children")
-                if node.order:
-                    if node.order in orders:
-                        raise TreeError(
-                            f"duplicate index order number {node.order}"
-                        )
-                    orders.add(node.order)
-                for child in node.children:
-                    if child.parent is not node:
-                        raise TreeError(
-                            f"child {child.label!r} has inconsistent parent pointer"
-                        )
-            elif isinstance(node, DataNode):
-                if node.weight < 0:
-                    raise TreeError(
-                        f"data node {node.label!r} has negative weight"
-                    )
-            else:  # pragma: no cover - defensive
-                raise TreeError(f"unknown node type: {type(node)!r}")
+        # Lazily: a cycle must fail at its first repeat, not grow a list.
+        _validate_nodes(self.root, self.preorder())
 
     # -- transformation ------------------------------------------------------------
     def clone(self) -> "IndexTree":
@@ -259,3 +242,37 @@ class IndexTree:
             f"<IndexTree depth={self.depth()} "
             f"index={len(self.index_nodes())} data={len(self.data_nodes())}>"
         )
+
+
+def _validate_nodes(root: Node, nodes: Iterable[Node]) -> None:
+    """:meth:`IndexTree.validate` over ``root``'s nodes in preorder."""
+    if root.parent is not None:
+        raise TreeError("root must not have a parent")
+    seen: set[int] = set()
+    orders: set[int] = set()
+    for node in nodes:
+        ident = id(node)
+        if ident in seen:
+            raise TreeError(f"node {node.label!r} reachable more than once")
+        seen.add(ident)
+        if isinstance(node, IndexNode):
+            children = node.children
+            if not children:
+                raise TreeError(f"index node {node.label!r} has no children")
+            order = node.order
+            if order:
+                if order in orders:
+                    raise TreeError(f"duplicate index order number {order}")
+                orders.add(order)
+            for child in children:
+                if child.parent is not node:
+                    raise TreeError(
+                        f"child {child.label!r} has inconsistent parent pointer"
+                    )
+        elif isinstance(node, DataNode):
+            if node.weight < 0:
+                raise TreeError(
+                    f"data node {node.label!r} has negative weight"
+                )
+        else:  # pragma: no cover - defensive
+            raise TreeError(f"unknown node type: {type(node)!r}")

@@ -8,10 +8,10 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.broadcast.pointers import compile_program
+from repro.broadcast.pointers import BroadcastProgram, compile_program
 from repro.core.optimal import solve
+from repro.io import wire
 from repro.io.wire import (
-    DEFAULT_BUCKET_SIZE,
     WireFormatError,
     decode_bucket,
     decode_cycle,
@@ -80,6 +80,55 @@ class TestEncodeDecode:
         root = decoded[root_channel - 1][root_slot - 1]
         # Root children: subtree {A,B} -> max 'B'; subtree {C,D,E} -> 'E'.
         assert [p.key_hi for p in root.pointers] == ["B", "E"]
+
+
+class TestEncodeCache:
+    """``encode_program`` encodes a program once per bucket size."""
+
+    @staticmethod
+    def count_encodes(monkeypatch) -> list:
+        calls = []
+        real = wire._encode_bucket
+
+        def counted(bucket, bucket_size, max_keys):
+            calls.append(bucket_size)
+            return real(bucket, bucket_size, max_keys)
+
+        monkeypatch.setattr(wire, "_encode_bucket", counted)
+        return calls
+
+    def test_a_second_call_encodes_nothing(self, program, monkeypatch):
+        calls = self.count_encodes(monkeypatch)
+        first = encode_program(program)
+        cells = len(calls)
+        assert cells == program.channels * program.cycle_length
+        assert encode_program(program) == first
+        assert len(calls) == cells
+        # Another bucket size is another encoding, cached on its own.
+        assert encode_program(program, bucket_size=80) != first
+        assert encode_program(program, bucket_size=80)
+        assert len(calls) == 2 * cells
+
+    def test_callers_get_lists_of_their_own(self, program):
+        frames = encode_program(program)
+        expected = [list(row) for row in frames]
+        frames[0][0] = b"tampered"
+        frames.pop()
+        assert encode_program(program) == expected
+
+    def test_a_new_grid_is_encoded_again(self, program, monkeypatch):
+        frames = encode_program(program)
+        calls = self.count_encodes(monkeypatch)
+        program.buckets = compile_program(program.schedule).buckets
+        assert encode_program(program) == frames
+        assert len(calls) == program.channels * program.cycle_length
+
+    def test_programs_do_not_share_a_cache(self, program, monkeypatch):
+        encode_program(program)
+        calls = self.count_encodes(monkeypatch)
+        twin = BroadcastProgram(program.schedule, program.buckets)
+        assert encode_program(twin) == encode_program(program)
+        assert len(calls) == program.channels * program.cycle_length
 
 
 class TestSizeConstraints:

@@ -7,8 +7,10 @@ import json
 
 import pytest
 
+from repro.broadcast.pointers import BroadcastProgram
 from repro.client.protocol import object_walk
 from repro.faults import FaultConfig
+from repro.io import wire
 from repro.io.wire import FrameStreamDecoder, decode_bucket
 from repro.net import BroadcastStation, TunerClient, build_demo_program
 from repro.perf import PerfRecorder
@@ -35,6 +37,31 @@ class TestConstruction:
     def test_rejects_bad_queue_limit(self, program):
         with pytest.raises(ValueError, match="queue_limit"):
             BroadcastStation(program, queue_limit=0)
+
+    def test_welcome_is_built_once(self, program):
+        station = BroadcastStation(program, bucket_size=80, slot_duration=0.5)
+        assert station.welcome() is station.welcome()
+        assert station.welcome() == json.dumps({
+            "cycle_length": program.cycle_length,
+            "channels": program.channels,
+            "bucket_size": 80,
+            "slot_duration": 0.5,
+        }).encode() + b"\n"
+
+    def test_stations_on_one_program_encode_it_once(self, program, monkeypatch):
+        calls = []
+        real = wire._encode_bucket
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(wire, "_encode_bucket", counted)
+        fresh = BroadcastProgram(program.schedule, program.buckets)
+        stations = [BroadcastStation(fresh) for _ in range(3)]
+        stations[0].publish(fresh, version=2, activate_at_slot=1 + fresh.cycle_length)
+        assert len(calls) == fresh.channels * fresh.cycle_length
+        assert all(s.frames == stations[0].frames for s in stations)
 
 
 class TestAiring:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -21,6 +23,7 @@ from repro.sched import (
     plan_to_doc,
 )
 from repro.sched import store as store_module
+from repro.sched.delta import plan_bytes
 from repro.workloads.weights import zipf_weights
 
 
@@ -386,3 +389,155 @@ class TestDocumentCache:
             tracemalloc.stop()
         assert len(store.versions()) == 30
         assert retained < 3 * doc_bytes, (retained, doc_bytes)
+
+
+class TestLogReads:
+    """The log is parsed once; a call parses only what was appended."""
+
+    @staticmethod
+    def count_parsed(monkeypatch) -> list[bytes]:
+        parsed = []
+        real = store_module._parse_log
+
+        def counted(data, lines, records):
+            parsed.append(data)
+            return real(data, lines, records)
+
+        monkeypatch.setattr(store_module, "_parse_log", counted)
+        return parsed
+
+    def test_a_call_parses_only_new_lines(self, tmp_path, nudged, monkeypatch):
+        store = ScheduleStore(tmp_path)
+        for plan in nudged[:4]:
+            store.publish(plan)
+        parsed = self.count_parsed(monkeypatch)
+        assert store.head.version == 4
+        assert [r.version for r in store.versions()] == [1, 2, 3, 4]
+        store.load(2)
+        store.publish(nudged[4])  # its own line needs no parse
+        assert store.head.version == 5
+        assert parsed == []
+        other = ScheduleStore(tmp_path)
+        other.publish(nudged[0])
+        parsed.clear()
+        assert store.head.version == 6
+        log = (store.root / "log.jsonl").read_bytes()
+        assert parsed == [log[log.rindex(b"\n", 0, -1) + 1:]]
+
+    def test_another_handles_appends_are_seen(self, tmp_path, plans):
+        first = ScheduleStore(tmp_path)
+        first.publish(plans[0])
+        second = ScheduleStore(tmp_path)
+        second.publish(plans[1])
+        assert first.head.version == 2
+        record = first.publish(plans[2])
+        assert (record.version, record.parent) == (3, 2)
+        assert [r.version for r in second.versions()] == [1, 2, 3]
+
+    def test_a_replaced_or_shorter_log_is_read_again(self, tmp_path, plans):
+        store = ScheduleStore(tmp_path)
+        for plan in plans:
+            store.publish(plan)
+        log = store.root / "log.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
+        replacement = tmp_path / "log.new"
+        replacement.write_text("".join(lines[:2]))
+        os.replace(replacement, log)
+        assert store.head.version == 2
+        log.write_text(lines[0])  # shrunk in place
+        assert store.head.version == 1
+
+    def test_a_rewrite_in_place_is_read_again(self, tmp_path, plans):
+        store = ScheduleStore(tmp_path)
+        for plan in plans[:2]:
+            store.publish(plan, note="aaaa")
+        log = store.root / "log.jsonl"
+        assert store.head.note == "aaaa"
+        log.write_text(log.read_text().replace("aaaa", "bbbb"))
+        assert store.head.note == "bbbb"
+        # A longer rewrite that moves the bytes the last read ended with.
+        log.write_text(log.read_text().replace("bbbb", "cccccc"))
+        assert [r.note for r in store.versions()] == ["cccccc", "cccccc"]
+
+    def test_an_unfinished_line_is_parsed_but_not_kept(self, tmp_path, plans):
+        store = ScheduleStore(tmp_path)
+        store.publish(plans[0])
+        line = json.dumps(store.record(1).to_dict() | {"version": 2}) + "\n"
+        log = store.root / "log.jsonl"
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(line[:10])
+        for _ in range(2):
+            with pytest.raises(StoreError, match="log line 2 is not JSON"):
+                store.head
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(line[10:-1])
+        assert store.head.version == 2  # whole, if not yet terminated
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write("\n")
+        assert store.head.version == 2
+        assert store.publish(plans[1]).version == 3
+
+    def test_a_bad_line_fails_every_call(self, tmp_path, plans):
+        store = ScheduleStore(tmp_path)
+        store.publish(plans[0])
+        with open(store.root / "log.jsonl", "a", encoding="utf-8") as handle:
+            handle.write("\n{oops\n")
+        for _ in range(2):
+            with pytest.raises(StoreError, match="log line 3 is not JSON"):
+                store.versions()
+
+    def test_verify_parses_the_whole_log(self, tmp_path, plans, monkeypatch):
+        store = ScheduleStore(tmp_path)
+        for plan in plans:
+            store.publish(plan)
+        parsed = self.count_parsed(monkeypatch)
+        assert store.verify() == 3
+        assert parsed == [(store.root / "log.jsonl").read_bytes()]
+
+
+class TestObjectWrites:
+    def test_two_writers_of_one_object_interleave(
+        self, tmp_path, plans, monkeypatch
+    ):
+        """Each writer renames its own temp file, whatever the order.
+
+        The first writer's rename is held back until a second writer,
+        in another handle, has written and renamed the same object.
+        """
+        first = ScheduleStore(tmp_path)
+        second = ScheduleStore(tmp_path)
+        payload = plan_bytes(plans[0])
+        object_id = hashlib.sha256(payload).hexdigest()
+        real = os.replace
+        held = []
+
+        def interleaved(source, target):
+            if not held:
+                held.append(source)
+                second._write_object(object_id, payload)
+            real(source, target)
+
+        monkeypatch.setattr(store_module.os, "replace", interleaved)
+        first._write_object(object_id, payload)
+        monkeypatch.undo()
+        path = tmp_path / "objects" / f"{object_id}.json"
+        assert path.read_bytes() == payload
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+        record = first.publish(plans[0])
+        assert record.content_id == object_id
+        assert plan_to_doc(first.load(1)) == plan_to_doc(plans[0])
+
+    def test_a_failed_write_leaves_no_temp_file(
+        self, tmp_path, plans, monkeypatch
+    ):
+        store = ScheduleStore(tmp_path)
+
+        def refuse(source, target):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_module.os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            store.publish(plans[0])
+        monkeypatch.undo()
+        assert list((tmp_path / "objects").iterdir()) == []
+        assert store.head is None
