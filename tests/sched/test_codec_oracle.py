@@ -488,8 +488,11 @@ def ptas_plan(seed: int, items: int = 48, heavy: int = 2) -> PlanResult:
     return result
 
 
-def catalog_plans(seed: int, items: int, theta: float, decimals: int | None):
-    """Two plans of one catalog a weight drift apart, by ``meta``."""
+def catalog_plans(
+    seed: int, items: int, theta: float, decimals: int | None,
+    method: str = "meta", channels: int = 3,
+):
+    """Two plans of one catalog a weight drift apart."""
     rng = np.random.default_rng(seed)
     labels = [f"K{i:05d}" for i in range(items)]
     base = np.asarray(zipf_weights(rng, items, theta=theta))
@@ -499,8 +502,8 @@ def catalog_plans(seed: int, items: int, theta: float, decimals: int | None):
         if decimals is not None:  # tie-heavy: few distinct weights
             weights = np.round(weights, decimals)
         plans.append(
-            plan_catalog(labels, [float(w) for w in weights], 3,
-                         method="meta", fanout=3)
+            plan_catalog(labels, [float(w) for w in weights], channels,
+                         method=method, fanout=3)
         )
     return plans
 
@@ -604,6 +607,25 @@ class TestCatalogPlans:
     )
     def test_meta_plans_and_their_deltas(self, items, theta, decimals):
         first, second = catalog_plans(items, items, theta, decimals)
+        for result in (first, second):
+            assert_same_codec(result)
+        assert_same_deltas(plan_to_doc(first), plan_to_doc(second))
+
+    @settings(max_examples=25, **COMMON)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        items=st.integers(min_value=2, max_value=90),
+        theta=st.sampled_from([0.35, 0.95, 1.2]),
+        decimals=st.sampled_from([None, 0, 1]),
+        method=st.sampled_from(["meta", "sorting", "ptas"]),
+        channels=st.integers(min_value=1, max_value=4),
+    )
+    def test_drawn_catalog_plans(
+        self, seed, items, theta, decimals, method, channels
+    ):
+        first, second = catalog_plans(
+            seed, items, theta, decimals, method, channels
+        )
         for result in (first, second):
             assert_same_codec(result)
         assert_same_deltas(plan_to_doc(first), plan_to_doc(second))
