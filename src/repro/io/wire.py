@@ -195,12 +195,12 @@ def _encode_bucket(bucket, bucket_size: int, max_keys: dict[Node, str]) -> bytes
                     )
                 content += _POINTER.pack(pointer.channel, offset, len(key)) + key
         else:
+            payload = b"item:" + label
             content = (
                 _FIELDS.pack(_TYPE_DATA, next_offset, len(label))
                 + label
-                + _PAYLOAD.pack(len(label) + 5)
-                + b"item:"
-                + label
+                + _PAYLOAD.pack(len(payload))
+                + payload
             )
 
     if _V1_HEADER + len(content) > bucket_size:
