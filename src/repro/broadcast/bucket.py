@@ -17,7 +17,7 @@ from ..tree.node import Node
 __all__ = ["Pointer", "Bucket"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Pointer:
     """A (channel, slot) reference to a future bucket.
 
@@ -41,7 +41,7 @@ class Pointer:
     label: str
 
 
-@dataclass(slots=True)
+@dataclass
 class Bucket:
     """One (channel, slot) cell of the broadcast grid.
 

@@ -35,8 +35,8 @@ class BroadcastProgram:
 
     schedule: BroadcastSchedule
     buckets: list[list[Bucket]]
-    # Encoded frames per bucket size, with the grid they were encoded
-    # from (see :func:`repro.io.wire.encode_program`).
+    # Per bucket size, the grid last encoded and, once it was encoded
+    # twice, its frames (see :func:`repro.io.wire.encode_program`).
     _frames: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

@@ -369,21 +369,27 @@ def encode_program(
 ) -> list[list[bytes]]:
     """Serialise a whole cycle: ``frames[channel-1][slot-1]``.
 
-    The frames are cached on the program per bucket size, keyed to its
-    ``buckets`` grid by identity, as
-    :meth:`~repro.planners.PlanResult.compile` caches the program: a
-    station and a replan that air the same program encode it once.
-    Each call returns lists of its own.
+    A program encoded a second time at one bucket size keeps those
+    frames, keyed to its ``buckets`` grid by identity, as
+    :meth:`~repro.planners.PlanResult.compile` keeps the program: every
+    later station airing it encodes nothing. A grid encoded only once
+    keeps nothing, so a caller that drops the frames but keeps the
+    program holds no memory for them. Each call returns lists of its
+    own.
     """
-    cached = program._frames.get(bucket_size)
-    if cached is None or cached[0] is not program.buckets:
-        max_keys = _subtree_max_keys(program.schedule.tree.root)
-        frames = [
-            [_encode_bucket(bucket, bucket_size, max_keys) for bucket in row]
-            for row in program.buckets
-        ]
-        cached = program._frames[bucket_size] = (program.buckets, frames)
-    return [list(row) for row in cached[1]]
+    seen = program._frames.get(bucket_size)
+    if seen is not None and seen[0] is program.buckets and seen[1] is not None:
+        return [list(row) for row in seen[1]]
+    max_keys = _subtree_max_keys(program.schedule.tree.root)
+    frames = [
+        [_encode_bucket(bucket, bucket_size, max_keys) for bucket in row]
+        for row in program.buckets
+    ]
+    if seen is None or seen[0] is not program.buckets:
+        program._frames[bucket_size] = (program.buckets, None)
+        return frames
+    program._frames[bucket_size] = (program.buckets, frames)
+    return [list(row) for row in frames]
 
 
 def decode_cycle(frames: list[list[bytes]]) -> list[list[DecodedBucket]]:

@@ -12,6 +12,7 @@ from repro.broadcast.pointers import BroadcastProgram, compile_program
 from repro.core.optimal import solve
 from repro.io import wire
 from repro.io.wire import (
+    DEFAULT_BUCKET_SIZE,
     WireFormatError,
     decode_bucket,
     decode_cycle,
@@ -83,7 +84,7 @@ class TestEncodeDecode:
 
 
 class TestEncodeCache:
-    """``encode_program`` encodes a program once per bucket size."""
+    """A program encoded twice keeps its frames; once, keeps none."""
 
     @staticmethod
     def count_encodes(monkeypatch) -> list:
@@ -97,19 +98,24 @@ class TestEncodeCache:
         monkeypatch.setattr(wire, "_encode_bucket", counted)
         return calls
 
-    def test_a_second_call_encodes_nothing(self, program, monkeypatch):
+    def test_the_third_call_encodes_nothing(self, program, monkeypatch):
         calls = self.count_encodes(monkeypatch)
+        cells = program.channels * program.cycle_length
         first = encode_program(program)
-        cells = len(calls)
-        assert cells == program.channels * program.cycle_length
-        assert encode_program(program) == first
         assert len(calls) == cells
-        # Another bucket size is another encoding, cached on its own.
-        assert encode_program(program, bucket_size=80) != first
-        assert encode_program(program, bucket_size=80)
+        assert program._frames[DEFAULT_BUCKET_SIZE][1] is None
+        assert encode_program(program) == first
         assert len(calls) == 2 * cells
+        assert encode_program(program) == first
+        assert len(calls) == 2 * cells
+        # Another bucket size is another encoding, kept on its own.
+        assert encode_program(program, bucket_size=80) != first
+        encode_program(program, bucket_size=80)
+        assert encode_program(program, bucket_size=80)
+        assert len(calls) == 4 * cells
 
     def test_callers_get_lists_of_their_own(self, program):
+        encode_program(program)
         frames = encode_program(program)
         expected = [list(row) for row in frames]
         frames[0][0] = b"tampered"
@@ -117,6 +123,7 @@ class TestEncodeCache:
         assert encode_program(program) == expected
 
     def test_a_new_grid_is_encoded_again(self, program, monkeypatch):
+        encode_program(program)
         frames = encode_program(program)
         calls = self.count_encodes(monkeypatch)
         program.buckets = compile_program(program.schedule).buckets
@@ -124,6 +131,7 @@ class TestEncodeCache:
         assert len(calls) == program.channels * program.cycle_length
 
     def test_programs_do_not_share_a_cache(self, program, monkeypatch):
+        encode_program(program)
         encode_program(program)
         calls = self.count_encodes(monkeypatch)
         twin = BroadcastProgram(program.schedule, program.buckets)

