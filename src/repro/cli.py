@@ -270,9 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0, help="0 picks a free port"
     )
     serve.add_argument(
-        "--transport", choices=("tcp", "udp"), default="tcp"
-    )
-    serve.add_argument(
         "--metrics-port",
         type=int,
         default=None,
@@ -914,7 +911,6 @@ def _cmd_serve(args) -> int:
         slot_duration=args.slot_duration,
         host=args.host,
         port=args.port,
-        transport=args.transport,
         perf=perf,
         schedule_version=head.version if head is not None else 0,
     )
@@ -944,7 +940,7 @@ def _cmd_serve(args) -> int:
         async with station:
             print(
                 f"airing {args.channels} channel(s), cycle length "
-                f"{program.cycle_length}, on {args.transport}://"
+                f"{program.cycle_length}, on tcp://"
                 f"{station.host}:{station.port} (Ctrl-C to stop)"
             )
             follower = (
@@ -966,7 +962,6 @@ def _cmd_serve(args) -> int:
                     def health() -> dict:
                         return {
                             "status": "ok",
-                            "transport": args.transport,
                             "channels": station.channels,
                             "cycle_length": station.cycle_length,
                             "station_port": station.port,

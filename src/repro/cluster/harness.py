@@ -2,13 +2,15 @@
 
 The single-station harness (:mod:`repro.net.harness`) answers "how fast
 is one station"; this module answers the cluster question — N stations
-airing N workload partitions concurrently, one tuner fleet whose
-requests route through the cluster directory, and **per-shard
-accounting**: every shard keeps its own
-:class:`~repro.perf.PerfRecorder`, so ``unaccounted_frames == 0`` is
-gated shard by shard, not hidden in an aggregate. The same goes for
-parity: each shard's fleet replays its slice of the trace through the
-in-process simulator and demands bit-equality.
+airing N workload partitions concurrently. :func:`serve_cluster` puts
+one station per shard on air, and one
+:func:`~repro.net.harness.drive_fleet` fleet routes its requests to
+them through the cluster directory. Accounting is **per shard**: every
+shard keeps its own :class:`~repro.perf.PerfRecorder`, and its slice
+of the walks is summarised on its own, so ``unaccounted_frames == 0``
+is gated shard by shard, not hidden in an aggregate. The same goes for
+parity: each shard's slice of the walks is replayed through the
+in-process simulator and must match bit for bit.
 
 Why sharding scales walks/sec: every shard airs only its slice of the
 catalog, so its cycle is ~``1/N`` of the monolithic cycle, and a paced
@@ -28,12 +30,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ..client.protocol import RecoveryPolicy
-from ..faults import FaultConfig
-from ..io.wire import DEFAULT_BUCKET_SIZE
-from ..net.harness import demo_labels
+from ..net.harness import (
+    arrival_offsets,
+    demo_labels,
+    drive_fleet,
+    summarise_walks,
+)
 from ..obs.attrib import AttributionCollector
-from ..obs.events import TeeTracer, Tracer
 from ..obs.metrics import MetricsRegistry
 from ..perf import PerfRecorder
 from ..workloads.weights import zipf_weights
@@ -57,9 +60,6 @@ async def serve_cluster(
     *,
     host: str = "127.0.0.1",
     slot_duration: float = 0.0,
-    bucket_size: int = DEFAULT_BUCKET_SIZE,
-    faults: FaultConfig | None = None,
-    tracer: Tracer | None = None,
 ):
     """Air every shard's program on its own live station.
 
@@ -77,11 +77,8 @@ async def serve_cluster(
         shard: BroadcastStation(
             cluster.plans[shard].program,
             host=host,
-            bucket_size=bucket_size,
-            faults=faults,
             slot_duration=slot_duration,
             perf=recorders[shard],
-            tracer=tracer,
         )
         for shard in range(cluster.shards)
     }
@@ -137,9 +134,9 @@ class ClusterLoadReport:
     shards: int
     tuners: int
     wall_seconds: float
-    #: Total completed+abandoned walks over the *cluster* wall clock —
-    #: the scaling deliverable. (Not the sum of per-shard rates: shards
-    #: run concurrently, so the cluster wall is the slowest shard's.)
+    #: Total completed+abandoned walks over the one fleet's wall clock —
+    #: the scaling deliverable. Every shard report shares that wall, so
+    #: the per-shard rates sum to this one.
     aggregate_walks_per_second: float
     #: Request-weighted mean access time across shards (slots).
     mean_access_time: float
@@ -186,137 +183,81 @@ async def run_cluster_loadtest(
     *,
     tuners: int = 1000,
     rng: np.random.Generator | None = None,
-    trace: list[tuple[int, str, int]] | None = None,
-    faults: FaultConfig | None = None,
-    policy: RecoveryPolicy | None = None,
     slot_duration: float = 0.0,
     arrival_rate: float = 0.0,
     max_open: int = 256,
-    bucket_size: int = DEFAULT_BUCKET_SIZE,
     check_parity: bool = False,
-    tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-    flight_recorder=None,
 ) -> ClusterLoadReport:
     """Air every shard concurrently and drive one routed tuner fleet.
 
-    The global trace routes each request to its shard through the
-    cluster directory; each shard then runs the standard
-    :func:`repro.net.harness.run_loadtest` **with its own
-    PerfRecorder**, so frame accounting and parity are per-shard gates.
-    ``max_open`` is split across shards (each gets at least 8 sockets).
-    With a registry attached, each shard's walks feed
+    :func:`serve_cluster` airs the shards, and one
+    :func:`~repro.net.harness.drive_fleet` runs the global trace, each
+    request routed to its shard's endpoint through the cluster
+    directory, under one ``max_open`` gate. Each shard's tuners count
+    into that shard's PerfRecorder, and each shard's slice of the walks
+    is summarised on its own, so frame accounting and parity are
+    per-shard gates. Every shard report carries the shared fleet wall
+    clock. With a registry attached, each shard's walks feed
     ``{shard="<id>"}``-labelled attribution summaries and its perf
     counters absorb under the same label — the per-shard rows an
     operator reaches for when one shard of four goes slow.
-
-    ``flight_recorder`` (a :class:`~repro.obs.recorder.FlightRecorder`) tees
-    each shard's events into an always-on ``shard-<id>`` ring and dumps
-    a postmortem bundle the moment any shard fails its accounting or
-    parity gate — the failing shard's last events, correlated, without
-    anyone having asked for tracing up front.
     """
-    from ..net.harness import LoadReport, run_loadtest
-
     if rng is None:
         rng = np.random.default_rng(cluster.seed)
-    if trace is None:
-        trace = make_cluster_trace(cluster, tuners, rng)
-    tuners = len(trace)
-
-    per_shard_trace: dict[int, list[tuple[str, int]]] = {
-        shard: [] for shard in range(cluster.shards)
-    }
-    for shard, key, slot in trace:
-        per_shard_trace[shard].append((key, slot))
-
-    shard_open = max(8, max_open // max(1, cluster.shards))
-    recorders = {
-        shard: PerfRecorder() for shard in range(cluster.shards)
-    }
-    # Independent child generators per shard: each shard's Poisson
-    # arrival offsets must not depend on how many requests the *other*
-    # shards drew.
-    shard_rngs = {
-        shard: np.random.default_rng(
-            [int(rng.integers(2**63)), shard]
-        )
-        for shard in range(cluster.shards)
-    }
-    shard_tracers: dict[int, Tracer | None] = {}
-    for shard in range(cluster.shards):
-        shard_tracer = tracer
-        if metrics is not None:
-            collector = AttributionCollector(
-                metrics, labels={"shard": str(shard)}
-            )
-            shard_tracer = (
-                collector
-                if shard_tracer is None
-                else TeeTracer(shard_tracer, collector)
-            )
-        if flight_recorder is not None:
-            ring = flight_recorder.ring(f"shard-{shard}")
-            shard_tracer = (
-                ring
-                if shard_tracer is None
-                else TeeTracer(shard_tracer, ring)
-            )
-        shard_tracers[shard] = shard_tracer
-
-    async def one_shard(shard: int) -> LoadReport:
-        return await run_loadtest(
-            cluster.plans[shard].program,
-            rng=shard_rngs[shard],
-            trace=per_shard_trace[shard],
-            faults=faults,
-            policy=policy,
-            slot_duration=slot_duration,
-            arrival_rate=arrival_rate,
-            max_open=shard_open,
-            bucket_size=bucket_size,
-            check_parity=check_parity,
-            perf=recorders[shard],
-            tracer=shard_tracers[shard],
-        )
+    trace = make_cluster_trace(cluster, tuners, rng)
+    offsets = arrival_offsets(rng, len(trace), arrival_rate)
+    shards = range(cluster.shards)
+    tracers = [
+        AttributionCollector(metrics, labels={"shard": str(shard)})
+        if metrics is not None
+        else None
+        for shard in shards
+    ]
 
     started = perf_counter()
-    reports = await asyncio.gather(
-        *(one_shard(shard) for shard in range(cluster.shards))
-    )
+    async with serve_cluster(cluster, slot_duration=slot_duration) as (
+        _,
+        recorders,
+    ):
+        walks = await drive_fleet(
+            trace,
+            [cluster.endpoints[shard] for shard in shards],
+            offsets,
+            max_open=max_open,
+            perf=[recorders[shard] for shard in shards],
+            tracers=tracers,
+        )
     wall = perf_counter() - started
 
+    reports = [
+        summarise_walks(
+            cluster.plans[shard].program,
+            [walk for (at, _, _), walk in zip(trace, walks) if at == shard],
+            perf=recorders[shard],
+            wall_seconds=wall,
+            check_parity=check_parity,
+        )
+        for shard in shards
+    ]
     if metrics is not None:
-        for shard, recorder in recorders.items():
-            metrics.absorb_perf(recorder, labels={"shard": str(shard)})
-
-    if flight_recorder is not None:
-        for shard, report in enumerate(reports):
-            checks = report.to_dict()["checks"]
-            if not checks["zero_unaccounted_frames"]:
-                flight_recorder.trigger(
-                    "unaccounted_frames",
-                    detail=f"shard {shard} lost frame accounting",
-                    tracer=tracer,
-                )
-            if not checks["parity_exact"]:
-                flight_recorder.trigger(
-                    "parity_failure",
-                    detail=f"shard {shard} diverged from the simulator",
-                    tracer=tracer,
-                )
+        for shard in shards:
+            metrics.absorb_perf(
+                recorders[shard], labels={"shard": str(shard)}
+            )
 
     completed = sum(report.completed for report in reports)
     abandoned = sum(report.abandoned for report in reports)
-    walks = completed + abandoned
     weighted_access = sum(
         report.mean_access_time * report.completed for report in reports
     )
     return ClusterLoadReport(
         shards=cluster.shards,
-        tuners=tuners,
+        tuners=len(trace),
         wall_seconds=wall,
-        aggregate_walks_per_second=walks / wall if wall > 0 else 0.0,
+        aggregate_walks_per_second=(
+            (completed + abandoned) / wall if wall > 0 else 0.0
+        ),
         mean_access_time=(
             weighted_access / completed if completed else 0.0
         ),

@@ -9,24 +9,19 @@ Two modes:
 * ``slot_duration > 0`` — real-time pacing: slot ``n`` goes on air
   ``n · slot_duration`` seconds after :meth:`start`. Consumers
   :meth:`wait_for` a future slot and genuinely sleep (a tuner's doze).
-* ``slot_duration == 0`` (default) — free-running logical time: the
-  clock still ticks (push transports need a tick to air on) but
-  :meth:`wait_for` never blocks. The broadcast is cyclic and the fault
-  pattern is a pure function of (channel, absolute slot), so an airing's
-  content is fully determined whether it is served at its wall-clock
-  instant or immediately — this is what lets a loadtest run as fast as
-  the hardware allows while keeping slot-denominated measurements
-  exactly reproducible.
-
-Tick subscribers (:meth:`on_tick`) are invoked synchronously inside the
-clock task with the newly aired slot number; the UDP push interface uses
-this to fan each slot's frames out to its subscribers.
+* ``slot_duration == 0`` (default) — free-running logical time:
+  :meth:`wait_for` never blocks, and the station never starts the
+  clock. The broadcast is cyclic and the fault pattern is a pure
+  function of (channel, absolute slot), so an airing's content is
+  fully determined whether it is served at its wall-clock instant or
+  immediately — this is what lets a loadtest run as fast as the
+  hardware allows while keeping slot-denominated measurements exactly
+  reproducible.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Callable
 
 __all__ = ["SlotClock"]
 
@@ -41,15 +36,10 @@ class SlotClock:
         self.aired = 0  # highest absolute slot that has gone on air
         self._event = asyncio.Event()
         self._task: asyncio.Task | None = None
-        self._subscribers: list[Callable[[int], None]] = []
 
     @property
     def running(self) -> bool:
         return self._task is not None and not self._task.done()
-
-    def on_tick(self, callback: Callable[[int], None]) -> None:
-        """Call ``callback(slot)`` each time a slot goes on air."""
-        self._subscribers.append(callback)
 
     def start(self) -> None:
         """Begin ticking; idempotent."""
@@ -71,8 +61,6 @@ class SlotClock:
     async def _run(self) -> None:
         while True:
             self.aired += 1
-            for callback in self._subscribers:
-                callback(self.aired)
             self._event.set()
             self._event = asyncio.Event()
             if self.slot_duration > 0:

@@ -9,6 +9,12 @@ distributions, loss/retry/abandon counters and a frame-accounting
 balance (every envelope the station sent must have been consumed by
 exactly one walk read; anything else is a transport bug).
 
+:func:`drive_fleet` is the one tuner fleet of the repository: this
+module's :func:`run_loadtest`, the sharded cluster's loadtest
+(:mod:`repro.cluster.harness`) and the live-cutover loadtest
+(:mod:`repro.sched.harness`) all drive their walks through it, and all
+report a station's walks through :func:`summarise_walks`.
+
 The **parity gate** is the harness's correctness anchor: on a zero-loss
 station the socket fleet replays the *identical* request trace through
 the in-process simulator (:func:`repro.client.protocol.object_walk`)
@@ -22,9 +28,10 @@ gate fails; :func:`run_loadtest_bench` is the ``net-loadtest`` suite of
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import ceil
 from time import perf_counter
+from typing import Sequence
 
 import numpy as np
 
@@ -51,6 +58,8 @@ __all__ = [
     "make_request_trace",
     "simulator_baseline",
     "trace_simulator",
+    "drive_fleet",
+    "summarise_walks",
     "run_loadtest",
     "run_loadtest_bench",
 ]
@@ -140,6 +149,10 @@ def make_request_trace(
     ]
 
 
+def _mean(values: list[int]) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
 def simulator_baseline(
     program: BroadcastProgram, trace: list[tuple[str, int]]
 ) -> dict:
@@ -149,20 +162,14 @@ def simulator_baseline(
         object_walk(program, leaf_of[key], tune_slot)
         for key, tune_slot in trace
     ]
+    access_times = [r.access_time for r in records]
+    tuning_times = [r.tuning_time for r in records]
     return {
         "requests": len(records),
-        "access_times": [r.access_time for r in records],
-        "tuning_times": [r.tuning_time for r in records],
-        "mean_access_time": (
-            sum(r.access_time for r in records) / len(records)
-            if records
-            else 0.0
-        ),
-        "mean_tuning_time": (
-            sum(r.tuning_time for r in records) / len(records)
-            if records
-            else 0.0
-        ),
+        "access_times": access_times,
+        "tuning_times": tuning_times,
+        "mean_access_time": _mean(access_times),
+        "mean_tuning_time": _mean(tuning_times),
     }
 
 
@@ -226,31 +233,7 @@ class LoadReport:
         return self.unaccounted_frames == 0
 
     def to_dict(self) -> dict:
-        record = {
-            name: getattr(self, name)
-            for name in (
-                "tuners",
-                "completed",
-                "abandoned",
-                "wall_seconds",
-                "walks_per_second",
-                "mean_access_time",
-                "mean_tuning_time",
-                "access_percentiles",
-                "tuning_percentiles",
-                "mean_channel_switches",
-                "lost_buckets",
-                "corrupt_buckets",
-                "retries",
-                "wasted_probes",
-                "frames_requested",
-                "frames_answered",
-                "frames_read",
-                "unaccounted_frames",
-                "parity",
-                "perf",
-            )
-        }
+        record = {item.name: getattr(self, item.name) for item in fields(self)}
         record["checks"] = {
             "zero_unaccounted_frames": self.accounting_ok,
             "parity_exact": self.parity_ok,
@@ -287,6 +270,141 @@ def _percentiles(values: list[int]) -> dict[str, float]:
     }
 
 
+def arrival_offsets(
+    rng: np.random.Generator, tuners: int, arrival_rate: float
+) -> np.ndarray:
+    """Poisson arrival offsets in seconds; all zero when the rate is 0."""
+    if arrival_rate > 0:
+        return np.cumsum(rng.exponential(1.0 / arrival_rate, size=tuners))
+    return np.zeros(tuners)
+
+
+async def drive_fleet(
+    trace: Sequence[tuple[int, str, int]],
+    endpoints: Sequence[tuple[str, int]],
+    offsets: Sequence[float],
+    *,
+    policy: RecoveryPolicy | None = None,
+    max_open: int,
+    perf: Sequence[PerfRecorder],
+    tracers: Sequence[Tracer | None],
+) -> list[WalkResult]:
+    """Run one tuner per trace entry; return the walks in trace order.
+
+    Entry ``i`` is ``(endpoint, key, tune_slot)``. After ``offsets[i]``
+    seconds its tuner connects to ``endpoints[endpoint]``, walks to
+    ``key`` from ``tune_slot`` as walk ``i`` under ``policy``, and
+    hangs up. It counts into ``perf[endpoint]`` and narrates into
+    ``tracers[endpoint]``, so each station's frames balance against its
+    own tuners' reads. The fleet's coroutines all exist at once, but at
+    most ``max_open`` connections are open at a time, so a large fleet
+    does not hit the fd limit head on. Once every tuner is done, the
+    first failed walk's exception is raised.
+    """
+    gate = asyncio.Semaphore(max_open)
+    results: list[WalkResult | None] = [None] * len(trace)
+    failures: list[Exception] = []
+
+    async def one_tuner(
+        index: int, endpoint: int, key: str, tune_slot: int
+    ) -> None:
+        if offsets[index]:
+            await asyncio.sleep(float(offsets[index]))
+        host, port = endpoints[endpoint]
+        async with gate:
+            try:
+                async with TunerClient(
+                    host,
+                    port,
+                    policy=policy,
+                    perf=perf[endpoint],
+                    tracer=tracers[endpoint],
+                ) as tuner:
+                    results[index] = await tuner.fetch(
+                        key, tune_slot, walk_id=index
+                    )
+            except Exception as error:  # accounted, not swallowed
+                failures.append(error)
+
+    await asyncio.gather(
+        *(one_tuner(index, *entry) for index, entry in enumerate(trace))
+    )
+    if failures:
+        raise failures[0]
+    return results
+
+
+def summarise_walks(
+    program: BroadcastProgram,
+    walks: list[WalkResult],
+    *,
+    perf: PerfRecorder,
+    wall_seconds: float,
+    check_parity: bool = False,
+) -> LoadReport:
+    """One station's walks as a :class:`LoadReport`.
+
+    ``perf`` is the recorder the station airing ``program`` and only
+    these walks' tuners counted into, so every frame it sent must be
+    one of their reads. ``wall_seconds`` is added to its
+    ``net.loadtest.seconds`` timer before the report takes a snapshot.
+    ``check_parity`` replays the walks' (key, tune slot) trace through
+    the in-process simulator and records whether every access and
+    tuning time is equal.
+    """
+    completed = [walk for walk in walks if not walk.abandoned]
+    reads = sum(walk.tuning_time for walk in walks)
+    answered = perf.counters.get("net.station.frames_sent", 0)
+    perf.add_seconds("net.loadtest.seconds", wall_seconds)
+
+    parity = None
+    if check_parity:
+        baseline = simulator_baseline(
+            program, [(walk.key, walk.tune_slot) for walk in walks]
+        )
+        fleet_access = [walk.access_time for walk in walks]
+        fleet_tuning = [walk.tuning_time for walk in walks]
+        parity = {
+            "exact_match": (
+                fleet_access == baseline["access_times"]
+                and fleet_tuning == baseline["tuning_times"]
+            ),
+            "fleet_mean_access_time": _mean(fleet_access),
+            "simulator_mean_access_time": baseline["mean_access_time"],
+            "fleet_mean_tuning_time": _mean(fleet_tuning),
+            "simulator_mean_tuning_time": baseline["mean_tuning_time"],
+        }
+
+    access = [walk.access_time for walk in completed]
+    tuning = [walk.tuning_time for walk in completed]
+    return LoadReport(
+        tuners=len(walks),
+        completed=len(completed),
+        abandoned=len(walks) - len(completed),
+        wall_seconds=wall_seconds,
+        walks_per_second=(
+            len(walks) / wall_seconds if wall_seconds > 0 else 0.0
+        ),
+        mean_access_time=_mean(access),
+        mean_tuning_time=_mean(tuning),
+        access_percentiles=_percentiles(access),
+        tuning_percentiles=_percentiles(tuning),
+        mean_channel_switches=_mean(
+            [walk.channel_switches for walk in completed]
+        ),
+        lost_buckets=sum(walk.lost_buckets for walk in walks),
+        corrupt_buckets=sum(walk.corrupt_buckets for walk in walks),
+        retries=sum(walk.retries for walk in walks),
+        wasted_probes=sum(walk.wasted_probes for walk in walks),
+        frames_requested=perf.counters.get("net.station.requests", 0),
+        frames_answered=answered,
+        frames_read=reads,
+        unaccounted_frames=answered - reads,
+        parity=parity,
+        perf=perf.snapshot(),
+    )
+
+
 async def run_loadtest(
     program: BroadcastProgram,
     *,
@@ -298,8 +416,6 @@ async def run_loadtest(
     slot_duration: float = 0.0,
     arrival_rate: float = 5000.0,
     max_open: int = 256,
-    bucket_size: int = DEFAULT_BUCKET_SIZE,
-    queue_limit: int = 64,
     check_parity: bool = False,
     perf: PerfRecorder | None = None,
     tracer: Tracer | None = None,
@@ -329,9 +445,8 @@ async def run_loadtest(
         Poisson arrival intensity in tuners/second; 0 starts everyone
         at once.
     max_open:
-        Concurrency bound on simultaneously open connections (the
-        fleet's coroutines all exist at once; sockets are throttled so
-        a million-tuner ambition does not hit the fd limit head on).
+        Concurrency bound on simultaneously open connections
+        (:func:`drive_fleet`).
     check_parity:
         Replay the identical trace through the in-process simulator and
         record exact-equality of every access and tuning time. Requires
@@ -370,13 +485,8 @@ async def run_loadtest(
         rng = np.random.default_rng(2000)
     if trace is None:
         trace = make_request_trace(program, tuners, rng)
-    tuners = len(trace)
-    if arrival_rate > 0:
-        offsets = np.cumsum(rng.exponential(1.0 / arrival_rate, size=tuners))
-    else:
-        offsets = np.zeros(tuners)
+    offsets = arrival_offsets(rng, len(trace), arrival_rate)
 
-    collector: AttributionCollector | None = None
     if metrics is not None:
         collector = AttributionCollector(metrics)
         tracer = (
@@ -389,50 +499,24 @@ async def run_loadtest(
     perf_recorder = perf if perf is not None else PerfRecorder()
     station = BroadcastStation(
         program,
-        bucket_size=bucket_size,
         faults=faults,
         slot_duration=slot_duration,
-        queue_limit=queue_limit,
         perf=perf_recorder,
         tracer=tracer,
     )
-    gate = asyncio.Semaphore(max_open)
-    results: list[WalkResult | None] = [None] * tuners
-    failures: list[Exception] = []
-
-    async def one_tuner(index: int, key: str, tune_slot: int) -> None:
-        if offsets[index]:
-            await asyncio.sleep(float(offsets[index]))
-        async with gate:
-            try:
-                async with TunerClient(
-                    station.host,
-                    station.port,
-                    policy=policy,
-                    perf=perf_recorder,
-                    tracer=tracer,
-                ) as tuner:
-                    results[index] = await tuner.fetch(
-                        key, tune_slot, walk_id=index
-                    )
-            except Exception as error:  # accounted, not swallowed
-                failures.append(error)
-
     started = perf_counter()
     async with station:
-        await asyncio.gather(
-            *(
-                one_tuner(index, key, slot)
-                for index, (key, slot) in enumerate(trace)
-            )
+        walks = await drive_fleet(
+            [(0, key, slot) for key, slot in trace],
+            [(station.host, station.port)],
+            offsets,
+            policy=policy,
+            max_open=max_open,
+            perf=[perf_recorder],
+            tracers=[tracer],
         )
     wall = perf_counter() - started
-    if failures:
-        raise failures[0]
 
-    walks = [result for result in results if result is not None]
-    completed = [walk for walk in walks if not walk.abandoned]
-    reads = sum(walk.tuning_time for walk in walks)
     if metrics is not None:
         # Fed after the fleet is done, from already-measured numbers —
         # exposition changes, measurements cannot.
@@ -441,67 +525,16 @@ async def run_loadtest(
             "access-time distribution of completed walks (slots)",
             buckets=slot_buckets(program.cycle_length),
         )
-        for walk in completed:
-            access_histogram.observe(walk.access_time)
+        for walk in walks:
+            if not walk.abandoned:
+                access_histogram.observe(walk.access_time)
         metrics.absorb_perf(perf_recorder)
-    counters = perf_recorder.counters
-    requested = counters.get("net.station.requests", 0)
-    answered = counters.get("net.station.frames_sent", 0)
-    perf_recorder.add_seconds("net.loadtest.seconds", wall)
-
-    parity = None
-    if check_parity:
-        baseline = simulator_baseline(program, trace)
-        fleet_access = [walk.access_time for walk in walks]
-        fleet_tuning = [walk.tuning_time for walk in walks]
-        parity = {
-            "exact_match": (
-                fleet_access == baseline["access_times"]
-                and fleet_tuning == baseline["tuning_times"]
-            ),
-            "fleet_mean_access_time": (
-                sum(fleet_access) / len(fleet_access) if fleet_access else 0.0
-            ),
-            "simulator_mean_access_time": baseline["mean_access_time"],
-            "fleet_mean_tuning_time": (
-                sum(fleet_tuning) / len(fleet_tuning) if fleet_tuning else 0.0
-            ),
-            "simulator_mean_tuning_time": baseline["mean_tuning_time"],
-        }
-
-    report = LoadReport(
-        tuners=tuners,
-        completed=len(completed),
-        abandoned=len(walks) - len(completed),
+    report = summarise_walks(
+        program,
+        walks,
+        perf=perf_recorder,
         wall_seconds=wall,
-        walks_per_second=len(walks) / wall if wall > 0 else 0.0,
-        mean_access_time=(
-            sum(w.access_time for w in completed) / len(completed)
-            if completed
-            else 0.0
-        ),
-        mean_tuning_time=(
-            sum(w.tuning_time for w in completed) / len(completed)
-            if completed
-            else 0.0
-        ),
-        access_percentiles=_percentiles([w.access_time for w in completed]),
-        tuning_percentiles=_percentiles([w.tuning_time for w in completed]),
-        mean_channel_switches=(
-            sum(w.channel_switches for w in completed) / len(completed)
-            if completed
-            else 0.0
-        ),
-        lost_buckets=sum(w.lost_buckets for w in walks),
-        corrupt_buckets=sum(w.corrupt_buckets for w in walks),
-        retries=sum(w.retries for w in walks),
-        wasted_probes=sum(w.wasted_probes for w in walks),
-        frames_requested=requested,
-        frames_answered=answered,
-        frames_read=reads,
-        unaccounted_frames=answered - reads,
-        parity=parity,
-        perf=perf_recorder.snapshot(),
+        check_parity=check_parity,
     )
     if flight_recorder is not None:
         if not report.parity_ok:
@@ -522,11 +555,11 @@ async def run_loadtest(
                 ),
                 tracer=tracer,
             )
-        if report.abandoned > max(1, tuners // 20):
+        if report.abandoned > max(1, report.tuners // 20):
             flight_recorder.trigger(
                 "abandoned_spike",
                 detail=(
-                    f"{report.abandoned} of {tuners} walks abandoned "
+                    f"{report.abandoned} of {report.tuners} walks abandoned "
                     "(>5% of the fleet)"
                 ),
                 tracer=tracer,

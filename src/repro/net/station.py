@@ -6,24 +6,17 @@ The station takes a pointer-wired
 :meth:`repro.server.BroadcastServer.station`), encodes it to version-1
 wire frames once, and airs it cyclically on a
 :class:`~repro.net.clock.SlotClock` — one frame per channel per slot
-tick — over one of two transports:
-
-* **TCP fan-out** (default). Clients connect, receive a one-line JSON
-  ``WELCOME`` (cycle length, channel count, bucket size, slot
-  duration), then send ``LISTEN <channel> <absolute-slot>`` control
-  lines — one per bucket the pointer walk names; the station answers
-  each with that airing's envelope (:class:`repro.io.wire.AirFrame`)
-  once the slot clock reaches it. A client that listens to nothing
-  receives nothing: dozing costs the station no bandwidth, exactly the
-  energy model of §2.1. Each connection is one :class:`asyncio.Protocol`
-  that answers its requests in order inside the socket callback; its
-  reading pauses while its request FIFO or its write buffer is full,
-  so a slow client backpressures its own socket and nobody else's.
-* **UDP push**. Clients send ``SUB <channel>`` datagrams and the
-  station pushes every airing of that channel as it ticks, through
-  bounded per-channel queues that drop-oldest under overload (counted
-  in ``net.station.udp_dropped`` — a datagram medium loses frames, it
-  does not queue them forever).
+tick — over a TCP fan-out. Clients connect, receive a one-line JSON
+``WELCOME`` (cycle length, channel count, bucket size, slot duration),
+then send ``LISTEN <channel> <absolute-slot>`` control lines — one per
+bucket the pointer walk names; the station answers each with that
+airing's envelope (:class:`repro.io.wire.AirFrame`) once the slot clock
+reaches it. A client that listens to nothing receives nothing: dozing
+costs the station no bandwidth, exactly the energy model of §2.1. Each
+connection is one :class:`asyncio.Protocol` that answers its requests
+in order inside the socket callback; its reading pauses while its
+request FIFO or its write buffer is full, so a slow client
+backpressures its own socket and nobody else's.
 
 Unreliable air is simulated *at the station*, from the same seeded
 :class:`~repro.faults.FaultInjector` the in-process stack uses: a LOST
@@ -35,17 +28,16 @@ simulator experience the *same* channel — the foundation of the
 loopback parity gate.
 
 Shutdown is clean by construction: :meth:`aclose` (or the async context
-manager) stops the clock, aborts every live connection, closes the
-listening socket and cancels the UDP pumps; all counters survive in
-:attr:`perf`. A client that says ``BYE`` (or half-closes) gets every
-answer it asked for before the station closes its socket.
+manager) stops the clock, aborts every live connection and closes the
+listening socket; all counters survive in :attr:`perf`. A client that
+says ``BYE`` (or half-closes) gets every answer it asked for before the
+station closes its socket.
 """
 
 from __future__ import annotations
 
 import asyncio
 import bisect
-import contextlib
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -62,7 +54,6 @@ from ..io.wire import (
 )
 from ..obs.events import (
     NULL_TRACER,
-    FrameDropped,
     ScheduleActivated,
     SlotAired,
     Tracer,
@@ -114,17 +105,13 @@ class BroadcastStation:
         Optional :class:`~repro.faults.FaultConfig`; ``None`` is perfect
         air. The injector is seeded by the config, never by wall time.
     slot_duration:
-        Seconds per slot. 0 (default) free-runs: TCP requests are
-        answered immediately (logical time), and is invalid for the UDP
-        push transport, which needs real pacing.
+        Seconds per slot. 0 (default) free-runs: requests are answered
+        immediately (logical time).
     host, port:
         Bind address; port 0 picks a free port (read :attr:`port` after
         :meth:`start`).
-    transport:
-        ``"tcp"`` (LISTEN/answer fan-out) or ``"udp"`` (subscribe/push).
     queue_limit:
-        Bound of each per-connection (TCP) request FIFO or per-channel
-        (UDP) send queue.
+        Bound of each connection's request FIFO.
     perf:
         Optional shared :class:`~repro.perf.PerfRecorder`; a private one
         is created otherwise. Counters are namespaced
@@ -133,9 +120,8 @@ class BroadcastStation:
         Optional :class:`~repro.obs.events.Tracer`. When enabled the
         station narrates every answered airing
         (:class:`~repro.obs.events.SlotAired`, one event per answered
-        query of a coordinate), every UDP overload drop
-        (:class:`~repro.obs.events.FrameDropped`) and — via the fault
-        injector — every non-OK channel decision.
+        query of a coordinate) and — via the fault injector — every
+        non-OK channel decision.
     schedule_version:
         :mod:`repro.sched` version of ``program``; 0 (default) means
         unversioned. Every airing's envelope carries the serving plan's
@@ -152,21 +138,11 @@ class BroadcastStation:
         slot_duration: float = 0.0,
         host: str = "127.0.0.1",
         port: int = 0,
-        transport: str = "tcp",
         queue_limit: int = 64,
         perf: PerfRecorder | None = None,
         tracer: Tracer | None = None,
         schedule_version: int = 0,
     ) -> None:
-        if transport not in ("tcp", "udp"):
-            raise ValueError(
-                f"unknown transport {transport!r}; expected 'tcp' or 'udp'"
-            )
-        if transport == "udp" and slot_duration <= 0:
-            raise ValueError(
-                "the UDP push transport needs real pacing; pass a "
-                "positive slot_duration"
-            )
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if schedule_version < 0:
@@ -196,7 +172,6 @@ class BroadcastStation:
         self.clock = SlotClock(slot_duration)
         self.host = host
         self.port = port
-        self.transport = transport
         self.queue_limit = queue_limit
         self.perf = perf if perf is not None else PerfRecorder()
         # Every field is fixed for the station's lifetime, so every
@@ -214,46 +189,26 @@ class BroadcastStation:
         )
 
         self._server: asyncio.base_events.Server | None = None
-        self._datagram: asyncio.DatagramTransport | None = None
         self._connections: set[_AirConnection] = set()
-        self._udp_subscribers: dict[int, set[tuple]] = {}
-        self._udp_queues: dict[int, asyncio.Queue] = {}
-        self._udp_pumps: list[asyncio.Task] = []
         self._started = False
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> "BroadcastStation":
-        """Bind the transport and begin airing."""
+        """Bind the listening socket and begin airing."""
         if self._started:
             return self
         self._started = True
-        if self.transport == "tcp":
-            self._server = await asyncio.get_running_loop().create_server(
-                lambda: _AirConnection(self), self.host, self.port
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
-            if self.clock.slot_duration > 0:
-                self.clock.start()
-        else:
-            loop = asyncio.get_running_loop()
-            self._datagram, _ = await loop.create_datagram_endpoint(
-                lambda: _UdpAirProtocol(self),
-                local_addr=(self.host, self.port),
-            )
-            self.port = self._datagram.get_extra_info("sockname")[1]
-            for channel in range(1, self.channels + 1):
-                queue: asyncio.Queue = asyncio.Queue(maxsize=self.queue_limit)
-                self._udp_queues[channel] = queue
-                self._udp_pumps.append(
-                    loop.create_task(self._udp_pump(channel, queue))
-                )
-            self.clock.on_tick(self._udp_tick)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _AirConnection(self), self.host, self.port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+        if self.clock.slot_duration > 0:
             self.clock.start()
         return self
 
     async def aclose(self) -> None:
-        """Stop airing: close sockets, cancel tasks, keep the counters."""
+        """Stop airing: close sockets, keep the counters."""
         if self._closed:
             return
         self._closed = True
@@ -263,14 +218,6 @@ class BroadcastStation:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for task in self._udp_pumps:
-            task.cancel()
-        for task in self._udp_pumps:
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._udp_pumps.clear()
-        if self._datagram is not None:
-            self._datagram.close()
 
     async def __aenter__(self) -> "BroadcastStation":
         return await self.start()
@@ -442,52 +389,6 @@ class BroadcastStation:
                 return (channel, slot)
         return None
 
-    # -- UDP push -----------------------------------------------------------
-    def _udp_tick(self, slot: int) -> None:
-        for channel, subscribers in self._udp_subscribers.items():
-            if not subscribers:
-                continue
-            queue = self._udp_queues[channel]
-            if queue.full():
-                # A datagram medium drops under overload; oldest first.
-                with contextlib.suppress(asyncio.QueueEmpty):
-                    dropped = queue.get_nowait()
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            FrameDropped(
-                                channel=channel, absolute_slot=dropped
-                            )
-                        )
-                self.perf.count("net.station.udp_dropped")
-            queue.put_nowait(slot)
-
-    async def _udp_pump(self, channel: int, queue: asyncio.Queue) -> None:
-        while True:
-            slot = await queue.get()
-            air = self.airing(channel, slot)
-            datagram = encode_air_frame(air)
-            for address in tuple(self._udp_subscribers.get(channel, ())):
-                assert self._datagram is not None
-                self._datagram.sendto(datagram, address)
-                self.perf.count("net.station.udp_sent")
-
-    def _udp_control(self, data: bytes, address: tuple) -> None:
-        parts = data.split()
-        if len(parts) == 2 and parts[0] in (b"SUB", b"UNSUB"):
-            try:
-                channel = int(parts[1])
-            except ValueError:
-                channel = -1
-            if 1 <= channel <= self.channels:
-                members = self._udp_subscribers.setdefault(channel, set())
-                if parts[0] == b"SUB":
-                    members.add(address)
-                    self.perf.count("net.station.udp_subscribed")
-                else:
-                    members.discard(address)
-                return
-        self.perf.count("net.station.protocol_errors")
-
 
 class _AirConnection(asyncio.Protocol):
     """One TCP client: LISTEN lines in, envelopes out, in request order.
@@ -579,13 +480,3 @@ class _AirConnection(asyncio.Protocol):
         await self.station.clock.wait_for(slot)
         self.waiter = None
         self._serve()
-
-
-class _UdpAirProtocol(asyncio.DatagramProtocol):
-    """Datagram endpoint: control messages in, airings out."""
-
-    def __init__(self, station: BroadcastStation) -> None:
-        self.station = station
-
-    def datagram_received(self, data: bytes, addr: tuple) -> None:
-        self.station._udp_control(data, addr)

@@ -4,7 +4,7 @@ Three layers, all opt-in and all free when unused:
 
 * :mod:`repro.obs.events` — typed trace events (`SlotAired`,
   `SlotRead`, `ChannelHop`, `WalkFinished`, `ReplanStarted/Finished`,
-  `SearchProgress`, `FaultInjected`, `FrameDropped`) behind the
+  `SearchProgress`, `FaultInjected`) behind the
   :class:`~repro.obs.events.Tracer` protocol, with a no-op default
   (:data:`~repro.obs.events.NULL_TRACER`), a bounded ring buffer and a
   rotating JSONL sink. The tracer is threaded through the station, the
@@ -62,7 +62,6 @@ from .events import (
     AlertFired,
     ChannelHop,
     FaultInjected,
-    FrameDropped,
     JsonlTracer,
     NullTracer,
     PlannerDecision,
@@ -128,7 +127,6 @@ __all__ = [
     # events / tracers
     "TraceEvent",
     "SlotAired",
-    "FrameDropped",
     "SlotRead",
     "ChannelHop",
     "WalkFinished",

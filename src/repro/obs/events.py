@@ -47,7 +47,6 @@ from typing import ClassVar, Iterable, Iterator, Mapping, Protocol
 __all__ = [
     "TraceEvent",
     "SlotAired",
-    "FrameDropped",
     "SlotRead",
     "ChannelHop",
     "WalkFinished",
@@ -97,16 +96,6 @@ class SlotAired:
     channel: int
     absolute_slot: int
     fate: str = "ok"
-
-
-@dataclass(frozen=True, slots=True)
-class FrameDropped:
-    """A frame never reached any receiver (e.g. UDP drop-oldest)."""
-
-    kind: ClassVar[str] = "frame_dropped"
-    channel: int
-    absolute_slot: int
-    reason: str = "queue-full"
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,7 +344,6 @@ class RecorderTriggered:
 
 TraceEvent = (
     SlotAired
-    | FrameDropped
     | SlotRead
     | ChannelHop
     | WalkFinished
@@ -375,7 +363,6 @@ EVENT_TYPES: dict[str, type] = {
     cls.kind: cls
     for cls in (
         SlotAired,
-        FrameDropped,
         SlotRead,
         ChannelHop,
         WalkFinished,

@@ -93,9 +93,6 @@ DEFAULT_PERF_BASELINE = (
     "net.station.protocol_errors",
     "net.station.lost_aired",
     "net.station.corrupt_aired",
-    "net.station.udp_subscribed",
-    "net.station.udp_sent",
-    "net.station.udp_dropped",
     "net.tuner.connections",
     "net.tuner.fetches",
     "net.tuner.frames",

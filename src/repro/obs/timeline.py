@@ -58,8 +58,6 @@ class SlotCell:
     #: handful of distinct (key, outcome) pairs, so the timeline's
     #: memory stays proportional to distinct activity, not trace size.
     read_counts: dict[tuple[str, str], int] = field(default_factory=dict)
-    #: frames dropped before any receiver (UDP overload)
-    drops: int = 0
     #: channel hops that landed here
     hops: int = 0
 
@@ -159,9 +157,6 @@ def build_timeline(records) -> Timeline:
             cell = timeline.cell(record["channel"], record["absolute_slot"])
             fate = record.get("fate", "lost")
             cell.faults[fate] = cell.faults.get(fate, 0) + 1
-        elif kind == "frame_dropped":
-            cell = timeline.cell(record["channel"], record["absolute_slot"])
-            cell.drops += 1
         elif kind == "channel_hop":
             cell = timeline.cell(
                 record["to_channel"], record["absolute_slot"]
@@ -307,7 +302,7 @@ def format_timeline(
     shown = cells[:limit] if limit else cells
     lines = [
         f"{'ch':>3} {'slot':>6} {'fate':>8} {'aired':>6} {'reads':>6} "
-        f"{'bad':>4} {'drops':>6} keys",
+        f"{'bad':>4} keys",
         "-" * 64,
     ]
     for cell in shown:
@@ -321,7 +316,7 @@ def format_timeline(
         lines.append(
             f"{cell.channel:>3} {cell.slot:>6} {cell.fate:>8} "
             f"{sum(cell.aired.values()):>6} {cell.total_reads:>6} "
-            f"{bad:>4} {cell.drops:>6} {preview}"
+            f"{bad:>4} {preview}"
         )
     if len(cells) > len(shown):
         lines.append(f"… {len(cells) - len(shown)} more cell(s)")

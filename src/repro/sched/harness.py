@@ -24,7 +24,6 @@ of (timeline, coordinates).
 
 from __future__ import annotations
 
-import asyncio
 import os
 import shutil
 import tempfile
@@ -34,10 +33,14 @@ from time import perf_counter
 import numpy as np
 
 from ..client.protocol import RecoveryPolicy
-from ..client.walk import WalkResult
-from ..net.harness import build_demo_plan, demo_labels, make_request_trace
+from ..net.harness import (
+    build_demo_plan,
+    demo_labels,
+    drive_fleet,
+    make_request_trace,
+    summarise_walks,
+)
 from ..net.station import BroadcastStation
-from ..net.tuner import TunerClient
 from ..obs.events import TeeTracer, Tracer
 from ..obs.spans import SpanTracer
 from ..perf import PerfRecorder, measure
@@ -237,46 +240,28 @@ async def run_cutover_loadtest(
         # rollback) costs extra cycles; the deadline must never be what
         # abandons a walk on lossless air.
         policy = RecoveryPolicy(max_cycles=64)
-        gate = asyncio.Semaphore(max_open)
-        results: list[WalkResult | None] = [None] * len(trace)
-        failures: list[Exception] = []
-
-        async def one_tuner(index: int, key: str, tune_slot: int) -> None:
-            async with gate:
-                try:
-                    async with TunerClient(
-                        station.host,
-                        station.port,
-                        policy=policy,
-                        perf=perf_recorder,
-                        tracer=tuner_tracer,
-                    ) as tuner:
-                        results[index] = await tuner.fetch(
-                            key, tune_slot, walk_id=index
-                        )
-                except Exception as error:  # accounted, not swallowed
-                    failures.append(error)
-
         started = perf_counter()
         async with station:
-            await asyncio.gather(
-                *(
-                    one_tuner(index, key, slot)
-                    for index, (key, slot) in enumerate(trace)
-                )
+            walks = await drive_fleet(
+                [(0, key, slot) for key, slot in trace],
+                [(station.host, station.port)],
+                [0.0] * len(trace),
+                policy=policy,
+                max_open=max_open,
+                perf=[perf_recorder],
+                tracers=[tuner_tracer],
             )
-        wall = perf_counter() - started
-        if failures:
-            raise failures[0]
-
-        walks = [walk for walk in results if walk is not None]
-        completed = [walk for walk in walks if not walk.abandoned]
-        reads = sum(walk.tuning_time for walk in walks)
-        answered = perf_recorder.counters.get("net.station.frames_sent", 0)
-        unaccounted = answered - reads
+        report = summarise_walks(
+            program_a,
+            walks,
+            perf=perf_recorder,
+            wall_seconds=perf_counter() - started,
+        )
         cutovers = sum(walk.cutovers for walk in walks)
         payloads_intact = all(
-            walk.payload == b"item:" + walk.key.encode() for walk in completed
+            walk.payload == b"item:" + walk.key.encode()
+            for walk in walks
+            if not walk.abandoned
         )
         doc_original = store.doc(rec_a.version)
         doc_restored = store.doc(rec_back.version)
@@ -287,8 +272,8 @@ async def run_cutover_loadtest(
         )
 
         checks = {
-            "zero_unaccounted_frames": unaccounted == 0,
-            "zero_abandoned_walks": not (len(walks) - len(completed)),
+            "zero_unaccounted_frames": report.accounting_ok,
+            "zero_abandoned_walks": not report.abandoned,
             "cutovers_observed": cutovers > 0,
             "payloads_intact": payloads_intact,
             "rollback_byte_exact": rollback_exact,
@@ -304,7 +289,7 @@ async def run_cutover_loadtest(
         return {
             "suite": "sched-loadtest",
             "config": {
-                "tuners": len(trace),
+                "tuners": report.tuners,
                 "items": items,
                 "channels": channels,
                 "fanout": fanout,
@@ -313,24 +298,16 @@ async def run_cutover_loadtest(
                 "rollback_slot": rollback_slot,
             },
             "result": {
-                "completed": len(completed),
-                "abandoned": len(walks) - len(completed),
+                "completed": report.completed,
+                "abandoned": report.abandoned,
                 "cutovers": cutovers,
-                "mean_access_time": (
-                    sum(w.access_time for w in completed) / len(completed)
-                    if completed
-                    else 0.0
-                ),
-                "mean_tuning_time": (
-                    sum(w.tuning_time for w in completed) / len(completed)
-                    if completed
-                    else 0.0
-                ),
-                "retries": sum(w.retries for w in walks),
-                "wall_seconds": wall,
-                "frames_answered": answered,
-                "frames_read": reads,
-                "unaccounted_frames": unaccounted,
+                "mean_access_time": report.mean_access_time,
+                "mean_tuning_time": report.mean_tuning_time,
+                "retries": report.retries,
+                "wall_seconds": report.wall_seconds,
+                "frames_answered": report.frames_answered,
+                "frames_read": report.frames_read,
+                "unaccounted_frames": report.unaccounted_frames,
                 "store": {
                     "versions": [r.to_dict() for r in store.versions()],
                     "size_bytes": store.size_bytes(),

@@ -168,6 +168,24 @@ def _parse_log(
     return records, number
 
 
+def _replace_atomically(path: Path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` through a temp file of its own.
+
+    Two processes may write the same file at once, and each must rename
+    only its own bytes, so the temp name is unique to this writer. A
+    failed write leaves no temp file.
+    """
+    tmp = path.with_name(f"{path.stem}.{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, "xb")
+    try:
+        with handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class ScheduleStore:
     """Durable versioned plans under one directory.
 
@@ -301,17 +319,7 @@ class ScheduleStore:
         path = self._object_path(object_id)
         if path.exists():
             return  # content-addressed: same id is the same bytes
-        # A temp file of this writer's own: two processes may write the
-        # same object at once, and each must rename only its own bytes.
-        tmp = path.with_name(f"{object_id}.{os.urandom(8).hex()}.tmp")
-        handle = open(tmp, "xb")
-        try:
-            with handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)  # a failed write leaves no temp file
-            raise
+        _replace_atomically(path, payload)
 
     def _read_object(self, object_id: str) -> dict:
         path = self._object_path(object_id)
@@ -636,12 +644,10 @@ class ScheduleStore:
     # -- crash state ---------------------------------------------------------
     def save_state(self, state: dict) -> None:
         """Atomically persist a JSON crash-snapshot blob."""
-        path = self.root / _STATE_NAME
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(state, sort_keys=True, indent=2), encoding="utf-8"
+        _replace_atomically(
+            self.root / _STATE_NAME,
+            json.dumps(state, sort_keys=True, indent=2).encode("utf-8"),
         )
-        os.replace(tmp, path)
 
     def load_state(self) -> dict | None:
         """The last saved crash snapshot, or ``None``."""

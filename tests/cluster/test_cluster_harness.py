@@ -98,6 +98,77 @@ class TestClusterLoadtest:
             )
 
 
+class TestOneShardIsOneStation:
+    def test_one_shard_cluster_reports_what_run_loadtest_does(
+        self, monkeypatch
+    ):
+        import repro.cluster.harness as cluster_harness
+        import repro.net.harness as net_harness
+        from repro.net import run_loadtest
+
+        cluster = StationCluster(demo_catalog(), 1)
+        program = cluster.plans[0].program
+        trace = make_cluster_trace(cluster, 50, np.random.default_rng(4))
+        walks = {}
+        real = net_harness.summarise_walks
+
+        def keeping(name):
+            def summarise(program, shard_walks, **options):
+                walks[name] = shard_walks
+                return real(program, shard_walks, **options)
+
+            return summarise
+
+        monkeypatch.setattr(
+            cluster_harness, "summarise_walks", keeping("cluster")
+        )
+        clustered = asyncio.run(
+            run_cluster_loadtest(
+                cluster,
+                tuners=50,
+                rng=np.random.default_rng(4),
+                check_parity=True,
+            )
+        ).per_shard["0"]
+        monkeypatch.setattr(
+            net_harness, "summarise_walks", keeping("station")
+        )
+        alone = asyncio.run(
+            run_loadtest(
+                program,
+                trace=[(key, slot) for _, key, slot in trace],
+                arrival_rate=0.0,
+                check_parity=True,
+            )
+        ).to_dict()
+
+        def times(name):
+            return [
+                (walk.key, walk.tune_slot, walk.access_time, walk.tuning_time)
+                for walk in walks[name]
+            ]
+
+        assert times("cluster") == times("station")
+        assert [key for key, _, _, _ in times("cluster")] == [
+            key for _, key, _ in trace
+        ]
+        timing = {"wall_seconds", "walks_per_second", "perf"}
+        assert {
+            name: value
+            for name, value in clustered.items()
+            if name not in timing
+        } == {
+            name: value for name, value in alone.items() if name not in timing
+        }
+        assert clustered["checks"] == {
+            "zero_unaccounted_frames": True,
+            "parity_exact": True,
+        }
+        assert (
+            clustered["perf"]["counters"] == alone["perf"]["counters"]
+        )
+
+
 class TestServeCluster:
     def test_endpoints_live_while_serving(self, cluster):
         async def scenario():

@@ -13,12 +13,16 @@ from repro.bench import SUITES, write_record
 from repro.client.protocol import RecoveryPolicy, object_walk, recovering_walk
 from repro.faults import FaultConfig, FaultInjector
 from repro.net import (
+    BroadcastStation,
     build_demo_program,
+    drive_fleet,
     make_request_trace,
     run_loadtest,
     simulator_baseline,
+    summarise_walks,
 )
 from repro.net.harness import build_demo_plan, demo_labels
+from repro.perf import PerfRecorder
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +107,84 @@ class TestParityGate:
         # Wall clock differs; slot-denominated measurements must not.
         assert burst.mean_access_time == staggered.mean_access_time
         assert burst.mean_tuning_time == staggered.mean_tuning_time
+
+
+class TestDriveFleet:
+    def test_two_endpoints_balance_and_match_the_object_walk(self, program):
+        programs = [
+            program,
+            build_demo_program(items=9, channels=3, fanout=2, seed=5),
+        ]
+        rng = np.random.default_rng(8)
+        trace = [
+            (endpoint, key, slot)
+            for index in range(40)
+            for endpoint in [index % 2]
+            for key, slot in make_request_trace(programs[endpoint], 1, rng)
+        ]
+        recorders = [PerfRecorder(), PerfRecorder()]
+
+        async def scenario():
+            stations = [
+                BroadcastStation(air, perf=recorder)
+                for air, recorder in zip(programs, recorders)
+            ]
+            for station in stations:
+                await station.start()
+            try:
+                return await drive_fleet(
+                    trace,
+                    [(station.host, station.port) for station in stations],
+                    [0.0] * len(trace),
+                    max_open=8,
+                    perf=recorders,
+                    tracers=[None, None],
+                )
+            finally:
+                for station in stations:
+                    await station.aclose()
+
+        walks = asyncio.run(scenario())
+        assert [walk.key for walk in walks] == [key for _, key, _ in trace]
+        for endpoint, recorder in enumerate(recorders):
+            mine = [
+                walk
+                for (at, _, _), walk in zip(trace, walks)
+                if at == endpoint
+            ]
+            report = summarise_walks(
+                programs[endpoint], mine, perf=recorder, wall_seconds=1.0
+            )
+            assert report.tuners == 20
+            assert report.frames_answered > 0
+            assert report.unaccounted_frames == 0
+            # The tuners counted their reads into their own endpoint's
+            # recorder, too.
+            assert (
+                recorder.counters["net.tuner.reads"]
+                == report.frames_answered
+            )
+        for (endpoint, key, slot), walk in zip(trace, walks):
+            leaf = {
+                leaf.label: leaf
+                for leaf in programs[endpoint].schedule.tree.data_nodes()
+            }[key]
+            record = object_walk(programs[endpoint], leaf, slot)
+            assert (
+                walk.tune_slot,
+                walk.access_time,
+                walk.probe_wait,
+                walk.data_wait,
+                walk.tuning_time,
+                walk.channel_switches,
+            ) == (
+                record.tune_slot,
+                record.access_time,
+                record.probe_wait,
+                record.data_wait,
+                record.tuning_time,
+                record.channel_switches,
+            )
 
 
 class TestLossyFleet:

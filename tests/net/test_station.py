@@ -1,4 +1,4 @@
-"""Tests for the asyncio broadcast station (both transports)."""
+"""Tests for the asyncio broadcast station."""
 
 from __future__ import annotations
 
@@ -26,14 +26,6 @@ def run(coro):
 
 
 class TestConstruction:
-    def test_rejects_unknown_transport(self, program):
-        with pytest.raises(ValueError, match="transport"):
-            BroadcastStation(program, transport="carrier-pigeon")
-
-    def test_udp_requires_pacing(self, program):
-        with pytest.raises(ValueError, match="pacing"):
-            BroadcastStation(program, transport="udp", slot_duration=0.0)
-
     def test_rejects_bad_queue_limit(self, program):
         with pytest.raises(ValueError, match="queue_limit"):
             BroadcastStation(program, queue_limit=0)
@@ -316,61 +308,3 @@ class TestTcpPipelining:
         perf = run(scenario())
         assert perf.counters["net.station.protocol_errors"] == 1
         assert perf.counters.get("net.station.requests", 0) == 0
-
-
-class TestUdpPush:
-    def test_subscribe_receives_paced_airings(self, program):
-        async def scenario():
-            async with BroadcastStation(
-                program, transport="udp", slot_duration=0.002
-            ) as station:
-                loop = asyncio.get_running_loop()
-                received: asyncio.Queue = asyncio.Queue()
-
-                class Listener(asyncio.DatagramProtocol):
-                    def connection_made(self, transport):
-                        self.transport = transport
-
-                    def datagram_received(self, data, addr):
-                        received.put_nowait(data)
-
-                transport, protocol = await loop.create_datagram_endpoint(
-                    Listener, remote_addr=(station.host, station.port)
-                )
-                protocol.transport.sendto(b"SUB 1")
-                airs = []
-                decoder = FrameStreamDecoder()
-                while len(airs) < 3:
-                    datagram = await asyncio.wait_for(
-                        received.get(), timeout=5.0
-                    )
-                    airs.extend(decoder.feed(datagram))
-                transport.close()
-
-            assert all(air.channel == 1 for air in airs)
-            slots = [air.absolute_slot for air in airs]
-            assert slots == sorted(slots)
-            for air in airs:
-                decode_bucket(air.payload)
-
-        run(scenario())
-
-    def test_bad_subscription_counts_protocol_error(self, program):
-        async def scenario():
-            perf = PerfRecorder()
-            async with BroadcastStation(
-                program, transport="udp", slot_duration=0.01, perf=perf
-            ) as station:
-                loop = asyncio.get_running_loop()
-                transport, _ = await loop.create_datagram_endpoint(
-                    asyncio.DatagramProtocol,
-                    remote_addr=(station.host, station.port),
-                )
-                transport.sendto(b"SUB 999")
-                transport.sendto(b"nonsense")
-                await asyncio.sleep(0.05)
-                transport.close()
-            return perf
-
-        perf = run(scenario())
-        assert perf.counters["net.station.protocol_errors"] == 2

@@ -13,7 +13,6 @@ from repro.obs.events import (
     ChannelHop,
     CutoverDetected,
     FaultInjected,
-    FrameDropped,
     JsonlTracer,
     NullTracer,
     PlannerDecision,
@@ -35,7 +34,6 @@ from repro.obs.events import (
 
 SAMPLE_EVENTS = [
     SlotAired(channel=2, absolute_slot=47, fate="lost"),
-    FrameDropped(channel=1, absolute_slot=9),
     SlotRead(key="K007", channel=1, absolute_slot=5, outcome="corrupt"),
     ChannelHop(key="K007", from_channel=1, to_channel=2, absolute_slot=6),
     WalkFinished(

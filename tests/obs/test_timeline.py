@@ -18,7 +18,6 @@ from repro.net import (
 from repro.obs.events import (
     ChannelHop,
     FaultInjected,
-    FrameDropped,
     JsonlTracer,
     ReplanFinished,
     ReplanStarted,
@@ -47,7 +46,6 @@ def _synthetic_events():
         SlotRead(key="B", channel=1, absolute_slot=1),
         SlotRead(key="A", channel=2, absolute_slot=3, outcome="lost"),
         ChannelHop(key="A", from_channel=1, to_channel=2, absolute_slot=3),
-        FrameDropped(channel=1, absolute_slot=4),
         ReplanStarted(cycle=1),
         ReplanFinished(cycle=1, seconds=0.01),
         WalkFinished(
@@ -82,7 +80,6 @@ class TestBuildTimeline:
         assert lossy.fate == "lost"
         assert lossy.faults == {"lost": 1}
         assert lossy.hops == 1
-        assert timeline.cells[(1, 4)].drops == 1
         assert timeline.walks == 2
         assert timeline.abandoned == 1
         assert timeline.retries == 1
@@ -140,14 +137,14 @@ class TestDiff:
         assert "sim never read it" in described
 
     def test_station_only_cells_never_count_as_divergence(self):
-        live = build_timeline(_synthetic_events())  # airings + drops
+        live = build_timeline(_synthetic_events())  # airings + faults
         sim = build_timeline(
             [e for e in _synthetic_events() if isinstance(
                 e, (SlotRead, ChannelHop, WalkFinished))]
         )
         diff = diff_timelines(live, sim)
         assert diff.identical
-        assert diff.cells_compared == 2  # (1,1) and (2,3); (1,4) skipped
+        assert diff.cells_compared == 2  # (1,1) and (2,3)
 
 
 class TestFormatting:

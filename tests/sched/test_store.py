@@ -527,6 +527,29 @@ class TestObjectWrites:
         assert record.content_id == object_id
         assert plan_to_doc(first.load(1)) == plan_to_doc(plans[0])
 
+    def test_two_crash_state_writers_interleave(self, tmp_path, monkeypatch):
+        """Each ``save_state`` renames its own temp file, too.
+
+        The first writer's rename is held back until a second writer,
+        in another handle, has saved its own state.
+        """
+        first = ScheduleStore(tmp_path)
+        second = ScheduleStore(tmp_path)
+        real = os.replace
+        held = []
+
+        def interleaved(source, target):
+            if not held:
+                held.append(source)
+                second.save_state({"writer": 2})
+            real(source, target)
+
+        monkeypatch.setattr(store_module.os, "replace", interleaved)
+        first.save_state({"writer": 1})
+        monkeypatch.undo()
+        assert second.load_state() == {"writer": 1}  # the later rename
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_a_failed_write_leaves_no_temp_file(
         self, tmp_path, plans, monkeypatch
     ):

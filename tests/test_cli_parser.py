@@ -136,7 +136,6 @@ LEAVES = [
             "seed": 2000,
             "slot_duration": 0.0,
             "store_dir": None,
-            "transport": "tcp",
         },
         id="serve",
     ),
