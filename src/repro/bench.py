@@ -189,7 +189,7 @@ register(Suite(
     "sched-bench",
     {
         "versions": 40, "items": 24, "channels": 3, "fanout": 3,
-        "seed": 2000, "snapshot_every": 8,
+        "seed": 2000,
     },
     lambda config: run_store_bench(**config),
     _quality("store_bytes_per_version", "store_bytes_total")

@@ -916,9 +916,10 @@ def _cmd_serve(args) -> int:
     )
 
     async def follow_store() -> None:
-        # The log is re-read from disk on every head access, so a
-        # version published by another process — a replan, or a
-        # ``sched rollback`` from another shell — shows up here and is
+        # Every head access stats the log and parses the lines
+        # appended since the last read, so a version published by
+        # another process — a replan, or a ``sched rollback`` from
+        # another shell — shows up here and is
         # put on air at the station's next cycle boundary. Walks in
         # flight see the version stamp change and restart from the
         # root; none are dropped.

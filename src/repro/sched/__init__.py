@@ -9,12 +9,12 @@ plans durable, versioned and reversible:
 
 * :mod:`repro.sched.delta` — the canonical plan document
   (:func:`~repro.sched.delta.plan_to_doc`), content addressing over its
-  canonical JSON bytes, and a structural delta codec so a version
-  that differs little from its parent stores cheaply
-  (``apply(delta(a, b), a) == b``, byte-exact);
+  canonical JSON bytes, and a structural diff of two documents
+  (``apply(delta(a, b), a) == b``, byte-exact) that ``sched diff``
+  prints and that loads of older delta-encoded stores replay;
 * :mod:`repro.sched.store` — :class:`ScheduleStore`, an append-only
   version log over a content-addressed object directory, with
-  integrity-checked loads, snapshot/delta chains, rollback (re-publish
+  integrity-checked loads of whole snapshots, rollback (re-publish
   of a prior version's identical document) and garbage collection of
   unreachable objects;
 * live cutover — :meth:`repro.net.BroadcastStation.publish` activates a

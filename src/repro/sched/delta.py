@@ -10,21 +10,19 @@ non-finite floats — which is what makes content addressing
 (:func:`content_id`) and the store's byte-exact round-trip gate
 meaningful.
 
-Consecutive versions of a workload can share most of their document,
-so the store can encode a follow-up version as a **structural delta**:
-:func:`delta` diffs two documents into a flat list of path-addressed
-ops, :func:`apply_delta` replays them. A changed tree or a drift that
-touches every weight makes a delta larger than the document itself, so
-:func:`delta` takes a size ``limit`` and stops once the ops cannot fit
-under it. The pair satisfies the exact-inverse property the hypothesis
-suite locks::
+Two documents can also be compared structurally: :func:`delta` diffs
+them into a flat list of path-addressed ops (what ``repro sched diff``
+prints), and :func:`apply_delta` replays them. The pair satisfies the
+exact-inverse property the hypothesis suite locks::
 
     canonical_bytes(apply_delta(delta(a, b), a)) == canonical_bytes(b)
 
 for *any* two JSON documents — not just plan documents — because the
 diff recurses structurally and only short-circuits on scalars whose
 type **and** value agree (``2`` and ``2.0`` compare equal in Python but
-serialise differently, so they diff).
+serialise differently, so they diff). The store writes every version
+whole; stores written by earlier releases also hold delta objects,
+which loading replays with :func:`apply_delta`.
 """
 
 from __future__ import annotations
@@ -209,9 +207,7 @@ def plan_from_doc(doc: dict) -> PlanResult:
 # structural diff / patch
 # ---------------------------------------------------------------------------
 
-def delta(
-    base: Any, target: Any, *, limit: int | None = None
-) -> list[dict] | None:
+def delta(base: Any, target: Any) -> list[dict]:
     """Diff two JSON documents into path-addressed ops.
 
     Ops (each a JSON-able dict):
@@ -226,56 +222,11 @@ def delta(
 
     Paths mix string dict keys and integer list indices. The op list is
     deterministic (dict keys are visited sorted), so the same pair of
-    documents always produces the same delta — and therefore the same
-    content-addressed delta object in the store.
-
-    With ``limit``, the diff returns ``None`` as soon as a lower bound on
-    ``len(canonical_bytes(ops))`` reaches ``limit``: a caller that only
-    wants a delta smaller than some size stops paying for one that
-    cannot be.
+    documents always produces the same delta.
     """
-    differ = _Differ(limit)
-    try:
-        differ.diff(base, target, 1)
-    except _OverLimit:
-        return None
-    return differ.ops
-
-
-class _OverLimit(Exception):
-    """The ops' size floor reached the caller's limit."""
-
-
-def _frame(op: dict, filler: int) -> int:
-    """Canonical bytes of ``op`` minus ``filler`` placeholder bytes."""
-    return len(canonical_bytes(op)) - filler
-
-
-# Each op kind's bytes around its path and value, measured on an empty
-# path ("[]") and a one-byte value or length ("0").
-_SET_FRAME = _frame({"op": "set", "path": [], "value": 0}, 3)
-_DEL_FRAME = _frame({"op": "del", "path": []}, 2)
-_PUSH_FRAME = _frame({"op": "push", "path": [], "values": 0}, 3)
-_TRIM_FRAME = _frame({"op": "trim", "path": [], "length": 0}, 3)
-
-
-def _floor(value: Any) -> int:
-    """Fewest canonical bytes ``value`` can take.
-
-    Numbers are exact (``json`` writes ``repr``); a string takes its
-    quotes and at least one byte per character, a container its
-    brackets and a byte and a separator per element.
-    """
-    kind = type(value)
-    if kind is str:
-        return len(value) + 2
-    if kind is float or kind is int:
-        return len(repr(value))
-    if kind is list or kind is dict:
-        return 2 * len(value) + 1 if value else 2
-    if value is None or value is True or value is False:
-        return 4
-    return 1
+    ops: list[dict] = []
+    _diff(base, target, [], ops)
+    return ops
 
 
 #: Exact types of the JSON scalars: a pair of them is compared in
@@ -283,127 +234,57 @@ def _floor(value: Any) -> int:
 _LEAVES = frozenset({str, int, float, bool, type(None)})
 
 
-class _Differ:
-    """One :func:`delta` call: the ops so far and a floor on their size.
+def _diff(a: Any, b: Any, path: list, ops: list[dict]) -> None:
+    """Append to ``ops`` the ops turning ``a`` into ``b``.
 
-    ``path`` is the path of the node being diffed, extended and
-    shortened in place; an op copies it only when emitted. ``diff``
-    carries ``size``, a floor on the bytes ``path`` takes as canonical
-    JSON (one short of "[]" for the empty path): each step adds its own
-    floor plus a separator, and the brackets stand in for the first
-    step's separator.
+    ``path`` is the path of ``a``, extended and shortened in place; an
+    op copies it only when emitted.
     """
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted([key for key in a if key not in b]):
+            ops.append({"op": "del", "path": [*path, key]})
+        for key in sorted(b):
+            if key not in a:
+                ops.append({"op": "set", "path": [*path, key], "value": b[key]})
+                continue
+            _diff_child(a[key], b[key], key, path, ops)
+        return
+    if isinstance(a, list) and isinstance(b, list):
+        common = min(len(a), len(b))
+        for index in range(common):
+            _diff_child(a[index], b[index], index, path, ops)
+        if len(b) > len(a):
+            ops.append({"op": "push", "path": list(path), "values": b[common:]})
+        elif len(b) < len(a):
+            ops.append({"op": "trim", "path": list(path), "length": len(b)})
+        return
+    if not _same_scalar(a, b):
+        ops.append({"op": "set", "path": list(path), "value": b})
 
-    __slots__ = ("ops", "floor", "limit", "path")
 
-    def __init__(self, limit: int | None) -> None:
-        self.ops: list[dict] = []
-        # "[" and "]" of the op list, less the separator the first op
-        # does not take.
-        self.floor = 1
-        self.limit = limit
-        self.path: list = []
+def _diff_child(x: Any, y: Any, step: Any, path: list, ops: list[dict]) -> None:
+    """:func:`_diff` the child ``step`` of ``path``; two scalars in place."""
+    if type(x) in _LEAVES and type(y) in _LEAVES:
+        if not _same_scalar(x, y):
+            ops.append({"op": "set", "path": [*path, step], "value": y})
+        return
+    path.append(step)
+    _diff(x, y, path, ops)
+    path.pop()
 
-    def emit(self, op: dict, floor: int) -> None:
-        self.ops.append(op)
-        if self.limit is not None:
-            self.floor += floor + 1
-            if self.floor >= self.limit:
-                raise _OverLimit
 
-    def set_leaf(self, step: Any, value: Any, size: int) -> None:
-        """:meth:`emit` the op setting scalar ``value`` at ``path + [step]``.
+def _same_scalar(a: Any, b: Any) -> bool:
+    """Whether ``a`` and ``b`` serialise to the same canonical bytes.
 
-        ``size`` is the floor of that path. The scalar's floor is
-        :func:`_floor`'s, inlined.
-        """
-        self.ops.append(
-            {"op": "set", "path": [*self.path, step], "value": value}
-        )
-        if self.limit is not None:
-            kind = type(value)
-            self.floor += _SET_FRAME + 1 + (size if size > 2 else 2) + (
-                len(repr(value)) if kind is int or kind is float
-                else len(value) + 2 if kind is str
-                else 4
-            )
-            if self.floor >= self.limit:
-                raise _OverLimit
-
-    def diff(self, a: Any, b: Any, size: int) -> None:
-        path = self.path
-        if isinstance(a, dict) and isinstance(b, dict):
-            for key in sorted([key for key in a if key not in b]):
-                self.emit(
-                    {"op": "del", "path": [*path, key]},
-                    _DEL_FRAME + max(2, size + _floor(key) + 1),
-                )
-            for key in sorted(b):
-                # Keys are strings in JSON documents: inline their floor.
-                step = size + (
-                    len(key) + 3 if type(key) is str else _floor(key) + 1
-                )
-                if key not in a:
-                    value = b[key]
-                    self.emit(
-                        {"op": "set", "path": [*path, key], "value": value},
-                        _SET_FRAME + max(2, step) + _floor(value),
-                    )
-                    continue
-                x, y = a[key], b[key]
-                kind = type(x)
-                if kind in _LEAVES and type(y) in _LEAVES:
-                    # Two scalars, as below, without the call.
-                    if kind is type(y) and x == y and (
-                        kind is not float or repr(x) == repr(y)
-                    ):
-                        continue
-                    self.set_leaf(key, y, step)
-                    continue
-                path.append(key)
-                self.diff(x, y, step)
-                path.pop()
-            return
-        if isinstance(a, list) and isinstance(b, list):
-            common = min(len(a), len(b))
-            step = size + 2
-            for index in range(common):
-                x, y = a[index], b[index]
-                kind = type(x)
-                if kind in _LEAVES and type(y) in _LEAVES:
-                    if kind is type(y) and x == y and (
-                        kind is not float or repr(x) == repr(y)
-                    ):
-                        continue
-                    self.set_leaf(index, y, step)
-                    continue
-                path.append(index)
-                self.diff(x, y, step)
-                path.pop()
-            if len(b) > len(a):
-                values = b[common:]
-                self.emit(
-                    {"op": "push", "path": list(path), "values": values},
-                    _PUSH_FRAME + max(2, size) + _floor(values),
-                )
-            elif len(b) < len(a):
-                self.emit(
-                    {"op": "trim", "path": list(path), "length": len(b)},
-                    _TRIM_FRAME + max(2, size) + _floor(len(b)),
-                )
-            return
-        # Scalars, or mismatched containers: ``type`` must agree as well
-        # as value. bool/int and int/float cross-compare equal in Python
-        # but serialise differently, which would break byte-exactness.
-        # The same trap hides inside float equality itself (-0.0 == 0.0
-        # but they serialise as "-0.0" and "0.0"), hence the repr check.
-        if type(a) is type(b) and a == b:
-            if not isinstance(a, float) or repr(a) == repr(b):
-                return
-        self.emit(
-            {"op": "set", "path": list(path), "value": b},
-            _SET_FRAME + max(2, size) + _floor(b),
-        )
+    ``type`` must agree as well as value: bool/int and int/float
+    cross-compare equal in Python but serialise differently, which
+    would break byte-exactness. The same trap hides inside float
+    equality itself (-0.0 == 0.0 but they serialise as "-0.0" and
+    "0.0"), hence the repr check.
+    """
+    return type(a) is type(b) and a == b and (
+        not isinstance(a, float) or repr(a) == repr(b)
+    )
 
 
 def _resolve(doc: Any, path: list) -> Any:

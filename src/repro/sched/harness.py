@@ -326,14 +326,12 @@ def run_store_bench(
     channels: int = 3,
     fanout: int = 3,
     seed: int = 2000,
-    snapshot_every: int = 8,
 ) -> dict:
     """Measure publish/load/rollback latency and store growth.
 
     Plans ``versions`` distinct catalogs (the same catalog under a
-    per-version reshuffled Zipf weighting — consecutive versions are
-    similar, which is the workload the delta encoding exists for), then
-    times, with :func:`repro.perf.measure`: publishing all of them into
+    per-version reshuffled Zipf weighting, so each version is stored as
+    a new snapshot), then times, with :func:`repro.perf.measure`: publishing all of them into
     a fresh store, an integrity-checked load of every version through a
     fresh store handle (cold document cache), and one rollback to
     version 1 on a fresh copy of the published store. The ``*_ms``
@@ -367,12 +365,12 @@ def run_store_bench(
             return published
 
         def publish_all(store_dir: str) -> None:
-            store = ScheduleStore(store_dir, snapshot_every=snapshot_every)
+            store = ScheduleStore(store_dir)
             for version, result in enumerate(plans, 1):
                 store.publish(result, note=f"bench version {version}")
 
         def fresh_reader() -> ScheduleStore:
-            return ScheduleStore(published, snapshot_every=snapshot_every)
+            return ScheduleStore(published)
 
         def load_all(reader: ScheduleStore):
             loaded = [reader.load(v) for v in range(1, versions + 1)]
@@ -381,7 +379,7 @@ def run_store_bench(
         def fresh_copy() -> ScheduleStore:
             shutil.rmtree(work, ignore_errors=True)
             shutil.copytree(published, work)
-            return ScheduleStore(work, snapshot_every=snapshot_every)
+            return ScheduleStore(work)
 
         def rollback(store: ScheduleStore):
             return store, store.rollback(1, note="bench rollback")
@@ -421,6 +419,5 @@ def run_store_bench(
             "detail": {
                 "versions_published": len(records),
                 "snapshots": sum(r.kind == "snapshot" for r in records),
-                "deltas": sum(r.kind == "delta" for r in records),
             },
         }

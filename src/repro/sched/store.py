@@ -6,34 +6,32 @@ durability, no way to answer "what was on air at version 3?". The
 directory holding
 
 * ``objects/<sha256>.json`` — content-addressed documents: full plan
-  snapshots (:func:`repro.sched.delta.plan_to_doc`) and delta documents
-  between consecutive versions. Each object's name is the SHA-256 of
-  its bytes. Identical content is stored once, which is what makes a
-  rollback version *free*: its document already exists under the
-  original version's address.
+  snapshots (:func:`repro.sched.delta.plan_to_doc`). Each object's name
+  is the SHA-256 of its bytes. Identical content is stored once, which
+  is what makes a rollback version *free*: its document already exists
+  under the original version's address.
 * ``log.jsonl`` — the append-only version log, one line per published
-  version with a parent link, the document's content id, and whether
-  the version is stored as a snapshot or as a delta against its parent.
+  version with a parent link and the document's content id.
   The log is the single source of truth; objects not reachable from it
   are garbage (:meth:`ScheduleStore.gc`).
 * ``state.json`` — an optional crash snapshot blob
   (:meth:`save_state`/:meth:`load_state`) the serving loop uses to
   resume after an interrupt.
 
-A version is stored as a delta against its parent only when the
-delta's canonical bytes are smaller than the version's own snapshot
-bytes. A weight drift that touches every item, or a changed tree,
-gives a delta several times the snapshot's size, and such a version is
-stored whole. A full snapshot is also written every ``snapshot_every``
-versions to bound chain length.
+Every version is stored whole. A replan reweights the whole tree (the
+data wait of formula (1) depends on every item's weight), so a new
+plan shares almost nothing with its parent and a delta against it
+would not be smaller. Stores written by earlier releases also hold
+``delta`` versions: a structural delta object against the parent
+(:func:`repro.sched.delta.apply_delta`). These still load.
 
-Every load reconstructs the requested version from the nearest snapshot
-(or a verified document still in memory) plus the delta chain and
-verifies the result's SHA-256 against the logged content id — a flipped
-bit anywhere in the chain surfaces as :class:`StoreError`, never as a
+Every load reads the requested version's snapshot (or a verified
+document still in memory), replays any delta chain after it, and
+verifies the result's SHA-256 against the logged content id — a
+flipped bit anywhere surfaces as :class:`StoreError`, never as a
 silently wrong schedule. The store keeps the verified documents of the
-last two versions it published or loaded: the next publish diffs
-against the head, and a load usually follows its publish.
+last two versions it published or loaded: a load usually follows its
+publish.
 """
 
 from __future__ import annotations
@@ -54,9 +52,7 @@ from ..planners import PlanResult
 from .delta import (
     DELTA_FORMAT,
     apply_delta,
-    canonical_bytes,
     content_id,
-    delta,
     plan_bytes,
     plan_from_doc,
 )
@@ -70,8 +66,8 @@ _LOG_TAIL = 256
 _OBJECTS_DIR = "objects"
 _STATE_NAME = "state.json"
 
-#: Verified documents a store keeps: the head, which the next publish
-#: diffs against, and the version last loaded or published before it.
+#: Verified documents a store keeps: the version last published or
+#: loaded, which the next load usually asks for, and the one before.
 _CACHED_DOCS = 2
 
 
@@ -84,10 +80,11 @@ class VersionRecord:
     """One line of the version log.
 
     ``content_id`` addresses the *full* document of this version (and is
-    what integrity verification checks); ``delta_id`` addresses the
-    stored delta object when ``kind == "delta"``, which the store writes
-    only when it is smaller than the snapshot. ``parent`` is the
-    version this one was published on top of (``None`` for version 1).
+    what integrity verification checks). The store writes every version
+    as a ``"snapshot"``; a ``"delta"`` version, written by earlier
+    releases, names its stored delta object against the parent in
+    ``delta_id``. ``parent`` is the version this one was published on
+    top of (``None`` for version 1).
     """
 
     version: int
@@ -193,12 +190,6 @@ class ScheduleStore:
     ----------
     root:
         Store directory; created (with parents) when missing.
-    snapshot_every:
-        A full snapshot is stored whenever the delta chain since the
-        last one would otherwise reach this length. ``1`` stores every
-        version as a snapshot (no deltas at all). Below that length a
-        version is still stored whole when its delta would not be
-        smaller than its snapshot.
     perf:
         Optional shared recorder; counters are namespaced ``sched.*``
         (``sched.publishes``, ``sched.loads``, ``sched.rollbacks``,
@@ -219,15 +210,11 @@ class ScheduleStore:
         self,
         root: str | os.PathLike,
         *,
-        snapshot_every: int = 8,
         perf: PerfRecorder | None = None,
         tracer: Tracer | None = None,
         flight_recorder=None,
     ) -> None:
-        if snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
         self.root = Path(root)
-        self.snapshot_every = snapshot_every
         self.perf = perf if perf is not None else PerfRecorder()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._spans = (
@@ -367,13 +354,9 @@ class ScheduleStore:
     ) -> VersionRecord:
         """Append ``result`` as the next version; returns its record.
 
-        The first version — and every ``snapshot_every``-th since the
-        last snapshot — is stored whole. Another version stores only the
-        structural delta against its parent when that delta's canonical
-        bytes are smaller than the version's own, and is stored whole
-        otherwise. A document whose content already exists (a rollback,
-        an unchanged replan) is stored as a snapshot record pointing at
-        the existing object: no new bytes.
+        Every version is stored whole, as a snapshot. A document whose
+        content already exists (a rollback, an unchanged replan) gets a
+        snapshot record pointing at the existing object: no new bytes.
 
         ``trace`` is an optional ``(trace_id, span_id)`` causal context
         (typically the replan span the caller opened); when the store's
@@ -382,40 +365,18 @@ class ScheduleStore:
         """
         payload = plan_bytes(result)
         cid = hashlib.sha256(payload).hexdigest()
-        doc = json.loads(payload)
         records = self._read_log()
-        parent = records[-1] if records else None
         version = len(records) + 1
-
-        stored = None
-        if not (
-            parent is None
-            or self._object_path(cid).exists()
-            or self._chain_length(records) + 1 >= self.snapshot_every
-        ):
-            stored = self._smaller_delta(records, cid, doc, len(payload))
-        if stored is None:
-            self._write_object(cid, payload)
-            record = VersionRecord(
-                version=version,
-                content_id=cid,
-                parent=parent.version if parent else None,
-                kind="snapshot",
-                note=note,
-            )
-        else:
-            did, delta_payload = stored
-            self._write_object(did, delta_payload)
-            record = VersionRecord(
-                version=version,
-                content_id=cid,
-                parent=parent.version,
-                kind="delta",
-                delta_id=did,
-                note=note,
-            )
+        self._write_object(cid, payload)
+        record = VersionRecord(
+            version=version,
+            content_id=cid,
+            parent=records[-1].version if records else None,
+            kind="snapshot",
+            note=note,
+        )
         self._append_log(record)
-        self._remember(version, doc)
+        self._remember(version, json.loads(payload))
         self.perf.count("sched.publishes")
         if self._spans is not None and trace is not None:
             self._spans.finish(
@@ -459,46 +420,6 @@ class ScheduleStore:
                 (cursor.last + line)[-_LOG_TAIL:],
                 stat.st_mtime_ns,
             )
-
-    def _smaller_delta(
-        self, records: list[VersionRecord], cid: str, doc: dict, size: int
-    ) -> tuple[str, bytes] | None:
-        """The delta object onto the head, if under ``size`` bytes.
-
-        Returns its id and canonical bytes, or ``None`` when the delta
-        would take ``size`` bytes or more. The diff gives up as soon as
-        a floor on the ops' bytes says so.
-        """
-        parent = records[-1]
-        delta_doc = {
-            "format": DELTA_FORMAT,
-            "version": 1,
-            "base": parent.content_id,
-            "target": cid,
-            "ops": [],
-        }
-        # The document's bytes around its op list ("[]").
-        frame = len(canonical_bytes(delta_doc)) - 2
-        ops = delta(
-            self._reconstruct(records, parent.version), doc,
-            limit=size - frame,
-        )
-        if ops is None:
-            return None
-        delta_doc["ops"] = ops
-        delta_payload = canonical_bytes(delta_doc)
-        if len(delta_payload) >= size:
-            return None
-        return hashlib.sha256(delta_payload).hexdigest(), delta_payload
-
-    def _chain_length(self, records: list[VersionRecord]) -> int:
-        """Deltas since (and excluding) the most recent snapshot."""
-        length = 0
-        for record in reversed(records):
-            if record.kind == "snapshot":
-                break
-            length += 1
-        return length
 
     def _remember(self, version: int, doc: dict) -> None:
         """Keep ``version``'s verified document as the most recent."""

@@ -187,7 +187,7 @@ class BroadcastServer:
     store:
         Optional :class:`~repro.sched.ScheduleStore`. When given, the
         initial plan and every replan's outcome are published as store
-        versions (content-addressed, delta-encoded), and each
+        versions (content-addressed snapshots), and each
         :meth:`run` flushes a crash snapshot (:meth:`save_state`) on
         the way out — interrupted or not — so :meth:`restore` can
         rebuild the server, its estimator state and its serving plan

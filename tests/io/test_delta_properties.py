@@ -85,20 +85,6 @@ class TestDeltaRoundTrip:
             patched = apply_delta(ops, base)
             assert canonical_bytes(patched) == canonical_bytes(target)
 
-    @settings(max_examples=250, **COMMON)
-    @given(
-        a=json_docs, b=json_docs, limit=st.integers(min_value=0, max_value=400)
-    )
-    def test_limit_gives_up_only_on_deltas_that_large(self, a, b, limit):
-        """The size floor never exceeds the ops' canonical size."""
-        ops = delta(a, b)
-        size = len(canonical_bytes(ops))
-        limited = delta(a, b, limit=limit)
-        assert limited is None or limited == ops
-        if size < limit:
-            assert limited == ops
-        assert delta(a, b, limit=size + 1) == ops
-
     @settings(max_examples=100, **COMMON)
     @given(value=st.floats(allow_nan=False, allow_infinity=False))
     def test_float_values_survive_exactly(self, value):

@@ -4,8 +4,9 @@
 and ``encode_program`` each became one linear pass over the plan. The
 functions below are the versions they replaced, kept as they were
 (their helpers too, so a later change to a shared helper cannot move
-the oracle with it). Today's code must give the same bytes, content
-ids, delta decisions, bucket grids and frames on random trees and on
+the oracle with it; the frozen diff without the size limit ``delta``
+no longer takes). Today's code must give the same bytes, content
+ids, delta ops, bucket grids and frames on random trees and on
 catalog plans, including two-group ``ptas`` plans and tie-heavy
 weights, and raise the same exception with the same message for every
 malformed document.
@@ -109,64 +110,20 @@ def frozen_plan_bytes(result):
 # frozen: delta (sched/delta.py)
 # ---------------------------------------------------------------------------
 
-class _FrozenOverLimit(Exception):
-    pass
-
-
-def _frozen_frame(op, filler):
-    return len(frozen_canonical_bytes(op)) - filler
-
-
-_SET_FRAME = _frozen_frame({"op": "set", "path": [], "value": 0}, 3)
-_DEL_FRAME = _frozen_frame({"op": "del", "path": []}, 2)
-_PUSH_FRAME = _frozen_frame({"op": "push", "path": [], "values": 0}, 3)
-_TRIM_FRAME = _frozen_frame({"op": "trim", "path": [], "length": 0}, 3)
-
-
-def _frozen_floor(value):
-    kind = type(value)
-    if kind is str:
-        return len(value) + 2
-    if kind is float or kind is int:
-        return len(repr(value))
-    if kind is list or kind is dict:
-        return 2 * len(value) + 1 if value else 2
-    if value is None or value is True or value is False:
-        return 4
-    return 1
-
-
 class _FrozenDiffer:
-    def __init__(self, limit):
+    def __init__(self):
         self.ops = []
-        self.floor = 1
-        self.limit = limit
 
-    def emit(self, op, floor):
-        self.ops.append(op)
-        if self.limit is not None:
-            self.floor += floor + 1
-            if self.floor >= self.limit:
-                raise _FrozenOverLimit
-
-    def diff(self, a, b, path, size):
+    def diff(self, a, b, path):
         if isinstance(a, dict) and isinstance(b, dict):
             for key in sorted(a.keys() - b.keys()):
-                self.emit(
-                    {"op": "del", "path": path + [key]},
-                    _DEL_FRAME + max(2, size + _frozen_floor(key) + 1),
-                )
+                self.ops.append({"op": "del", "path": path + [key]})
             for key in sorted(b):
-                step = size + (
-                    len(key) + 3 if type(key) is str else _frozen_floor(key) + 1
-                )
                 if key in a:
-                    self.diff(a[key], b[key], path + [key], step)
+                    self.diff(a[key], b[key], path + [key])
                 else:
-                    value = b[key]
-                    self.emit(
-                        {"op": "set", "path": path + [key], "value": value},
-                        _SET_FRAME + max(2, step) + _frozen_floor(value),
+                    self.ops.append(
+                        {"op": "set", "path": path + [key], "value": b[key]}
                     )
             return
         if (
@@ -177,34 +134,25 @@ class _FrozenDiffer:
         ):
             common = min(len(a), len(b))
             for index in range(common):
-                self.diff(a[index], b[index], path + [index], size + 2)
+                self.diff(a[index], b[index], path + [index])
             if len(b) > len(a):
-                values = b[common:]
-                self.emit(
-                    {"op": "push", "path": list(path), "values": values},
-                    _PUSH_FRAME + max(2, size) + _frozen_floor(values),
+                self.ops.append(
+                    {"op": "push", "path": list(path), "values": b[common:]}
                 )
             elif len(b) < len(a):
-                self.emit(
-                    {"op": "trim", "path": list(path), "length": len(b)},
-                    _TRIM_FRAME + max(2, size) + _frozen_floor(len(b)),
+                self.ops.append(
+                    {"op": "trim", "path": list(path), "length": len(b)}
                 )
             return
         if type(a) is type(b) and a == b:
             if not isinstance(a, float) or repr(a) == repr(b):
                 return
-        self.emit(
-            {"op": "set", "path": list(path), "value": b},
-            _SET_FRAME + max(2, size) + _frozen_floor(b),
-        )
+        self.ops.append({"op": "set", "path": list(path), "value": b})
 
 
-def frozen_delta(base, target, *, limit=None):
-    differ = _FrozenDiffer(limit)
-    try:
-        differ.diff(base, target, [], 1)
-    except _FrozenOverLimit:
-        return None
+def frozen_delta(base, target):
+    differ = _FrozenDiffer()
+    differ.diff(base, target, [])
     return differ.ops
 
 
@@ -545,15 +493,8 @@ def assert_same_grid(program, frozen) -> None:
 
 
 def assert_same_deltas(base: dict, target: dict) -> None:
-    """Every limit gives the frozen diff's answer, op for op."""
-    size = len(frozen_canonical_bytes(target))
-    ops = delta(base, target)
-    assert ops == frozen_delta(base, target)
-    exact = len(frozen_canonical_bytes(ops))
-    for limit in {None, 0, 1, exact - 1, exact, exact + 1, size // 2, size}:
-        assert delta(base, target, limit=limit) == frozen_delta(
-            base, target, limit=limit
-        ), limit
+    """The diff gives the frozen diff's answer, op for op."""
+    assert delta(base, target) == frozen_delta(base, target)
 
 
 class TestRandomTrees:

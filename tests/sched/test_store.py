@@ -16,10 +16,12 @@ from repro.net.harness import build_demo_plan, demo_labels
 from repro.perf import PerfRecorder
 from repro.planners import plan_catalog
 from repro.sched import (
+    DELTA_FORMAT,
     ScheduleStore,
     StoreError,
     canonical_bytes,
     content_id,
+    delta,
     plan_to_doc,
 )
 from repro.sched import store as store_module
@@ -42,7 +44,7 @@ def nudged():
 
     The tree and the placement stay the same, so a delta between two
     of them is two ops (the cost and one weight), far smaller than a
-    snapshot: the store writes it.
+    snapshot: the store still writes each one whole.
     """
     weights = zipf_weights(np.random.default_rng(2000), 10, theta=0.95)
     result = []
@@ -53,6 +55,13 @@ def nudged():
             plan_catalog(demo_labels(10), nudge, 2, method="sorting", fanout=3)
         )
     return result
+
+
+@pytest.fixture
+def parent_store(tmp_path):
+    """A copy of ``data/parent_store``, a store holding delta versions."""
+    source = Path(__file__).parent / "data" / "parent_store"
+    return ScheduleStore(shutil.copytree(source, tmp_path / "parent_store"))
 
 
 def object_count(store: ScheduleStore) -> int:
@@ -67,48 +76,13 @@ class TestPublish:
         assert [r.parent for r in records] == [None, 1, 2]
         assert store.head.version == 3
 
-    def test_first_version_is_a_snapshot_then_deltas(self, tmp_path, nudged):
-        store = ScheduleStore(tmp_path, snapshot_every=8)
-        kinds = [store.publish(plan).kind for plan in nudged[:3]]
-        assert kinds == ["snapshot", "delta", "delta"]
-
-    def test_snapshot_every_bounds_the_chain(self, tmp_path, nudged):
-        store = ScheduleStore(tmp_path, snapshot_every=3)
-        # Five distinct-content publishes: re-publishing earlier
-        # content would dedup to a snapshot record regardless of chain
-        # length.
-        kinds = [store.publish(plan).kind for plan in nudged]
-        assert kinds == ["snapshot", "delta", "delta", "snapshot", "delta"]
-
-    def test_a_delta_larger_than_its_snapshot_is_not_written(
-        self, tmp_path, plans
-    ):
-        """Plans of different skew change the tree: their deltas do not pay."""
-        store = ScheduleStore(tmp_path, snapshot_every=8)
-        kinds = [store.publish(plan).kind for plan in plans]
-        assert kinds == ["snapshot"] * 3
-        assert object_count(store) == 3
-
-    def test_a_delta_is_sized_by_its_bytes_not_its_floor(
-        self, tmp_path, nudged, monkeypatch
-    ):
-        """Ops that pass the diff's floor but not the size stay unwritten."""
-        real = store_module.delta
-
-        def padded(base, target, *, limit):
-            ops = real(base, target, limit=limit)
-            return ops + [{"op": "set", "path": [], "value": "x" * limit}]
-
-        monkeypatch.setattr(store_module, "delta", padded)
+    def test_nudged_plans_publish_as_snapshots(self, tmp_path, nudged):
+        """Even a two-op delta is not written: every version is whole."""
         store = ScheduleStore(tmp_path)
-        kinds = [store.publish(plan).kind for plan in nudged[:2]]
-        assert kinds == ["snapshot", "snapshot"]
-
-    def test_snapshot_every_one_never_deltas(self, tmp_path, plans):
-        store = ScheduleStore(tmp_path, snapshot_every=1)
-        assert [store.publish(plan).kind for plan in plans] == [
-            "snapshot"
-        ] * 3
+        for count, plan in enumerate(nudged, start=1):
+            record = store.publish(plan)
+            assert (record.kind, record.delta_id) == ("snapshot", None)
+            assert object_count(store) == count
 
     def test_identical_content_stores_no_new_object(self, tmp_path, plans):
         store = ScheduleStore(tmp_path)
@@ -125,10 +99,6 @@ class TestPublish:
         store.publish(plans[0], note="baseline")
         assert store.head.note == "baseline"
         assert perf.counters["sched.publishes"] == 1
-
-    def test_snapshot_every_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="snapshot_every"):
-            ScheduleStore(tmp_path, snapshot_every=0)
 
 
 class TestLoad:
@@ -195,29 +165,24 @@ class TestIntegrity:
         with pytest.raises(StoreError, match="integrity"):
             ScheduleStore(tmp_path).load(1)
 
-    def test_corrupt_delta_chain_fails_the_load(self, tmp_path, nudged):
-        store = ScheduleStore(tmp_path)
-        store.publish(nudged[0])
-        record = store.publish(nudged[1])
+    def test_corrupt_delta_chain_fails_the_load(self, parent_store):
+        record = parent_store.record(2)
         assert record.kind == "delta"
-        path = store.root / "objects" / f"{record.delta_id}.json"
+        path = parent_store.root / "objects" / f"{record.delta_id}.json"
         path.write_text(path.read_text().replace("set", "sEt", 1))
         with pytest.raises(StoreError):
-            ScheduleStore(tmp_path).load(2)
+            ScheduleStore(parent_store.root).load(2)
 
-    def test_a_delta_version_with_a_wrong_logged_id_fails(
-        self, tmp_path, nudged
-    ):
-        store = ScheduleStore(tmp_path)
-        first = store.publish(nudged[0])
-        assert store.publish(nudged[1]).kind == "delta"
-        log = store.root / "log.jsonl"
-        lines = log.read_text().splitlines()
+    def test_a_delta_version_with_a_wrong_logged_id_fails(self, parent_store):
+        assert parent_store.record(2).kind == "delta"
+        log = parent_store.root / "log.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
         record = json.loads(lines[1])
-        record["content_id"] = first.content_id[::-1]
-        log.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+        record["content_id"] = parent_store.record(1).content_id[::-1]
+        lines[1] = json.dumps(record) + "\n"
+        log.write_text("".join(lines))
         with pytest.raises(StoreError, match="integrity"):
-            ScheduleStore(tmp_path).load(2)
+            ScheduleStore(parent_store.root).load(2)
 
     def test_noncontiguous_log_fails_open(self, tmp_path, plans):
         store = ScheduleStore(tmp_path)
@@ -306,18 +271,13 @@ class TestCrashState:
 
 
 class TestParentWrittenStore:
-    """A store written before deltas had to be smaller than snapshots.
+    """A store written when the store still wrote deltas.
 
     ``data/parent_store`` was published by the store as of f8150f0: six
     items on two channels, a nudged weight (a small delta), a flatter
     skew and back (two deltas larger than their snapshot), then a
     rollback to version 1.
     """
-
-    @pytest.fixture
-    def store(self, tmp_path):
-        source = Path(__file__).parent / "data" / "parent_store"
-        return ScheduleStore(shutil.copytree(source, tmp_path / "store"))
 
     @staticmethod
     def nudged(step):
@@ -326,36 +286,56 @@ class TestParentWrittenStore:
         nudge[-1] *= 1 + 0.01 * step
         return plan_catalog(demo_labels(6), nudge, 2, method="sorting", fanout=3)
 
-    def test_every_version_loads_and_verifies(self, store):
-        records = store.versions()
+    def test_every_version_loads_and_verifies(self, parent_store):
+        records = parent_store.versions()
         assert [r.kind for r in records] == [
             "snapshot", "delta", "delta", "delta", "snapshot"
         ]
-        assert store.verify() == 5
+        assert parent_store.verify() == 5
         for record in records:
-            loaded = store.load(record.version)
+            loaded = parent_store.load(record.version)
             assert content_id(plan_to_doc(loaded)) == record.content_id
 
-    def test_todays_plans_have_the_logged_ids(self, store, tmp_path):
+    def test_todays_plans_have_the_logged_ids(self, parent_store, tmp_path):
         """Same plans, same bytes: ids and the one small delta match."""
-        logged = store.versions()
+        logged = parent_store.versions()
         fresh = ScheduleStore(tmp_path / "fresh")
         assert fresh.publish(self.nudged(0)).content_id == logged[0].content_id
-        second = fresh.publish(self.nudged(1))
-        assert (second.kind, second.content_id, second.delta_id) == (
-            "delta", logged[1].content_id, logged[1].delta_id
-        )
+        assert fresh.publish(self.nudged(1)).content_id == logged[1].content_id
         assert (
             content_id(plan_to_doc(self.nudged(2))) == logged[3].content_id
         )
+        delta_doc = {
+            "format": DELTA_FORMAT,
+            "version": 1,
+            "base": logged[0].content_id,
+            "target": logged[1].content_id,
+            "ops": delta(fresh.doc(1), fresh.doc(2)),
+        }
+        stored = parent_store.root / "objects" / f"{logged[1].delta_id}.json"
+        assert canonical_bytes(delta_doc) == stored.read_bytes()
 
-    def test_rolls_back_to_a_version_stored_as_a_delta(self, store):
-        target = store.record(3)
-        record = store.rollback(3)
+    def test_rolls_back_to_a_version_stored_as_a_delta(self, parent_store):
+        target = parent_store.record(3)
+        record = parent_store.rollback(3)
         assert record.version == 6
         assert record.content_id == target.content_id
-        assert record.kind == "snapshot"  # its delta would not be smaller
-        assert store.verify() == 6
+        assert record.kind == "snapshot"
+        assert parent_store.verify() == 6
+
+    def test_a_publish_appends_a_snapshot(self, parent_store):
+        """New content onto a store of deltas: one snapshot, none orphaned."""
+        count = object_count(parent_store)
+        record = parent_store.publish(self.nudged(3))
+        assert (record.version, record.parent, record.kind) == (
+            6, 5, "snapshot"
+        )
+        assert object_count(parent_store) == count + 1
+        assert parent_store.verify() == 6
+        assert parent_store.gc() == []
+        assert content_id(plan_to_doc(parent_store.load(6))) == (
+            record.content_id
+        )
 
 
 class TestDocumentCache:

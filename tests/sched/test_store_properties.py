@@ -1,8 +1,8 @@
 """Property-based tests of what a store writes.
 
 Over random publish sequences (small nudges that leave the tree alone,
-reshuffles that change it, and republished content), every stored
-``delta`` is smaller than its version's snapshot, every version reloads
+reshuffles that change it, and republished content), every version is
+a snapshot that adds at most one object, every version reloads
 byte-exactly through a fresh handle, and every object file is named by
 the SHA-256 of its bytes.
 """
@@ -66,22 +66,24 @@ class TestStoredObjects:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(sequence=steps, snapshot_every=st.integers(min_value=1, max_value=4))
+    @given(sequence=steps)
     def test_deltas_pay_reloads_are_exact_and_names_are_hashes(
-        self, sequence, snapshot_every
+        self, sequence
     ):
         plans = plans_for(sequence)
         with tempfile.TemporaryDirectory() as root:
-            store = ScheduleStore(root, snapshot_every=snapshot_every)
-            records = [store.publish(plan) for plan in plans]
-            for record, plan in zip(records, plans):
-                if record.kind == "delta":
-                    stored = store.root / "objects" / f"{record.delta_id}.json"
-                    assert stored.stat().st_size < len(plan_bytes(plan))
+            store = ScheduleStore(root)
+            objects = Path(root, "objects")
+            records = []
+            for plan in plans:
+                before = len(list(objects.iterdir()))
+                records.append(store.publish(plan))
+                assert records[-1].kind == "snapshot"
+                assert len(list(objects.iterdir())) - before <= 1
             fresh = ScheduleStore(root)
             for record, plan in zip(records, plans):
                 loaded = fresh.load(record.version)
                 assert canonical_bytes(plan_to_doc(loaded)) == plan_bytes(plan)
-            for path in Path(root, "objects").glob("*.json"):
+            for path in objects.glob("*.json"):
                 assert hashlib.sha256(path.read_bytes()).hexdigest() == path.stem
             assert fresh.verify() == len(plans)

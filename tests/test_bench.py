@@ -45,7 +45,6 @@ SMALL_CONFIGS = {
     },
     "sched-bench": {
         "versions": 4, "items": 10, "channels": 2, "fanout": 3, "seed": 5,
-        "snapshot_every": 8,
     },
     "cluster-loadtest": {
         **SUITES["cluster-loadtest"].config, "items": 16,
