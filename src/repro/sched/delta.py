@@ -229,11 +229,6 @@ def delta(base: Any, target: Any) -> list[dict]:
     return ops
 
 
-#: Exact types of the JSON scalars: a pair of them is compared in
-#: place, with no call.
-_LEAVES = frozenset({str, int, float, bool, type(None)})
-
-
 def _diff(a: Any, b: Any, path: list, ops: list[dict]) -> None:
     """Append to ``ops`` the ops turning ``a`` into ``b``.
 
@@ -247,44 +242,30 @@ def _diff(a: Any, b: Any, path: list, ops: list[dict]) -> None:
             if key not in a:
                 ops.append({"op": "set", "path": [*path, key], "value": b[key]})
                 continue
-            _diff_child(a[key], b[key], key, path, ops)
+            path.append(key)
+            _diff(a[key], b[key], path, ops)
+            path.pop()
         return
     if isinstance(a, list) and isinstance(b, list):
         common = min(len(a), len(b))
         for index in range(common):
-            _diff_child(a[index], b[index], index, path, ops)
+            path.append(index)
+            _diff(a[index], b[index], path, ops)
+            path.pop()
         if len(b) > len(a):
             ops.append({"op": "push", "path": list(path), "values": b[common:]})
         elif len(b) < len(a):
             ops.append({"op": "trim", "path": list(path), "length": len(b)})
         return
-    if not _same_scalar(a, b):
-        ops.append({"op": "set", "path": list(path), "value": b})
-
-
-def _diff_child(x: Any, y: Any, step: Any, path: list, ops: list[dict]) -> None:
-    """:func:`_diff` the child ``step`` of ``path``; two scalars in place."""
-    if type(x) in _LEAVES and type(y) in _LEAVES:
-        if not _same_scalar(x, y):
-            ops.append({"op": "set", "path": [*path, step], "value": y})
-        return
-    path.append(step)
-    _diff(x, y, path, ops)
-    path.pop()
-
-
-def _same_scalar(a: Any, b: Any) -> bool:
-    """Whether ``a`` and ``b`` serialise to the same canonical bytes.
-
-    ``type`` must agree as well as value: bool/int and int/float
-    cross-compare equal in Python but serialise differently, which
-    would break byte-exactness. The same trap hides inside float
-    equality itself (-0.0 == 0.0 but they serialise as "-0.0" and
-    "0.0"), hence the repr check.
-    """
-    return type(a) is type(b) and a == b and (
-        not isinstance(a, float) or repr(a) == repr(b)
-    )
+    # Scalars, or mismatched containers: ``type`` must agree as well as
+    # value. bool/int and int/float cross-compare equal in Python but
+    # serialise differently, which would break byte-exactness. The same
+    # trap hides inside float equality itself (-0.0 == 0.0 but they
+    # serialise as "-0.0" and "0.0"), hence the repr check.
+    if type(a) is type(b) and a == b:
+        if not isinstance(a, float) or repr(a) == repr(b):
+            return
+    ops.append({"op": "set", "path": list(path), "value": b})
 
 
 def _resolve(doc: Any, path: list) -> Any:

@@ -330,11 +330,11 @@ def run_store_bench(
     """Measure publish/load/rollback latency and store growth.
 
     Plans ``versions`` distinct catalogs (the same catalog under a
-    per-version reshuffled Zipf weighting, so each version is stored as
-    a new snapshot), then times, with :func:`repro.perf.measure`: publishing all of them into
-    a fresh store, an integrity-checked load of every version through a
-    fresh store handle (cold document cache), and one rollback to
-    version 1 on a fresh copy of the published store. The ``*_ms``
+    per-version reshuffled Zipf weighting, so each version is a new
+    snapshot), then times, with :func:`repro.perf.measure`: publishing
+    all of them into a fresh store, an integrity-checked load of every
+    version through a fresh store handle (cold document cache), and one
+    rollback to version 1 on a fresh copy of the published store. The ``*_ms``
     figures are the primitive's ``min``; the size metrics, read off the
     rolled-back store, are deterministic.
     """
