@@ -181,16 +181,19 @@ def compile_dense(program: BroadcastProgram) -> DenseProgram:
 
     # Lossless per-target constants: every hop lands at cycle + slot, so
     # data_wait is the target's own slot; switches count the root hop
-    # off channel 1 plus every channel change along the path.
-    target_data_wait = np.zeros(len(data_nodes), dtype=np.int64)
-    target_switches = np.zeros(len(data_nodes), dtype=np.int64)
-    for d in range(len(data_nodes)):
-        start, length = int(path_start[d]), int(path_len[d])
-        hops = path_channel_arr[start:start + length]
-        target_data_wait[d] = path_slot_arr[start + length - 1]
-        switches = int(hops[0] != 1)
-        switches += int(np.count_nonzero(np.diff(hops)))
-        target_switches[d] = switches
+    # off channel 1 plus every channel change along the path, read off
+    # one prefix sum of changes at each path's two ends.
+    path_end = path_start + path_len - 1
+    target_data_wait = path_slot_arr[path_end].astype(np.int64)
+    changes = np.zeros(len(path_channel_arr), dtype=np.int64)
+    np.cumsum(
+        path_channel_arr[1:] != path_channel_arr[:-1], out=changes[1:]
+    )
+    target_switches = (
+        (path_channel_arr[path_start] != 1)
+        + changes[path_end]
+        - changes[path_start]
+    )
 
     return DenseProgram(
         channels=channels,

@@ -3,27 +3,23 @@
 The batch engine must reproduce :class:`~repro.faults.FaultInjector`
 draws *bit-for-bit* — the differential gate compares every walk against
 the scalar recovery walk under the same seed. Rather than re-deriving
-the per-channel RNG streams (and risking divergence), this module asks
-the injector itself: :meth:`FaultInjector.pattern` materialises the
-outcome of every (channel, absolute slot) a bounded walk can possibly
-query, and the result is packed into one small int8 grid the engine
-gathers from. The injector's streams are order-independent, so
-materialising them here leaves every other consumer's draws untouched.
+the per-channel RNG streams (and risking divergence), this module reads
+the injector's own stored fate codes (:meth:`FaultInjector.codes`, one
+byte per slot) for every (channel, absolute slot) a bounded walk can
+possibly query, packed into one small int8 grid the engine gathers
+from. The injector's streams are order-independent, so materialising
+them here leaves every other consumer's draws untouched; the read is a
+bulk one and narrates no :class:`~repro.obs.events.FaultInjected`
+events.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..faults import CORRUPT, LOST, OK, FaultConfig, FaultInjector
+from ..faults import FATE_CORRUPT, FATE_LOST, FATE_OK, FaultConfig, FaultInjector
 
 __all__ = ["FATE_OK", "FATE_LOST", "FATE_CORRUPT", "materialise_outcomes"]
-
-FATE_OK = 0
-FATE_LOST = 1
-FATE_CORRUPT = 2
-
-_CODE = {OK: FATE_OK, LOST: FATE_LOST, CORRUPT: FATE_CORRUPT}
 
 
 def materialise_outcomes(
@@ -44,9 +40,6 @@ def materialise_outcomes(
         return grid
     if isinstance(faults, FaultConfig):
         faults = FaultInjector(faults)
-    if faults.config.is_lossless:
-        return grid
     for channel in range(1, channels + 1):
-        pattern = faults.pattern(channel, slots)
-        grid[channel - 1] = [_CODE[fate] for fate in pattern]
+        grid[channel - 1] = faults.codes(channel, slots)
     return grid

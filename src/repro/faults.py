@@ -45,13 +45,21 @@ __all__ = [
     "BurstConfig",
     "FaultConfig",
     "FaultInjector",
+    "FATE_OK",
+    "FATE_LOST",
+    "FATE_CORRUPT",
     "corrupt_frame",
-    "transmit_cycle",
 ]
 
 OK = "ok"
 LOST = "lost"
 CORRUPT = "corrupt"
+
+#: The stored fate codes, one byte per (channel, slot).
+FATE_OK = 0
+FATE_LOST = 1
+FATE_CORRUPT = 2
+_FATES = (OK, LOST, CORRUPT)  # indexed by fate code
 
 _BLOCK = 512  # outcome streams extend in fixed blocks → order-independent
 
@@ -152,17 +160,20 @@ class FaultInjector:
     1-based ``channel`` at 1-based absolute ``slot``: :data:`OK`,
     :data:`LOST` or :data:`CORRUPT`. Outcomes are generated lazily in
     fixed-size blocks from per-channel ``default_rng([seed, channel])``
-    streams and cached, so the answer is a pure function of the config —
-    query order, interleaving across channels, and sharing one injector
-    between many clients all leave the pattern untouched (every client
-    listening to the same airing sees the same fate, as on real air).
+    streams and stored one byte per slot (:data:`FATE_OK`,
+    :data:`FATE_LOST`, :data:`FATE_CORRUPT`), so the answer is a pure
+    function of the config — query order, interleaving across channels,
+    and sharing one injector between many clients all leave the pattern
+    untouched (every client listening to the same airing sees the same
+    fate, as on real air). ``codes(channel, slots)`` reads a run of
+    stored codes at once.
 
     ``shifted(origin)`` returns a view whose slot axis is displaced by
-    ``origin`` absolute slots while sharing this injector's cache — the
-    serving loop hands each cycle's clients a view anchored at the
+    ``origin`` absolute slots while sharing this injector's streams —
+    the serving loop hands each cycle's clients a view anchored at the
     cycle's start so their cycle-relative walks index global air time.
 
-    When a ``tracer`` is attached, every non-OK query answer is
+    When a ``tracer`` is attached, every non-OK ``outcome`` answer is
     narrated as a :class:`~repro.obs.events.FaultInjected` event at the
     *global* absolute slot (``origin + slot``), so shifted per-cycle
     views land on one shared slot axis in the trace.
@@ -178,7 +189,9 @@ class FaultInjector:
         self.config = config
         self.origin = origin
         self.tracer = tracer
-        self._outcomes: dict[int, list[str]] = {}
+        self._lossless = config.is_lossless
+        self._outcomes: dict[int, bytearray] = {}  # fate codes per channel
+        self._rngs: dict[int, np.random.Generator] = {}
         self._states: dict[int, bool] = {}  # per-channel "in bad state"
 
     # -- queries ------------------------------------------------------------
@@ -186,13 +199,13 @@ class FaultInjector:
         """Fate of the airing on ``channel`` at absolute ``slot`` (1-based)."""
         if channel < 1 or slot < 1:
             raise ValueError("channel and slot are 1-based")
-        if self.config.is_lossless:
+        if self._lossless:
             return OK
         index = self.origin + slot - 1
-        pattern = self._outcomes.setdefault(channel, [])
-        if index >= len(pattern):
-            self._extend(channel, pattern, index + 1)
-        fate = pattern[index]
+        stream = self._outcomes.get(channel)
+        if stream is None or index >= len(stream):
+            stream = self._extend(channel, index + 1)
+        fate = _FATES[stream[index]]
         if fate != OK and self.tracer is not None and self.tracer.enabled:
             self.tracer.emit(
                 FaultInjected(
@@ -205,61 +218,74 @@ class FaultInjector:
         """Whether the airing is unusable (lost *or* corrupt)."""
         return self.outcome(channel, slot) != OK
 
+    def codes(self, channel: int, slots: int) -> np.ndarray:
+        """Fate codes of slots ``1..slots`` on ``channel`` (origin-relative).
+
+        An int8 array of :data:`FATE_OK`, :data:`FATE_LOST` and
+        :data:`FATE_CORRUPT`, equal to :meth:`pattern` code for code. A
+        bulk read: no :class:`~repro.obs.events.FaultInjected` events.
+        """
+        if channel < 1 or slots < 0:
+            raise ValueError("channel is 1-based and slots non-negative")
+        if self._lossless:
+            return np.zeros(slots, dtype=np.int8)
+        end = self.origin + slots
+        stream = self._outcomes.get(channel)
+        if stream is None or end > len(stream):
+            stream = self._extend(channel, end)
+        return np.frombuffer(
+            stream, dtype=np.int8, count=slots, offset=self.origin
+        ).copy()  # a live view would pin the stream's size
+
     def shifted(self, origin: int) -> "FaultInjector":
         """A view of the same air displaced by ``origin`` absolute slots."""
         view = FaultInjector.__new__(FaultInjector)
         view.config = self.config
         view.origin = self.origin + origin
         view.tracer = self.tracer
+        view._lossless = self._lossless
         view._outcomes = self._outcomes
+        view._rngs = self._rngs
         view._states = self._states
         return view
 
     # -- stream generation --------------------------------------------------
-    def _extend(self, channel: int, pattern: list[str], needed: int) -> None:
-        """Grow ``channel``'s outcome stream to at least ``needed`` slots.
+    def _extend(self, channel: int, needed: int) -> bytearray:
+        """Grow ``channel``'s stream to at least ``needed`` slots; return it.
 
         Always extends in whole :data:`_BLOCK`-slot blocks with exactly
         three uniform draws per slot (state transition, loss,
-        corruption), so the generated pattern never depends on how the
-        requests that triggered growth were sized or ordered.
+        corruption) from the channel's one generator, so the generated
+        pattern never depends on how the requests that triggered growth
+        were sized or ordered.
         """
         config = self.config
-        blocks = -(-max(needed - len(pattern), 1) // _BLOCK)
-        count = blocks * _BLOCK
-        stream = self._stream(channel, start=len(pattern))
-        draws = stream.random((count, 3))
-        loss_good = config.loss_for(channel)
+        stream = self._outcomes.setdefault(channel, bytearray())
+        rng = self._rngs.get(channel)
+        if rng is None:
+            rng = np.random.default_rng([config.seed, channel])
+            self._rngs[channel] = rng
+        count = -(-max(needed - len(stream), 1) // _BLOCK) * _BLOCK
+        draws = rng.random((count, 3))
+        loss_rate: float | np.ndarray = config.loss_for(channel)
         burst = config.burst
-        bad = self._states.get(channel, False)
-        for u_state, u_loss, u_corrupt in draws:
-            if burst is not None:
-                bad = (
-                    (not (u_state < burst.exit_bad))
-                    if bad
-                    else (u_state < burst.enter_bad)
+        if burst is not None:
+            # The Gilbert–Elliott chain is sequential: one scalar pass
+            # over the state column.
+            enter_bad, exit_bad = burst.enter_bad, burst.exit_bad
+            bad = self._states.get(channel, False)
+            states = []
+            for u_state in draws[:, 0].tolist():
+                bad = (not (u_state < exit_bad)) if bad else (
+                    u_state < enter_bad
                 )
-            loss_rate = burst.loss_bad if (burst is not None and bad) else (
-                loss_good
-            )
-            if u_loss < loss_rate:
-                pattern.append(LOST)
-            elif u_corrupt < config.corruption:
-                pattern.append(CORRUPT)
-            else:
-                pattern.append(OK)
-        self._states[channel] = bad
-
-    def _stream(self, channel: int, start: int) -> np.random.Generator:
-        """The channel's generator advanced to slot index ``start``.
-
-        Each slot consumes exactly three ``random()`` doubles, so a
-        fresh generator skipped ``3 · start`` doubles reproduces the
-        stream's continuation no matter how earlier blocks were sized.
-        """
-        stream = np.random.default_rng([self.config.seed, channel])
-        if start:
-            stream.random((start, 3))
+                states.append(bad)
+            self._states[channel] = bad
+            loss_rate = np.where(states, burst.loss_bad, loss_rate)
+        lost = draws[:, 1] < loss_rate
+        codes = lost.astype(np.uint8)  # FATE_LOST where lost, else FATE_OK
+        codes[~lost & (draws[:, 2] < config.corruption)] = FATE_CORRUPT
+        stream += codes.tobytes()
         return stream
 
     # -- diagnostics ---------------------------------------------------------
@@ -288,33 +314,3 @@ def corrupt_frame(frame: bytes, rng: np.random.Generator) -> bytes:
     damaged = bytearray(frame)
     damaged[position] ^= mask
     return bytes(damaged)
-
-
-def transmit_cycle(
-    frames: list[list[bytes]],
-    injector: FaultInjector,
-    *,
-    rng: np.random.Generator | None = None,
-) -> list[list[bytes | None]]:
-    """Push one encoded cycle through the unreliable channel.
-
-    Returns the received grid: ``None`` where the airing was lost,
-    byte-damaged frames where it was corrupted (``rng`` picks the
-    damage; defaults to a generator seeded from the fault config),
-    untouched frames otherwise.
-    """
-    if rng is None:
-        rng = np.random.default_rng([injector.config.seed, 0xC0])
-    received: list[list[bytes | None]] = []
-    for channel_index, row in enumerate(frames, start=1):
-        out_row: list[bytes | None] = []
-        for slot_index, frame in enumerate(row, start=1):
-            fate = injector.outcome(channel_index, slot_index)
-            if fate == LOST:
-                out_row.append(None)
-            elif fate == CORRUPT:
-                out_row.append(corrupt_frame(frame, rng))
-            else:
-                out_row.append(frame)
-        received.append(out_row)
-    return received

@@ -160,6 +160,9 @@ def _schedule_text(schedule: BroadcastSchedule) -> str:
             )
 
     write(schedule.tree.root)
+    # A recursive closure is a reference cycle: break it, or ``rows`` and
+    # ``parts`` wait for the cyclic collector.
+    del write
     return "".join((
         f'{{"channels":{_json(schedule.channels)},'
         '"format":"broadcast-alloc/schedule","placement":[',

@@ -224,8 +224,9 @@ class ScheduleStore:
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / _OBJECTS_DIR).mkdir(exist_ok=True)
         self._log_path = self.root / _LOG_NAME
-        # Verified documents by version, least recently used first.
-        self._doc_cache: dict[int, dict] = {}
+        # Verified documents by version, least recently used first; a
+        # version published here is kept as its bytes until first read.
+        self._doc_cache: dict[int, dict | bytes] = {}
         self._log = _LogCursor()
         self._read_log()  # validate eagerly: a corrupt log fails open()
 
@@ -376,7 +377,7 @@ class ScheduleStore:
             note=note,
         )
         self._append_log(record)
-        self._remember(version, json.loads(payload))
+        self._remember(version, payload)
         self.perf.count("sched.publishes")
         if self._spans is not None and trace is not None:
             self._spans.finish(
@@ -421,8 +422,8 @@ class ScheduleStore:
                 stat.st_mtime_ns,
             )
 
-    def _remember(self, version: int, doc: dict) -> None:
-        """Keep ``version``'s verified document as the most recent."""
+    def _remember(self, version: int, doc: dict | bytes) -> None:
+        """Keep ``version``'s verified document, or its bytes, as newest."""
         cache = self._doc_cache
         cache.pop(version, None)
         cache[version] = doc
@@ -444,6 +445,8 @@ class ScheduleStore:
         doc = cache.get(base)
         if doc is None:
             doc = self._read_object(records[base - 1].content_id)
+        elif isinstance(doc, bytes):
+            doc = json.loads(doc)  # the bytes this store published
         for index in range(base + 1, version + 1):
             record = records[index - 1]
             delta_doc = self._read_object(record.delta_id)

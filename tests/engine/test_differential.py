@@ -11,6 +11,7 @@ itself: the flat arrays must round-trip back to the bucket grid.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from repro.client.simulator import summarise_faulty_records
 from repro.core.optimal import solve
 from repro.engine import compile_dense, run_batch
 from repro.engine.dense import KIND_DATA, KIND_EMPTY, KIND_INDEX
-from repro.faults import BurstConfig, FaultConfig
+from repro.faults import BurstConfig, FaultConfig, FaultInjector
 from repro.tree.builders import random_tree
 from repro.tree.node import IndexNode
 
@@ -129,3 +130,56 @@ class TestDenseRoundTrip:
                     assert dense.kind[c, s] == KIND_DATA
                     label = dense.data_labels[dense.data_id[c, s]]
                     assert label == bucket.node.label
+
+
+class TestMultiBlockDifferential:
+    """Walks whose deadline spans several 512-slot fault blocks.
+
+    The drawn instances above have cycles of a few slots, so none of
+    their fault streams leaves the first block. A ~300-item ``meta``
+    plan under the default policy (eight cycles) queries slots across
+    several blocks, where the stored stream grows block by block.
+    """
+
+    @staticmethod
+    def _plan():
+        from repro.planners import plan_catalog
+        from repro.workloads.weights import zipf_weights
+
+        labels = [f"K{index:03d}" for index in range(300)]
+        weights = zipf_weights(np.random.default_rng(31), len(labels))
+        program = plan_catalog(labels, list(weights), 2, method="meta").compile()
+        return program, compile_dense(program)
+
+    @pytest.mark.parametrize("mode", ["retry-parent", "next-cycle"])
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            FaultConfig(loss=0.3, corruption=0.05, seed=41),
+            FaultConfig(loss=0.1, corruption=0.05, burst=BurstConfig(), seed=42),
+            FaultConfig(loss=[0.05, 0.45], corruption=0.05, seed=43),
+        ],
+        ids=["iid", "burst", "per-channel"],
+    )
+    def test_batch_reproduces_recovering_walk(self, faults, mode):
+        program, dense = self._plan()
+        policy = RecoveryPolicy(mode=mode)
+        assert policy.max_cycles * dense.cycle_length > 3 * 512
+        leaves = program.schedule.tree.data_nodes()
+        rng = np.random.default_rng(faults.seed)
+        n = 80
+        ids = rng.integers(0, dense.n_data, size=n)
+        slots = rng.integers(1, dense.cycle_length + 1, size=n)
+        batch = run_batch(dense, ids, slots, faults=faults, recovery=policy)
+        records = batch.to_records()
+        shared = FaultInjector(faults)
+        scalar = [
+            recovering_walk(
+                program, leaves[int(d)], int(s), faults=shared, policy=policy
+            )
+            for d, s in zip(ids, slots)
+        ]
+        assert records == scalar
+        assert batch.summarise() == summarise_faulty_records(scalar)
+        # Some walk read past the second fault block.
+        assert max(s + r.access_time for s, r in zip(slots, scalar)) > 2 * 512

@@ -371,6 +371,62 @@ class TestDocumentCache:
         assert retained < 3 * doc_bytes, (retained, doc_bytes)
 
 
+    @staticmethod
+    def count_json_parses(monkeypatch) -> list:
+        """Record every plan document the store module parses.
+
+        Log lines are parsed too; they are not plan documents.
+        """
+        parsed = []
+
+        class CountingJson:
+            def __getattr__(self, name):
+                return getattr(json, name)
+
+            def loads(self, text, *args, **kwargs):
+                doc = json.loads(text, *args, **kwargs)
+                if doc.get("format") == "broadcast-alloc/plan":
+                    parsed.append(text)
+                return doc
+
+        monkeypatch.setattr(store_module, "json", CountingJson())
+        return parsed
+
+    def test_a_publish_only_sequence_never_parses(
+        self, tmp_path, nudged, monkeypatch
+    ):
+        store = ScheduleStore(tmp_path)
+        parsed = self.count_json_parses(monkeypatch)
+        for plan in nudged:
+            store.publish(plan)
+        assert store.head.version == len(nudged)
+        assert parsed == []
+
+    def test_the_first_load_parses_the_published_bytes(
+        self, tmp_path, nudged, monkeypatch
+    ):
+        store = ScheduleStore(tmp_path)
+        record = store.publish(nudged[0])
+        parsed = self.count_json_parses(monkeypatch)
+        loaded = store.load(record.version)
+        assert parsed == [plan_bytes(nudged[0])]
+        assert plan_bytes(loaded) == plan_bytes(nudged[0])
+        assert store.doc(record.version) == json.loads(plan_bytes(nudged[0]))
+        store.load(record.version)
+        assert len(parsed) == 1  # the parsed document is cached
+
+    def test_rollback_of_a_published_version_is_unchanged(
+        self, tmp_path, nudged
+    ):
+        store = ScheduleStore(tmp_path)
+        first = store.publish(nudged[0])
+        store.publish(nudged[1])
+        record = store.rollback(first.version)
+        assert record.content_id == first.content_id
+        assert plan_bytes(store.load()) == plan_bytes(nudged[0])
+        assert store.doc() == ScheduleStore(tmp_path).doc(first.version)
+
+
 class TestLogReads:
     """The log is parsed once; a call parses only what was appended."""
 
