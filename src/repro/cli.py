@@ -1082,6 +1082,7 @@ def _cmd_loadtest_batch(args) -> int:
 
     from .client.protocol import object_walk, recovering_walk
     from .engine import compile_dense, run_batch
+    from .faults import FaultInjector
     from .net import build_demo_program, make_request_trace
 
     program = build_demo_program(**_demo_options(args))
@@ -1115,10 +1116,11 @@ def _cmd_loadtest_batch(args) -> int:
                 for d, s in zip(ids, slots)
             ]
         else:
+            injector = FaultInjector(faults)
             scalar = [
                 recovering_walk(
                     program, leaves[int(d)], int(s),
-                    faults=faults, policy=policy,
+                    faults=injector, policy=policy,
                 )
                 for d, s in zip(ids, slots)
             ]
@@ -1525,7 +1527,7 @@ def _cmd_sched_log(args) -> int:
         marker = "*" if record.version == head else " "
         parent = f"<- v{record.parent}" if record.parent else "  root"
         print(
-            f"{marker} v{record.version:<4} {record.kind:<8} "
+            f"{marker} v{record.version:<4} "
             f"{record.content_id[:12]} {parent:<8} {record.note}"
         )
     print(f"{head} version(s), {store.size_bytes()} bytes on disk")
@@ -1545,8 +1547,8 @@ def _cmd_sched_show(args) -> int:
     )
     result = store.load(record.version)
     print(
-        f"version {record.version} ({record.kind}, "
-        f"content {record.content_id[:12]}): {record.note or 'no note'}"
+        f"version {record.version} "
+        f"(content {record.content_id[:12]}): {record.note or 'no note'}"
     )
     print(f"method: {result.method}, planned cost: {result.cost:.4f}")
     print(result.schedule.to_ascii())

@@ -25,12 +25,10 @@ of the seeds, which is what lets the bench gate this suite.
 
 from __future__ import annotations
 
-from dataclasses import fields as dataclass_fields
-
 import numpy as np
 
 from ..client.protocol import RecoveryPolicy, object_walk, recovering_walk
-from ..faults import FaultConfig
+from ..faults import FaultConfig, FaultInjector
 from ..perf import measure
 from .dense import compile_dense
 from .batch import run_batch
@@ -62,19 +60,6 @@ def _draw_trace(program, walks: int, seed: int):
     ids = rng.choice(len(targets), size=walks, p=probabilities)
     slots = rng.integers(1, program.cycle_length + 1, size=walks)
     return targets, ids.astype(np.int64), slots.astype(np.int64)
-
-
-def _records_equal(batch_records, scalar_records) -> bool:
-    """Field-for-field equality of materialised vs scalar records."""
-    if len(batch_records) != len(scalar_records):
-        return False
-    for ours, theirs in zip(batch_records, scalar_records):
-        if type(ours) is not type(theirs):
-            return False
-        for spec in dataclass_fields(theirs):
-            if getattr(ours, spec.name) != getattr(theirs, spec.name):
-                return False
-    return True
 
 
 def run_engine_bench(
@@ -133,18 +118,19 @@ def run_engine_bench(
 
     # -- differential gates (part of the bench, not an afterthought) -------
     batch_sample = run_batch(dense, sample_ids, sample_slots).to_records()
-    differential_exact = _records_equal(batch_sample, scalar_records)
+    differential_exact = batch_sample == scalar_records
     faulty_sample = run_batch(
         dense, sample_ids, sample_slots, faults=fault_config, recovery=policy
     ).to_records()
+    injector = FaultInjector(fault_config)
     scalar_faulty = [
         recovering_walk(
             program, targets[int(d)], int(s),
-            faults=fault_config, policy=policy,
+            faults=injector, policy=policy,
         )
         for d, s in zip(sample_ids, sample_slots)
     ]
-    differential_faulty_exact = _records_equal(faulty_sample, scalar_faulty)
+    differential_faulty_exact = faulty_sample == scalar_faulty
 
     # -- metrics ---------------------------------------------------------
     summary = batch_result.summarise()

@@ -9,14 +9,14 @@ plans durable, versioned and reversible:
 
 * :mod:`repro.sched.delta` — the canonical plan document
   (:func:`~repro.sched.delta.plan_to_doc`), content addressing over its
-  canonical JSON bytes, and a structural diff of two documents
-  (``apply(delta(a, b), a) == b``, byte-exact) that ``sched diff``
-  prints and that loads of older delta-encoded stores replay;
+  canonical JSON bytes, and a structural diff of two documents that
+  ``sched diff`` prints;
 * :mod:`repro.sched.store` — :class:`ScheduleStore`, an append-only
   version log over a content-addressed object directory, with
-  integrity-checked loads of whole snapshots, rollback (re-publish
-  of a prior version's identical document) and garbage collection of
-  unreachable objects;
+  integrity-checked loads of whole snapshots (the only kind it writes,
+  and the only kind it reads), rollback (re-publish of a prior
+  version's identical document) and garbage collection of unreachable
+  objects;
 * live cutover — :meth:`repro.net.BroadcastStation.publish` activates a
   new version atomically at a cycle boundary; airings are stamped with
   their plan version in the air envelope, and a
@@ -32,10 +32,8 @@ plans durable, versioned and reversible:
 from __future__ import annotations
 
 from .delta import (
-    DELTA_FORMAT,
     PLAN_FORMAT,
     DeltaError,
-    apply_delta,
     canonical_bytes,
     content_id,
     delta,
@@ -46,14 +44,12 @@ from .store import ScheduleStore, StoreError, VersionRecord
 
 __all__ = [
     "PLAN_FORMAT",
-    "DELTA_FORMAT",
     "DeltaError",
     "canonical_bytes",
     "content_id",
     "plan_to_doc",
     "plan_from_doc",
     "delta",
-    "apply_delta",
     "ScheduleStore",
     "StoreError",
     "VersionRecord",

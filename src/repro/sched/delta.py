@@ -1,4 +1,4 @@
-"""Canonical plan documents and structural deltas — the store's codec.
+"""Canonical plan documents and a structural diff — the store's codec.
 
 The versioned store (:mod:`repro.sched.store`) persists every published
 plan as a *canonical document*: a JSON-able dict built from the same
@@ -11,18 +11,14 @@ non-finite floats — which is what makes content addressing
 meaningful.
 
 Two documents can also be compared structurally: :func:`delta` diffs
-them into a flat list of path-addressed ops (what ``repro sched diff``
-prints), and :func:`apply_delta` replays them. The pair satisfies the
-exact-inverse property the hypothesis suite locks::
-
-    canonical_bytes(apply_delta(delta(a, b), a)) == canonical_bytes(b)
-
-for *any* two JSON documents — not just plan documents — because the
-diff recurses structurally and only short-circuits on scalars whose
-type **and** value agree (``2`` and ``2.0`` compare equal in Python but
-serialise differently, so they diff). The store writes every version
-whole; stores written by earlier releases also hold delta objects,
-which loading replays with :func:`apply_delta`.
+them into a flat list of path-addressed ops, which ``repro sched diff``
+prints. The ops are exact for *any* two JSON documents — not just plan
+documents — because the diff recurses structurally and only
+short-circuits on scalars whose type **and** value agree (``2`` and
+``2.0`` compare equal in Python but serialise differently, so they
+diff). The hypothesis suite replays them onto the base document and
+checks the canonical bytes of the target come back. The store itself
+writes every version whole and never reads a delta.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from ..tree.node import IndexNode, Node
 
 __all__ = [
     "PLAN_FORMAT",
-    "DELTA_FORMAT",
     "DeltaError",
     "plan_bytes",
     "plan_to_doc",
@@ -49,15 +44,13 @@ __all__ = [
     "canonical_bytes",
     "content_id",
     "delta",
-    "apply_delta",
 ]
 
 PLAN_FORMAT = "broadcast-alloc/plan"
-DELTA_FORMAT = "broadcast-alloc/plan-delta"
 
 
 class DeltaError(ReproError):
-    """A delta document cannot be applied to its base."""
+    """A document is not a plan document this codec reads."""
 
 
 def _scalarize(value: Any):
@@ -207,7 +200,7 @@ def plan_from_doc(doc: dict) -> PlanResult:
 
 
 # ---------------------------------------------------------------------------
-# structural diff / patch
+# structural diff
 # ---------------------------------------------------------------------------
 
 def delta(base: Any, target: Any) -> list[dict]:
@@ -269,63 +262,3 @@ def _diff(a: Any, b: Any, path: list, ops: list[dict]) -> None:
         if not isinstance(a, float) or repr(a) == repr(b):
             return
     ops.append({"op": "set", "path": list(path), "value": b})
-
-
-def _resolve(doc: Any, path: list) -> Any:
-    node = doc
-    for step in path:
-        try:
-            node = node[step]
-        except (KeyError, IndexError, TypeError) as error:
-            raise DeltaError(f"delta path {path!r} does not resolve") from error
-    return node
-
-
-def apply_delta(ops: list[dict], base: Any) -> Any:
-    """Replay a :func:`delta` op list onto ``base`` (left untouched)."""
-    doc = copy.deepcopy(base)
-    for op in ops:
-        try:
-            kind = op["op"]
-            path = op["path"]
-        except (KeyError, TypeError) as error:
-            raise DeltaError(f"malformed delta op {op!r}") from error
-        if kind == "set":
-            if not path:
-                doc = copy.deepcopy(op["value"])
-                continue
-            parent = _resolve(doc, path[:-1])
-            try:
-                parent[path[-1]] = copy.deepcopy(op["value"])
-            except (IndexError, TypeError) as error:
-                raise DeltaError(
-                    f"cannot set {path!r} on the base document"
-                ) from error
-        elif kind == "del":
-            if not path:
-                raise DeltaError("cannot delete the document root")
-            parent = _resolve(doc, path[:-1])
-            try:
-                del parent[path[-1]]
-            except (KeyError, IndexError, TypeError) as error:
-                raise DeltaError(
-                    f"cannot delete {path!r} from the base document"
-                ) from error
-        elif kind == "push":
-            target = _resolve(doc, path)
-            if not isinstance(target, list):
-                raise DeltaError(f"push target {path!r} is not a list")
-            target.extend(copy.deepcopy(op["values"]))
-        elif kind == "trim":
-            target = _resolve(doc, path)
-            if not isinstance(target, list):
-                raise DeltaError(f"trim target {path!r} is not a list")
-            length = op["length"]
-            if not 0 <= length <= len(target):
-                raise DeltaError(
-                    f"trim length {length} out of range for {path!r}"
-                )
-            del target[length:]
-        else:
-            raise DeltaError(f"unknown delta op {kind!r}")
-    return doc

@@ -416,8 +416,5 @@ def run_store_bench(
                 "load_seconds": load.to_dict(),
                 "rollback_seconds": rollback_timing.to_dict(),
             },
-            "detail": {
-                "versions_published": len(records),
-                "snapshots": sum(r.kind == "snapshot" for r in records),
-            },
+            "detail": {"versions_published": len(records)},
         }

@@ -18,20 +18,20 @@ directory holding
   (:meth:`save_state`/:meth:`load_state`) the serving loop uses to
   resume after an interrupt.
 
-Every version is stored whole. A replan reweights the whole tree (the
-data wait of formula (1) depends on every item's weight), so a new
-plan shares almost nothing with its parent and a delta against it
-would not be smaller. Stores written by earlier releases also hold
-``delta`` versions: a structural delta object against the parent
-(:func:`repro.sched.delta.apply_delta`). These still load.
+Every version is stored whole, as a snapshot. A replan reweights the
+whole tree (the data wait of formula (1) depends on every item's
+weight), so a new plan shares almost nothing with its parent and a
+delta against it would not be smaller. The store reads exactly what it
+writes: a log line of any other kind (the ``delta`` versions of stores
+written before every version was stored whole) fails the open with a
+:class:`StoreError` naming the version.
 
-Every load reads the requested version's snapshot (or a verified
-document still in memory), replays any delta chain after it, and
-verifies the result's SHA-256 against the logged content id — a
-flipped bit anywhere surfaces as :class:`StoreError`, never as a
-silently wrong schedule. The store keeps the verified documents of the
-last two versions it published or loaded: a load usually follows its
-publish.
+Every load reads the requested version's object (or a verified
+document still in memory) and checks that the SHA-256 of its bytes is
+the logged content id — a flipped bit, or the same document written
+with other bytes, surfaces as :class:`StoreError`, never as a silently
+wrong schedule. The store keeps the verified documents of the last two
+versions it published or loaded: a load usually follows its publish.
 """
 
 from __future__ import annotations
@@ -49,13 +49,7 @@ from ..obs.events import NULL_TRACER, Tracer
 from ..obs.spans import span_tracer_of
 from ..perf import PerfRecorder
 from ..planners import PlanResult
-from .delta import (
-    DELTA_FORMAT,
-    apply_delta,
-    content_id,
-    plan_bytes,
-    plan_from_doc,
-)
+from .delta import plan_bytes, plan_from_doc
 
 __all__ = ["StoreError", "VersionRecord", "ScheduleStore"]
 
@@ -79,46 +73,45 @@ class StoreError(ReproError):
 class VersionRecord:
     """One line of the version log.
 
-    ``content_id`` addresses the *full* document of this version (and is
-    what integrity verification checks). The store writes every version
-    as a ``"snapshot"``; a ``"delta"`` version, written by earlier
-    releases, names its stored delta object against the parent in
-    ``delta_id``. ``parent`` is the version this one was published on
-    top of (``None`` for version 1).
+    ``content_id`` addresses the document of this version, stored whole
+    (and is what integrity verification checks). ``parent`` is the
+    version this one was published on top of (``None`` for version 1).
+    Every line is written with ``"kind": "snapshot"``, and a line of any
+    other kind is refused.
     """
 
     version: int
     content_id: str
     parent: int | None
-    kind: str  # "snapshot" | "delta"
-    delta_id: str | None = None
     note: str = ""
 
     def to_dict(self) -> dict:
-        record = {
+        return {
             "version": self.version,
             "content_id": self.content_id,
             "parent": self.parent,
-            "kind": self.kind,
+            "kind": "snapshot",
             "note": self.note,
         }
-        if self.delta_id is not None:
-            record["delta_id"] = self.delta_id
-        return record
 
     @classmethod
     def from_dict(cls, record: dict) -> "VersionRecord":
         try:
-            return cls(
+            kind = record["kind"]
+            parsed = cls(
                 version=int(record["version"]),
                 content_id=record["content_id"],
                 parent=record["parent"],
-                kind=record["kind"],
-                delta_id=record.get("delta_id"),
                 note=record.get("note", ""),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise StoreError(f"malformed log record {record!r}") from error
+        if kind != "snapshot":
+            raise StoreError(
+                f"version {parsed.version} is a {kind!r} version; "
+                "delta versions are no longer read"
+            )
+        return parsed
 
 
 @dataclass
@@ -199,7 +192,7 @@ class ScheduleStore:
         :class:`~repro.obs.spans.SpanTracer`, every publish carrying a
         ``trace=`` context emits a ``store.publish`` span linked under
         that context.
-    recorder:
+    flight_recorder:
         Optional :class:`~repro.obs.recorder.FlightRecorder`; every
         integrity failure (a :class:`StoreError` raised from a
         verification check) triggers a postmortem dump before the
@@ -317,19 +310,11 @@ class ScheduleStore:
             raise self._integrity_error(
                 f"missing store object {object_id}"
             ) from error
-        if hashlib.sha256(payload).hexdigest() == object_id:
-            return json.loads(payload)  # the bytes this store wrote
-        # Other bytes pass if their canonical form is the object.
-        try:
-            doc = json.loads(payload)
-            intact = content_id(doc) == object_id
-        except ValueError:  # not JSON, or not canonical JSON
-            intact = False
-        if not intact:
+        if hashlib.sha256(payload).hexdigest() != object_id:
             raise self._integrity_error(
                 f"store object {object_id} failed its integrity check"
             )
-        return doc
+        return json.loads(payload)  # the bytes this store wrote
 
     def _integrity_error(self, message: str) -> StoreError:
         """A :class:`StoreError` that dumps the flight recorder first.
@@ -373,7 +358,6 @@ class ScheduleStore:
             version=version,
             content_id=cid,
             parent=records[-1].version if records else None,
-            kind="snapshot",
             note=note,
         )
         self._append_log(record)
@@ -389,7 +373,6 @@ class ScheduleStore:
                 component="store",
                 attrs=(
                     ("version", version),
-                    ("kind", record.kind),
                     ("content_id", record.content_id[:12]),
                 ),
             )
@@ -430,45 +413,18 @@ class ScheduleStore:
         while len(cache) > _CACHED_DOCS:
             del cache[next(iter(cache))]
 
-    def _reconstruct(self, records: list[VersionRecord], version: int) -> dict:
-        """The verified document of ``version``; callers must not mutate it.
+    def _document(self, record: VersionRecord) -> dict:
+        """The verified document of ``record``; callers must not mutate it.
 
-        The chain starts at the nearest earlier snapshot, or at a
-        version whose verified document is still cached.
+        A document still cached was verified when it was published or
+        read; any other is read from its object and checked.
         """
-        cache = self._doc_cache
-        base = version
-        while base not in cache and records[base - 1].kind != "snapshot":
-            base -= 1
-            if base < 1:
-                raise StoreError("version log has no snapshot to start from")
-        doc = cache.get(base)
+        doc = self._doc_cache.get(record.version)
         if doc is None:
-            doc = self._read_object(records[base - 1].content_id)
+            doc = self._read_object(record.content_id)
         elif isinstance(doc, bytes):
             doc = json.loads(doc)  # the bytes this store published
-        for index in range(base + 1, version + 1):
-            record = records[index - 1]
-            delta_doc = self._read_object(record.delta_id)
-            if delta_doc.get("format") != DELTA_FORMAT:
-                raise StoreError(
-                    f"object {record.delta_id} is not a delta document"
-                )
-            if delta_doc.get("base") != records[index - 2].content_id:
-                raise StoreError(
-                    f"delta for version {index} does not chain from its parent"
-                )
-            doc = apply_delta(delta_doc["ops"], doc)
-        # With no delta applied, the document is a cached one or a
-        # snapshot object checked against its id as it was read.
-        if base != version and (
-            content_id(doc) != records[version - 1].content_id
-        ):
-            raise self._integrity_error(
-                f"version {version} failed its integrity check: "
-                "reconstructed document does not match the logged content id"
-            )
-        self._remember(version, doc)
+        self._remember(record.version, doc)
         return doc
 
     def _verified_doc(self, version: int | None) -> dict:
@@ -482,7 +438,7 @@ class ScheduleStore:
             raise StoreError(
                 f"version {version} not in store (have 1..{len(records)})"
             )
-        return self._reconstruct(records, version)
+        return self._document(records[version - 1])
 
     def doc(self, version: int | None = None) -> dict:
         """The full, integrity-verified document of ``version`` (or head)."""
@@ -533,12 +489,7 @@ class ScheduleStore:
         object was written, the log append never happened) — the log is
         authoritative, so they are garbage by definition.
         """
-        referenced: set[str] = set()
-        for record in self._read_log():
-            if record.kind == "snapshot":
-                referenced.add(record.content_id)
-            if record.delta_id is not None:
-                referenced.add(record.delta_id)
+        referenced = {record.content_id for record in self._read_log()}
         removed: list[str] = []
         for path in sorted((self.root / _OBJECTS_DIR).glob("*.json")):
             object_id = path.stem
@@ -553,7 +504,7 @@ class ScheduleStore:
         records = self._read_log(full=True)
         self._doc_cache.clear()
         for record in records:
-            self._reconstruct(records, record.version)
+            self._document(record)
         return len(records)
 
     def size_bytes(self) -> int:

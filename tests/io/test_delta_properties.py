@@ -1,19 +1,23 @@
 """Property-based tests of the repro.sched delta codec.
 
-The store's exact-inverse contract, over *arbitrary* JSON documents and
-over real plan documents::
+``delta`` is what ``repro sched diff`` prints. Its oracle is the
+exact-inverse property, over *arbitrary* JSON documents and over real
+plan documents::
 
     canonical_bytes(apply_delta(delta(a, b), a)) == canonical_bytes(b)
 
-Byte-exact, not merely equal: content addressing hashes the canonical
-bytes, so any serialisation drift (int vs float, -0.0 vs 0.0, tuple vs
-list) would silently corrupt the version log's integrity chain.
+Byte-exact, not merely equal: any serialisation drift (int vs float,
+-0.0 vs 0.0, tuple vs list) would make the diff misreport a change.
+The store no longer reads deltas, so ``apply_delta``, which replays
+the ops, lives here, with the tests that need it.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+from typing import Any
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,13 +25,74 @@ from hypothesis import strategies as st
 from repro.io.json_io import schedule_to_dict
 from repro.net.harness import build_demo_plan
 from repro.planners import PlanResult
-from repro.sched import apply_delta, canonical_bytes, content_id, delta
+from repro.sched import DeltaError, canonical_bytes, content_id, delta
 from repro.sched.delta import (
     PLAN_FORMAT,
     plan_bytes,
     plan_from_doc,
     plan_to_doc,
 )
+
+
+def _resolve(doc: Any, path: list) -> Any:
+    node = doc
+    for step in path:
+        try:
+            node = node[step]
+        except (KeyError, IndexError, TypeError) as error:
+            raise DeltaError(f"delta path {path!r} does not resolve") from error
+    return node
+
+
+def apply_delta(ops: list[dict], base: Any) -> Any:
+    """Replay a :func:`delta` op list onto ``base`` (left untouched)."""
+    doc = copy.deepcopy(base)
+    for op in ops:
+        try:
+            kind = op["op"]
+            path = op["path"]
+        except (KeyError, TypeError) as error:
+            raise DeltaError(f"malformed delta op {op!r}") from error
+        if kind == "set":
+            if not path:
+                doc = copy.deepcopy(op["value"])
+                continue
+            parent = _resolve(doc, path[:-1])
+            try:
+                parent[path[-1]] = copy.deepcopy(op["value"])
+            except (IndexError, TypeError) as error:
+                raise DeltaError(
+                    f"cannot set {path!r} on the base document"
+                ) from error
+        elif kind == "del":
+            if not path:
+                raise DeltaError("cannot delete the document root")
+            parent = _resolve(doc, path[:-1])
+            try:
+                del parent[path[-1]]
+            except (KeyError, IndexError, TypeError) as error:
+                raise DeltaError(
+                    f"cannot delete {path!r} from the base document"
+                ) from error
+        elif kind == "push":
+            target = _resolve(doc, path)
+            if not isinstance(target, list):
+                raise DeltaError(f"push target {path!r} is not a list")
+            target.extend(copy.deepcopy(op["values"]))
+        elif kind == "trim":
+            target = _resolve(doc, path)
+            if not isinstance(target, list):
+                raise DeltaError(f"trim target {path!r} is not a list")
+            length = op["length"]
+            if not 0 <= length <= len(target):
+                raise DeltaError(
+                    f"trim length {length} out of range for {path!r}"
+                )
+            del target[length:]
+        else:
+            raise DeltaError(f"unknown delta op {kind!r}")
+    return doc
+
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 

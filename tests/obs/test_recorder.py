@@ -260,7 +260,12 @@ class TestAutoTriggers:
         assert report.parity_ok
         assert recorder.triggers == []
 
-    def test_store_integrity_error_dumps_a_bundle(self, tmp_path):
+    @pytest.mark.parametrize(
+        "edit",
+        [{"cost": 999.0}, {}],
+        ids=["content-edited", "same-content-reformatted"],
+    )
+    def test_store_integrity_error_dumps_a_bundle(self, tmp_path, edit):
         from repro.net.harness import build_demo_plan
         from repro.sched import ScheduleStore, StoreError
 
@@ -269,9 +274,8 @@ class TestAutoTriggers:
         ScheduleStore(store_dir).publish(plan)
         record = ScheduleStore(store_dir).versions()[0]
         blob_path = store_dir / "objects" / f"{record.content_id}.json"
-        blob = json.loads(blob_path.read_text())
-        blob["cost"] = 999.0
-        blob_path.write_text(json.dumps(blob))
+        # ``json.dumps`` puts spaces after separators: never the stored bytes.
+        blob_path.write_text(json.dumps(json.loads(blob_path.read_text()) | edit))
 
         recorder = FlightRecorder(dump_dir=str(tmp_path / "pm"))
         reopened = ScheduleStore(store_dir, flight_recorder=recorder)

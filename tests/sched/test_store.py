@@ -5,9 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +14,10 @@ from repro.net.harness import build_demo_plan, demo_labels
 from repro.perf import PerfRecorder
 from repro.planners import plan_catalog
 from repro.sched import (
-    DELTA_FORMAT,
     ScheduleStore,
     StoreError,
     canonical_bytes,
     content_id,
-    delta,
     plan_to_doc,
 )
 from repro.sched import store as store_module
@@ -57,13 +53,6 @@ def nudged():
     return result
 
 
-@pytest.fixture
-def parent_store(tmp_path):
-    """A copy of ``data/parent_store``, a store holding delta versions."""
-    source = Path(__file__).parent / "data" / "parent_store"
-    return ScheduleStore(shutil.copytree(source, tmp_path / "parent_store"))
-
-
 def object_count(store: ScheduleStore) -> int:
     return len(list((store.root / "objects").glob("*.json")))
 
@@ -80,8 +69,7 @@ class TestPublish:
         """Even a two-op delta is not written: every version is whole."""
         store = ScheduleStore(tmp_path)
         for count, plan in enumerate(nudged, start=1):
-            record = store.publish(plan)
-            assert (record.kind, record.delta_id) == ("snapshot", None)
+            store.publish(plan)
             assert object_count(store) == count
 
     def test_identical_content_stores_no_new_object(self, tmp_path, plans):
@@ -89,7 +77,6 @@ class TestPublish:
         first = store.publish(plans[0])
         count = object_count(store)
         again = store.publish(plans[0], note="unchanged replan")
-        assert again.kind == "snapshot"
         assert again.content_id == first.content_id
         assert object_count(store) == count  # content-addressed dedup
 
@@ -99,6 +86,17 @@ class TestPublish:
         store.publish(plans[0], note="baseline")
         assert store.head.note == "baseline"
         assert perf.counters["sched.publishes"] == 1
+
+    def test_log_lines_keep_their_bytes(self, tmp_path, plans):
+        store = ScheduleStore(tmp_path)
+        first = store.publish(plans[0], note="seed")
+        store.publish(plans[1])
+        assert (store.root / "log.jsonl").read_text() == (
+            '{"content_id": "%s", "kind": "snapshot", "note": "seed", '
+            '"parent": null, "version": 1}\n'
+            '{"content_id": "%s", "kind": "snapshot", "note": "", '
+            '"parent": 1, "version": 2}\n'
+        ) % (first.content_id, store.head.content_id)
 
 
 class TestLoad:
@@ -165,24 +163,33 @@ class TestIntegrity:
         with pytest.raises(StoreError, match="integrity"):
             ScheduleStore(tmp_path).load(1)
 
-    def test_corrupt_delta_chain_fails_the_load(self, parent_store):
-        record = parent_store.record(2)
-        assert record.kind == "delta"
-        path = parent_store.root / "objects" / f"{record.delta_id}.json"
-        path.write_text(path.read_text().replace("set", "sEt", 1))
-        with pytest.raises(StoreError):
-            ScheduleStore(parent_store.root).load(2)
-
-    def test_a_delta_version_with_a_wrong_logged_id_fails(self, parent_store):
-        assert parent_store.record(2).kind == "delta"
-        log = parent_store.root / "log.jsonl"
-        lines = log.read_text().splitlines(keepends=True)
-        record = json.loads(lines[1])
-        record["content_id"] = parent_store.record(1).content_id[::-1]
-        lines[1] = json.dumps(record) + "\n"
-        log.write_text("".join(lines))
+    @pytest.mark.parametrize("check", ["load", "verify"])
+    def test_reformatted_object_fails_the_check(self, tmp_path, plans, check):
+        """Same document, other bytes: an object is its exact bytes."""
+        store = ScheduleStore(tmp_path)
+        record = store.publish(plans[0])
+        path = store.root / "objects" / f"{record.content_id}.json"
+        doc = json.loads(path.read_bytes())
+        path.write_text(json.dumps(doc, indent=1))
+        assert content_id(doc) == record.content_id
         with pytest.raises(StoreError, match="integrity"):
-            ScheduleStore(parent_store.root).load(2)
+            getattr(ScheduleStore(tmp_path), check)()
+
+    def test_a_delta_version_fails_open(self, tmp_path, plans):
+        """The store reads only snapshots, which is all it writes."""
+        store = ScheduleStore(tmp_path)
+        store.publish(plans[0])
+        line = store.record(1).to_dict() | {
+            "version": 2, "parent": 1, "kind": "delta", "delta_id": "ab" * 32,
+        }
+        with open(store.root / "log.jsonl", "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(line, sort_keys=True) + "\n")
+        with pytest.raises(
+            StoreError,
+            match="version 2 is a 'delta' version; "
+            "delta versions are no longer read",
+        ):
+            ScheduleStore(tmp_path)
 
     def test_noncontiguous_log_fails_open(self, tmp_path, plans):
         store = ScheduleStore(tmp_path)
@@ -210,7 +217,6 @@ class TestRollback:
             store.publish(plan)
         record = store.rollback(1)
         assert record.version == 4
-        assert record.kind == "snapshot"
         assert record.content_id == store.record(1).content_id
         assert canonical_bytes(store.doc(4)) == canonical_bytes(store.doc(1))
         # Nothing was rewritten: the full history is still loadable.
@@ -268,74 +274,6 @@ class TestCrashState:
         (store.root / "state.json").write_text("{not json")
         with pytest.raises(StoreError, match="corrupt state"):
             store.load_state()
-
-
-class TestParentWrittenStore:
-    """A store written when the store still wrote deltas.
-
-    ``data/parent_store`` was published by the store as of f8150f0: six
-    items on two channels, a nudged weight (a small delta), a flatter
-    skew and back (two deltas larger than their snapshot), then a
-    rollback to version 1.
-    """
-
-    @staticmethod
-    def nudged(step):
-        weights = zipf_weights(np.random.default_rng(2000), 6, theta=0.95)
-        nudge = [float(w) for w in weights]
-        nudge[-1] *= 1 + 0.01 * step
-        return plan_catalog(demo_labels(6), nudge, 2, method="sorting", fanout=3)
-
-    def test_every_version_loads_and_verifies(self, parent_store):
-        records = parent_store.versions()
-        assert [r.kind for r in records] == [
-            "snapshot", "delta", "delta", "delta", "snapshot"
-        ]
-        assert parent_store.verify() == 5
-        for record in records:
-            loaded = parent_store.load(record.version)
-            assert content_id(plan_to_doc(loaded)) == record.content_id
-
-    def test_todays_plans_have_the_logged_ids(self, parent_store, tmp_path):
-        """Same plans, same bytes: ids and the one small delta match."""
-        logged = parent_store.versions()
-        fresh = ScheduleStore(tmp_path / "fresh")
-        assert fresh.publish(self.nudged(0)).content_id == logged[0].content_id
-        assert fresh.publish(self.nudged(1)).content_id == logged[1].content_id
-        assert (
-            content_id(plan_to_doc(self.nudged(2))) == logged[3].content_id
-        )
-        delta_doc = {
-            "format": DELTA_FORMAT,
-            "version": 1,
-            "base": logged[0].content_id,
-            "target": logged[1].content_id,
-            "ops": delta(fresh.doc(1), fresh.doc(2)),
-        }
-        stored = parent_store.root / "objects" / f"{logged[1].delta_id}.json"
-        assert canonical_bytes(delta_doc) == stored.read_bytes()
-
-    def test_rolls_back_to_a_version_stored_as_a_delta(self, parent_store):
-        target = parent_store.record(3)
-        record = parent_store.rollback(3)
-        assert record.version == 6
-        assert record.content_id == target.content_id
-        assert record.kind == "snapshot"
-        assert parent_store.verify() == 6
-
-    def test_a_publish_appends_a_snapshot(self, parent_store):
-        """New content onto a store of deltas: one snapshot, none orphaned."""
-        count = object_count(parent_store)
-        record = parent_store.publish(self.nudged(3))
-        assert (record.version, record.parent, record.kind) == (
-            6, 5, "snapshot"
-        )
-        assert object_count(parent_store) == count + 1
-        assert parent_store.verify() == 6
-        assert parent_store.gc() == []
-        assert content_id(plan_to_doc(parent_store.load(6))) == (
-            record.content_id
-        )
 
 
 class TestDocumentCache:

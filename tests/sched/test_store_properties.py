@@ -1,8 +1,8 @@
 """Property-based tests of what a store writes.
 
 Over random publish sequences (small nudges that leave the tree alone,
-reshuffles that change it, and republished content), every version is
-a snapshot that adds at most one object, every version reloads
+reshuffles that change it, and republished content), every publish
+adds at most one object, every version reloads
 byte-exactly through a fresh handle, and every object file is named by
 the SHA-256 of its bytes.
 """
@@ -78,7 +78,6 @@ class TestStoredObjects:
             for plan in plans:
                 before = len(list(objects.iterdir()))
                 records.append(store.publish(plan))
-                assert records[-1].kind == "snapshot"
                 assert len(list(objects.iterdir())) - before <= 1
             fresh = ScheduleStore(root)
             for record, plan in zip(records, plans):

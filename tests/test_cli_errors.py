@@ -250,6 +250,11 @@ class TestOneLineErrors:
                 ["obs", "postmortem", "{missing}"],
                 2, "error: cannot read bundle:",
             ),
+            (
+                ["sched", "log", "--store", "{delta_store}"],
+                1, "error: version 2 is a 'delta' version; "
+                "delta versions are no longer read\n",
+            ),
         ],
         ids=[
             "faults-planner", "solve-planner", "serve-planner",
@@ -258,7 +263,7 @@ class TestOneLineErrors:
             "solve-not-a-tree", "bench-unknown-suite", "spans-no-spans",
             "attrib-no-walks", "postmortem-not-a-bundle",
             "spans-missing-trace", "attrib-missing-trace",
-            "postmortem-missing-bundle",
+            "postmortem-missing-bundle", "sched-log-delta-version",
         ],
     )
     def test_exits_with_one_error_line(
@@ -270,6 +275,15 @@ class TestOneLineErrors:
         not_tree.write_text("[1]")
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
+        delta_store = tmp_path / "delta_store"
+        (delta_store / "objects").mkdir(parents=True)
+        (delta_store / "log.jsonl").write_text(
+            '{"content_id": "%s", "kind": "snapshot", "note": "", '
+            '"parent": null, "version": 1}\n'
+            '{"content_id": "%s", "delta_id": "%s", "kind": "delta", '
+            '"note": "", "parent": 1, "version": 2}\n'
+            % ("a" * 64, "b" * 64, "c" * 64)
+        )
         paths = {
             "tree": tree_file,
             "missing": tmp_path / "missing.json",
@@ -277,6 +291,7 @@ class TestOneLineErrors:
             "not_tree": not_tree,
             "empty": empty,
             "not_bundle": not_tree,
+            "delta_store": delta_store,
         }
         argv = [token.format(**paths) for token in argv]
         assert main(argv) == code
