@@ -5,16 +5,17 @@ top out at modest tree sizes; the ROADMAP's north star is planning
 catalogs of 10⁴–10⁶ items at hardware speed. This package is that
 scale layer:
 
-* :mod:`repro.approx.ptas` — a Kenyon–Schabanel–Young-inspired
-  approximation planner (registry name ``"ptas"``): leaves are bucketed
-  into geometric weight classes, each class gets its own alphabetic
-  subtree (the existing :mod:`repro.tree.alphabetic` machinery), and the
-  class subtrees are aired in parallel on channel groups sized by the
-  square-root rule. The returned plan carries a computed **a-priori
-  quality bound** — an upper bound on its data wait, derived from the
-  class structure alone — plus the matching information-theoretic lower
-  bound, so every ptas plan states how far from optimal it can possibly
-  be *before* anything is measured.
+* :mod:`repro.approx.ptas` — the near-linear planner (registry name
+  ``"ptas"``): one alphabetic index tree over the whole catalog (the
+  existing :mod:`repro.tree.alphabetic` machinery) under a single-child
+  root, packed level by level across every channel. The returned plan
+  carries a computed **a-priori quality bound** — an upper bound on its
+  data wait from the tree's node count and depth alone — plus the
+  matching information-theoretic lower bound, so every ptas plan states
+  how far from optimal it can possibly be *before* anything is
+  measured. Its name is from the Kenyon–Schabanel–Young PTAS, whose
+  weight-class grouping it no longer uses: one tree keeps every plan
+  routable by key.
 * :mod:`repro.approx.meta` — a cost-model meta-planner (registry name
   ``"meta"``): extracts cheap workload features (catalog size, weight
   skew via Gini/entropy — the same quantities a
@@ -47,11 +48,9 @@ from .meta import (
     normalized_entropy,
     plan_meta,
 )
-from .ptas import WeightClass, geometric_classes, plan_ptas, ptas_catalog_plan
+from .ptas import plan_ptas, ptas_catalog_plan
 
 __all__ = [
-    "WeightClass",
-    "geometric_classes",
     "plan_ptas",
     "ptas_catalog_plan",
     "CatalogFeatures",

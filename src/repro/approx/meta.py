@@ -4,7 +4,7 @@ Every planning strategy in the registry has a regime where it wins:
 the exact topological-tree search below a dozen leaves, budgeted
 branch-and-bound a bit beyond, the §4.2 shrinking heuristic on skewed
 mid-size catalogs, the sorting heuristic everywhere else — and the
-:mod:`~repro.approx.ptas` class scheduler once catalogs get too large
+:mod:`~repro.approx.ptas` one-tree packer once catalogs get too large
 for even the linear-time heuristics' *tree construction*. Until now the
 caller had to know those regimes; ``method="meta"`` encodes them.
 
@@ -33,12 +33,11 @@ Every dispatch is recorded three ways: perf counters
 (``planner.meta.choice.<method>``, ``planner.meta.fallbacks``), plan
 stats (``stats["meta"]`` carries the features, choice and reason), and a
 :class:`~repro.obs.events.PlannerDecision` trace event when a tracer is
-listening — the decision trail the ISSUE's bench suite regresses on.
+listening — the decision trail the approx-frontier suite regresses on.
 
-``wire_safe=True`` constrains the table to planners whose trees the
-frame-level wire walk can route (ptas interleaves key ranges across
-channel groups, which breaks the ``key <= key_hi`` separator invariant);
-:class:`repro.cluster.StationCluster` plans with it set.
+Every method the table can choose builds one alphabetic index tree
+over the catalog, so every meta plan is routable by key on the wire
+(§1, §2.1) and the table needs no wire-specific restriction.
 """
 
 from __future__ import annotations
@@ -171,7 +170,6 @@ def features_from_estimator(
 def decide(
     features: CatalogFeatures,
     *,
-    wire_safe: bool = False,
     thresholds: Mapping[str, float] | None = None,
 ) -> tuple[str, dict, str]:
     """The decision table: features → (method, options, reason).
@@ -198,14 +196,9 @@ def decide(
             f"({int(knobs['bnb_budget'])} expansions), heuristic beyond"
         )
     if items >= knobs["ptas_items"]:
-        if wire_safe:
-            return "sorting", {}, (
-                f"{items} items but wire_safe: ptas trees are not "
-                "wire-routable, sorting heuristic instead"
-            )
         return "ptas", {}, (
-            f"{items} items: class-scheduling approximation "
-            "(near-linear, carries its own quality bound)"
+            f"{items} items: one alphabetic tree packed level by "
+            "level (near-linear, carries its own quality bound)"
         )
     if features.gini >= knobs["skew_gini"]:
         return "shrink-combine", {}, (
@@ -273,7 +266,6 @@ def plan_meta(
     *,
     perf: PerfRecorder | None = None,
     rng: np.random.Generator | None = None,
-    wire_safe: bool = False,
     thresholds: Mapping[str, float] | None = None,
     tracer: Tracer = NULL_TRACER,
 ) -> PlanResult:
@@ -296,9 +288,7 @@ def plan_meta(
             channels,
             fanout=max(2, tree.fanout()),
         )
-        method, options, reason = decide(
-            features, wire_safe=wire_safe, thresholds=thresholds
-        )
+        method, options, reason = decide(features, thresholds=thresholds)
     fell_back = False
     try:
         result = plan(tree, channels, method=method, perf=perf, rng=rng, **options)
@@ -338,6 +328,10 @@ def meta_catalog_plan(
         )
     if not labels:
         raise ValueError("cannot plan an empty catalog")
+    # Every meta plan is key-routable now, so ``wire_safe`` changes
+    # nothing; it stays accepted only because perfbench/air.py still
+    # passes it, and goes once that call drops it.
+    del wire_safe
     timer = (
         perf.timer("planner.meta.seconds")
         if perf is not None
@@ -345,9 +339,7 @@ def meta_catalog_plan(
     )
     with timer:
         features = extract_features(weights, channels, fanout=fanout)
-        method, options, reason = decide(
-            features, wire_safe=wire_safe, thresholds=thresholds
-        )
+        method, options, reason = decide(features, thresholds=thresholds)
     fell_back = False
     if method == "ptas":
         result = ptas_catalog_plan(

@@ -1,50 +1,46 @@
-"""The ``"ptas"`` planner: geometric weight classes on square-root channel groups.
+"""The ``"ptas"`` planner: one alphabetic index tree, packed level by level.
 
-The Kenyon–Schabanel–Young PTAS for data broadcast (see PAPERS.md) gets
-provable quality at near-linear cost from two ideas: partition items
-into **geometric weight classes** (all items within a class have weights
-within a constant factor of each other, so their relative order is
-almost irrelevant), and schedule the classes **periodically** with
-periods chosen by the square-root rule. This module adapts that recipe
-to the paper's no-replication model (§2.2: every node airs exactly once
-per cycle):
+Planning 10⁴–10⁶ items cannot afford the cubic optimal index
+construction, so this planner reads the catalog directly and stays
+near-linear end to end:
 
-1. leaves are bucketed into classes ``g`` holding weights in
-   ``(w_max/ratio^(g+1), w_max/ratio^g]``;
-2. classes are merged into **groups** — at most ``channels`` of them,
-   and only as many as the square-root rule can afford to give a whole
-   channel each (a handful of ultra-heavy items must not pin a channel
-   while a million-item tail squeezes through one) — and each group's
-   leaves, kept in catalog key order, get their own alphabetic subtree
-   via :func:`repro.tree.alphabetic.build_index`;
-3. the broadcast channels are divided among the groups proportionally
-   to ``sqrt(W_g · m_g)`` — the square-root rule: airing group ``g`` on
-   ``k_g`` of ``k`` channels gives its items a period of ``m_g / k_g``
-   slots, and minimising ``Σ W_g · m_g / k_g`` subject to ``Σ k_g = k``
-   puts ``k_g ∝ sqrt(W_g · m_g)``;
-4. each group's subtree is packed level-order onto its own channel
-   group, all in parallel, so a heavy class's items repeat every
-   ``~m_g / k_g`` slots of the cycle instead of every ``~m / k``.
+1. one alphabetic search tree over the whole catalog, leaves in key
+   order, via :func:`repro.tree.alphabetic.build_index` (exact interval
+   DP when small, weight-balanced when large);
+2. a single-child global root on channel 1 at slot 1 above it;
+3. the tree packed level by level across all ``k`` channels from slot
+   2, every node strictly after its parent (:func:`_pack_group`).
 
-Because step 4's packing is level-order with at most one underfull slot
-per subtree level, the construction yields an **a-priori quality
-bound**: every item of group ``g`` airs by slot
-``1 + ceil(m_g / k_g) + depth_g + 1``, so
+Step 3 wastes at most one underfull slot per tree level, which gives an
+**a-priori quality bound**: with ``m`` tree nodes and ``depth`` levels
+every item airs by slot ``2 + ceil(m/k) + depth``, so
 
-    ``data_wait  <=  Σ_g W_g · (2 + ceil(m_g/k_g) + depth_g) / Σ_g W_g``
+    ``data_wait  <=  2 + ceil(m/k) + depth``
 
-before any schedule is built. The returned plan carries that bound, the
-matching information-theoretic lower bound (heaviest items in the
+before any schedule is built. The returned plan carries that bound,
+the matching information-theoretic lower bound (heaviest items in the
 earliest of the ``k·t`` available data cells — no feasible schedule can
-beat it), and their ratio, in ``stats``.
+beat it), their ratio, and the tree's ``nodes``, ``depth`` and
+``slots`` in ``stats``.
 
-Caveat (deliberate, documented): the rebuilt tree keeps each *group's*
-leaves in key order but interleaves key ranges *across* groups, so the
-frame-level wire walk — which routes by ``key <= key_hi`` range
-separators (:mod:`repro.io.wire`) — cannot navigate a ptas tree. The
-object and batch engines, which follow tree pointers, walk it exactly.
-The ``"meta"`` planner's ``wire_safe`` option exists for callers that
-must stay on the wire path (:class:`repro.cluster.StationCluster`).
+The name comes from the Kenyon–Schabanel–Young PTAS for data broadcast
+(see PAPERS.md), whose geometric weight classes this planner used to
+give one subtree each, on channel groups sized by the square-root
+rule. That grouping was dropped. Subtrees per weight group under a
+shared root interleave the groups' key ranges, so a tuner descending
+the index by key (§1, §2.1) cannot route the plan: in ``repro cluster
+loadtest --planner ptas --items 2000 --channels 8 --shards 1`` the
+lookup for ``K0751`` ended at ``K0761``, and every multi-group data
+wait was a figure no tuner could achieve.
+Where groups formed, the one tree was also better (fanout 3, data wait
+with groups → one tree, on :func:`repro.approx.bench.zipf_catalog`
+catalogs with seed 2000): Zipf 0.35 on 4 channels, 2,000 items 699.4 →
+501.2; Zipf 0.95 on 16 channels, 100k items 3,094 → 2,123; Zipf 1.2 on
+16 channels, 5,000 items 86.3 → 58.6; five ultra-heavy items in a light
+2,000-item catalog on 4 channels 239.8 → 154.9. It loses only on flat
+weights at 8–16 channels, by 1–7% (Zipf 0.35, 10k items on 8 channels
+1,217 → 1,298; 100k items on 16 channels 6,311 → 6,656). Catalogs that
+formed a single group plan exactly as before.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -65,153 +60,9 @@ from ..tree.index_tree import IndexTree
 from ..tree.node import IndexNode, Node
 
 __all__ = [
-    "WeightClass",
-    "geometric_classes",
     "ptas_catalog_plan",
     "plan_ptas",
 ]
-
-
-@dataclass(frozen=True)
-class WeightClass:
-    """One geometric weight band of the catalog.
-
-    ``positions`` are catalog indices in ascending (key) order; ``hi``
-    is the inclusive upper weight bound of the band, ``lo`` the
-    exclusive lower bound (``0`` for the catch-all tail class).
-    """
-
-    index: int
-    lo: float
-    hi: float
-    positions: tuple[int, ...]
-    weight: float
-
-    @property
-    def size(self) -> int:
-        return len(self.positions)
-
-
-def geometric_classes(
-    weights: Sequence[float],
-    *,
-    ratio: float = 2.0,
-    max_classes: int = 16,
-) -> list[WeightClass]:
-    """Bucket ``weights`` into geometric classes, heaviest class first.
-
-    Class ``g`` holds weights in ``(w_max/ratio^(g+1), w_max/ratio^g]``;
-    everything below ``w_max/ratio^(max_classes-1)`` (and any
-    non-positive weight) falls into the last class. Empty bands are
-    dropped, so the result lists only inhabited classes.
-    """
-    if ratio <= 1.0:
-        raise ValueError("ratio must be > 1")
-    if max_classes < 1:
-        raise ValueError("max_classes must be >= 1")
-    values = np.asarray(weights, dtype=float)
-    if values.size == 0:
-        raise ValueError("weights must be non-empty")
-    w_max = float(values.max())
-    if w_max <= 0.0:
-        # Degenerate all-zero catalog: one class holds everything.
-        bands = np.zeros(values.size, dtype=np.int64)
-    else:
-        with np.errstate(divide="ignore"):
-            raw = np.floor(
-                np.log(w_max / np.maximum(values, 1e-300)) / math.log(ratio)
-            )
-        bands = np.clip(raw, 0, max_classes - 1).astype(np.int64)
-        bands[values <= 0.0] = max_classes - 1
-    classes: list[WeightClass] = []
-    for band in np.unique(bands):
-        positions = np.flatnonzero(bands == band)
-        classes.append(
-            WeightClass(
-                index=int(band),
-                lo=0.0 if band == max_classes - 1 else w_max / ratio ** (int(band) + 1),
-                hi=w_max / ratio ** int(band),
-                positions=tuple(int(p) for p in positions),
-                weight=float(values[positions].sum()),
-            )
-        )
-    return classes
-
-
-def _merge_to_groups(
-    classes: list[WeightClass], channels: int
-) -> list[list[WeightClass]]:
-    """Merge weight-adjacent classes until every group earns a channel.
-
-    Two forces shape the grouping. First, there can be at most
-    ``channels`` groups (heaviest classes stay pure; the tail merges).
-    Second — the one that matters at scale — a group only deserves
-    channels of its own if the square-root rule would hand it at least
-    one *whole* channel: a few ultra-heavy items forming their own
-    class must not each pin a channel while a million-item tail
-    squeezes through one. So while the rule's ideal (fractional)
-    allocation gives some group less than 1, that weakest group merges
-    into its weight-adjacent neighbour and the shares are recomputed.
-    Item counts stand in for tree sizes here (index overhead is
-    proportional, so the shares are unchanged); the final integer
-    allocation over the built subtrees happens in
-    :func:`_sqrt_rule_channels`.
-    """
-    if channels < 1:
-        raise ValueError("channels must be >= 1")
-    groups = [[cls] for cls in classes]
-    if len(groups) > channels:
-        head = groups[: channels - 1]
-        tail = [cls for grp in groups[channels - 1:] for cls in grp]
-        groups = head + [tail]
-    while len(groups) > 1:
-        shares = [
-            math.sqrt(
-                sum(cls.weight for cls in grp)
-                * sum(cls.size for cls in grp)
-            )
-            for grp in groups
-        ]
-        total = sum(shares)
-        if total <= 0.0:
-            break
-        ideals = [channels * share / total for share in shares]
-        weakest = min(range(len(groups)), key=lambda g: ideals[g])
-        if ideals[weakest] >= 1.0:
-            break
-        neighbor = weakest + 1 if weakest + 1 < len(groups) else weakest - 1
-        lo, hi = sorted((weakest, neighbor))
-        groups[lo : hi + 1] = [groups[lo] + groups[hi]]
-    return groups
-
-
-def _sqrt_rule_channels(
-    loads: Sequence[float], sizes: Sequence[int], channels: int
-) -> list[int]:
-    """Integer channel counts per group, ``k_g ∝ sqrt(W_g · m_g)``.
-
-    Every group gets at least one channel; the remainder goes by
-    largest fractional share (ties to the earlier = heavier group), the
-    classic largest-remainder apportionment.
-    """
-    groups = len(loads)
-    if channels < groups:
-        raise ValueError(f"{groups} groups need at least {groups} channels")
-    shares = [math.sqrt(max(load, 0.0) * size) for load, size in zip(loads, sizes)]
-    total = sum(shares)
-    if total <= 0.0:
-        shares = [float(size) for size in sizes]
-        total = sum(shares) or 1.0
-    spare = channels - groups
-    ideal = [spare * share / total for share in shares]
-    counts = [1 + math.floor(x) for x in ideal]
-    leftover = channels - sum(counts)
-    by_remainder = sorted(
-        range(groups), key=lambda g: (-(ideal[g] - math.floor(ideal[g])), g)
-    )
-    for g in by_remainder[:leftover]:
-        counts[g] += 1
-    return counts
 
 
 def _levels(root: Node) -> list[list[Node]]:
@@ -245,7 +96,7 @@ def _pack_group(
     node whose parent sits at or past the cursor's slot pushes the
     cursor to ``parent_slot + 1``, abandoning the partial slot. That
     abandonment costs at most one underfull slot per level, so the
-    group finishes within ``ceil(n/width) + depth`` slots — exactly the
+    tree finishes within ``ceil(n/width) + depth`` slots — exactly the
     slack the a-priori quality bound budgets for. O(n) overall.
     Returns the number of slots consumed.
     """
@@ -274,8 +125,6 @@ def ptas_catalog_plan(
     channels: int = 1,
     *,
     fanout: int = 3,
-    ratio: float = 2.0,
-    max_classes: int = 16,
     keys: Sequence[object] | None = None,
     perf: PerfRecorder | None = None,
     rng: np.random.Generator | None = None,
@@ -319,8 +168,6 @@ def ptas_catalog_plan(
                 [float(w) for w in weights],
                 channels,
                 fanout=fanout,
-                ratio=ratio,
-                max_classes=max_classes,
                 keys=list(keys) if keys is not None else None,
             )
     finally:
@@ -329,8 +176,6 @@ def ptas_catalog_plan(
     if perf is not None:
         perf.count("planner.ptas.plans")
         perf.count("planner.ptas.items", len(labels))
-        perf.count("planner.ptas.classes", result.stats["classes"])
-        perf.count("planner.ptas.groups", len(result.stats["groups"]))
     return result
 
 
@@ -340,102 +185,44 @@ def _ptas_build(
     channels: int,
     *,
     fanout: int,
-    ratio: float,
-    max_classes: int,
     keys: list[object] | None,
 ) -> PlanResult:
-    classes = geometric_classes(weights, ratio=ratio, max_classes=max_classes)
-    groups = _merge_to_groups(classes, channels)
+    root = build_index(labels, weights, fanout=fanout, keys=keys).root
+    levels = _levels(root)
+    for level in levels:
+        for node in level:
+            if isinstance(node, IndexNode):
+                # build_index numbered the tree from its own root; the
+                # global root above it shifts every preorder number by
+                # one, so blank them for the renumber below.
+                node.label = ""
+                node.order = 0
 
-    # Per-group alphabetic subtrees over the group's leaves, key order
-    # preserved within the group. build_index picks the construction by
-    # size (exact DP small, weight-balanced large), so this stays
-    # near-linear at million-item scale.
-    roots: list[Node] = []
-    group_levels: list[list[list[Node]]] = []
-    group_weights: list[float] = []
-    group_sizes: list[int] = []
-    group_items: list[int] = []
-    group_classes: list[list[int]] = []
-    for members in groups:
-        positions = sorted(p for cls in members for p in cls.positions)
-        sub_labels = [labels[p] for p in positions]
-        sub_weights = [weights[p] for p in positions]
-        sub_keys = [keys[p] for p in positions] if keys is not None else None
-        subtree = build_index(sub_labels, sub_weights, fanout=fanout, keys=sub_keys)
-        root = subtree.root
-        levels = _levels(root)
-        for level in levels:
-            for node in level:
-                if isinstance(node, IndexNode):
-                    # Fresh global preorder labels later: each subtree
-                    # was numbered in isolation, so labels collide
-                    # across groups until the global renumber.
-                    node.label = ""
-                    node.order = 0
-        roots.append(root)
-        group_levels.append(levels)
-        group_weights.append(sum(sub_weights))
-        group_sizes.append(sum(len(level) for level in levels))
-        group_items.append(len(positions))
-        group_classes.append([cls.index for cls in members])
-
-    global_root = IndexNode("", list(roots))
-    # The subtrees were just validated by build_index and the only new
-    # structure is this root (add_child wired the parent pointers), so
-    # re-walking 10⁶ nodes to re-validate would only burn the time the
-    # streaming path exists to save. Renumbering still runs: it assigns
-    # the fresh global labels the blanking above prepared for.
+    global_root = IndexNode("", [root])
+    # build_index just validated the tree and the only new structure is
+    # this root (add_child wired the parent pointer), so re-walking 10⁶
+    # nodes to re-validate would only burn the time the streaming path
+    # exists to save. Renumbering still runs: it assigns the fresh
+    # labels the blanking above prepared for.
     tree = IndexTree(global_root, validate=False)
-
-    counts = _sqrt_rule_channels(group_weights, group_sizes, channels)
 
     placement: dict[Node, tuple[int, int]] = {global_root: (1, 1)}
     slot_of: dict[int, int] = {id(global_root): 1}
-    first_channel = 1
-    slots_used: list[int] = []
-    for levels, width in zip(group_levels, counts):
-        used = _pack_group(
-            levels, width, first_channel, 2, placement, slot_of
-        )
-        slots_used.append(used)
-        first_channel += width
+    slots = _pack_group(levels, channels, 1, 2, placement, slot_of)
 
     schedule = BroadcastSchedule(
         tree, placement, channels=channels, validate=True
     )
     cost = schedule.data_wait()
 
-    total_weight = sum(weights) or 1.0
-    group_depths = [len(levels) for levels in group_levels]
-    bound = sum(
-        w * (2 + math.ceil(m / k) + d)
-        for w, m, k, d in zip(group_weights, group_sizes, counts, group_depths)
-    ) / total_weight
+    nodes = sum(len(level) for level in levels)
+    depth = len(levels)
+    bound = float(2 + math.ceil(nodes / channels) + depth)
     lower = _data_wait_lower_bound(weights, channels)
     stats = {
-        "classes": len(classes),
-        "ratio": ratio,
-        "groups": [
-            {
-                "classes": members,
-                "items": items,
-                "nodes": m,
-                "weight": w,
-                "channels": k,
-                "depth": d,
-                "slots": used,
-            }
-            for members, items, m, w, k, d, used in zip(
-                group_classes,
-                group_items,
-                group_sizes,
-                group_weights,
-                counts,
-                group_depths,
-                slots_used,
-            )
-        ],
+        "nodes": nodes,
+        "depth": depth,
+        "slots": slots,
         "quality_bound": bound,
         "lower_bound": lower,
         "quality_ratio": bound / lower if lower > 0 else float("inf"),
@@ -466,17 +253,16 @@ def plan_ptas(
     *,
     perf: PerfRecorder | None = None,
     rng: np.random.Generator | None = None,
-    ratio: float = 2.0,
-    max_classes: int = 16,
     fanout: int | None = None,
 ) -> PlanResult:
-    """The registry face of the KSY-inspired planner.
+    """The registry face of the one-tree planner.
 
     Takes any index tree, extracts its leaf catalog (labels, weights,
-    keys in leaf order) and **re-indexes** it into geometric weight
-    classes — the input tree's internal structure is advisory only,
-    exactly as the shrinking heuristic treats it. ``fanout`` defaults
-    to the input tree's own fanout (floor 2).
+    keys in leaf order) and **re-indexes** it with
+    :func:`~repro.tree.alphabetic.build_index` — the input tree's
+    internal structure is advisory only, exactly as the shrinking
+    heuristic treats it. ``fanout`` defaults to the input tree's own
+    fanout (floor 2).
     """
     leaves = tree.data_nodes()
     labels = [leaf.label for leaf in leaves]
@@ -491,8 +277,6 @@ def plan_ptas(
         weights,
         channels,
         fanout=fanout,
-        ratio=ratio,
-        max_classes=max_classes,
         keys=keys,
         perf=perf,
         rng=rng,

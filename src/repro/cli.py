@@ -373,8 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--planner",
             default="meta",
             help="repro.planners registry name used per shard "
-            "(default 'meta': the repro.approx cost-model dispatcher, "
-            "restricted to wire-routable planners)",
+            "(default 'meta': the repro.approx cost-model dispatcher)",
         )
         sub.add_argument("--shards", type=int, default=2)
         sub.add_argument(
@@ -402,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     approx_plan = _command(
         approx_commands, "plan", _cmd_approx_plan,
         "plan a synthetic Zipf catalog with one registry planner, "
-        "print the plan card (cost, bound, groups, timing)",
+        "print the plan card (cost, bound, tree, timing)",
         *_CATALOG, items=10_000, channels=4,
     )
     approx_plan.add_argument(
@@ -415,12 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         "print the meta-planner's measured features and its "
         "decision for a catalog, without planning anything",
         *_CATALOG, items=10_000, channels=4,
-    )
-    approx_explain.add_argument(
-        "--wire-safe",
-        action="store_true",
-        help="restrict the decision to wire-routable planners "
-        "(what the cluster's stations require)",
     )
     for sub in (approx_plan, approx_explain):
         sub.add_argument(
@@ -1457,13 +1450,10 @@ def _cmd_approx_plan(args) -> int:
             f"(<= {stats['quality_ratio']:.2f}x the data-wait lower "
             f"bound {stats['lower_bound']:.4f})"
         )
-        for group in stats["groups"]:
-            print(
-                f"  group: {group['items']} item(s) from "
-                f"{len(group['classes'])} class(es) on {group['channels']} "
-                f"channel(s), depth {group['depth']}, "
-                f"{group['slots']} slot(s), weight {group['weight']:.1f}"
-            )
+        print(
+            f"  tree: {stats['nodes']} node(s), depth {stats['depth']}, "
+            f"{stats['slots']} slot(s)"
+        )
     meta = stats.get("meta")
     if meta is not None:
         print(
@@ -1481,9 +1471,7 @@ def _cmd_approx_explain(args) -> int:
     features = extract_features(
         weights, args.channels, fanout=args.fanout
     )
-    method, options, reason = decide(
-        features, wire_safe=args.wire_safe
-    )
+    method, options, reason = decide(features)
     print(
         f"features: items={features.items} channels={features.channels} "
         f"fanout={features.fanout} gini={features.gini:.3f} "
@@ -1491,8 +1479,6 @@ def _cmd_approx_explain(args) -> int:
     )
     print(f"decision: {method!r}" + (f" {options}" if options else ""))
     print(f"reason: {reason}")
-    if args.wire_safe:
-        print("(restricted to wire-routable planners)")
     return 0
 
 

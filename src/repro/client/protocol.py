@@ -182,10 +182,12 @@ def _drive(
     Each read is served from :meth:`BroadcastProgram.bucket_at`, unless
     ``faults`` dooms its airing. An index bucket is delivered with its
     pointer table narrowed to the one child on the target's root path:
-    the walk routes a one-entry table to that entry whatever the key,
-    so plans whose subtrees' key ranges interleave (``ptas``) stay
-    walkable. Every read is checked to land on the node the path
-    expects, so a miswired pointer raises :class:`ScheduleError`.
+    the walk routes a one-entry table to that entry whatever the key.
+    Every registered planner builds an alphabetic tree, so the walk
+    goes where routing by key would take it (a property test checks
+    this for each planner). Every read is checked to land on the node
+    the path expects, so a miswired pointer raises
+    :class:`ScheduleError`.
     """
     if not isinstance(target, DataNode):
         raise ValueError("targets must be data nodes")

@@ -144,9 +144,9 @@ class StationCluster:
         allocation — per-shard plan selection goes through the same
         facade the single-station stack uses. Defaults to the
         :mod:`repro.approx` meta-planner, which sizes up each shard's
-        slice and picks a method per shard; the cluster passes it
-        ``wire_safe=True`` because station wire walks need the
-        key-separator routing the ptas trees give up.
+        slice and picks a method per shard. Every registered planner
+        builds one alphabetic index tree, so station wire walks can
+        route any shard's plan by key.
     channels, fanout, bucket_size:
         Per-shard program shape: each shard airs its own ``channels``
         broadcast channels (an N-shard cluster is N× the air bandwidth).
@@ -338,9 +338,6 @@ class StationCluster:
                 raise ValueError(f"shard {shard} has no keys to plan")
             labels = [key for key, _ in items]
             weights = [weight for _, weight in items]
-            # Stations route wire walks by key separators, so the meta
-            # planner must stay inside the wire-routable registry.
-            options = {"wire_safe": True} if self.planner == "meta" else {}
             result = plan_catalog(
                 labels,
                 weights,
@@ -348,7 +345,6 @@ class StationCluster:
                 method=self.planner,
                 fanout=self.fanout,
                 perf=self.perf,
-                **options,
             )
             self.plans[shard] = ShardPlan(
                 shard=shard,

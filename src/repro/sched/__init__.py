@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from .delta import (
     PLAN_FORMAT,
-    DeltaError,
+    PlanDocumentError,
     canonical_bytes,
     content_id,
     delta,
@@ -44,7 +44,7 @@ from .store import ScheduleStore, StoreError, VersionRecord
 
 __all__ = [
     "PLAN_FORMAT",
-    "DeltaError",
+    "PlanDocumentError",
     "canonical_bytes",
     "content_id",
     "plan_to_doc",

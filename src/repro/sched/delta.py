@@ -37,7 +37,7 @@ from ..tree.node import IndexNode, Node
 
 __all__ = [
     "PLAN_FORMAT",
-    "DeltaError",
+    "PlanDocumentError",
     "plan_bytes",
     "plan_to_doc",
     "plan_from_doc",
@@ -49,7 +49,7 @@ __all__ = [
 PLAN_FORMAT = "broadcast-alloc/plan"
 
 
-class DeltaError(ReproError):
+class PlanDocumentError(ReproError):
     """A document is not a plan document this codec reads."""
 
 
@@ -184,9 +184,11 @@ def plan_from_doc(doc: dict) -> PlanResult:
     the store hands its cached, verified documents here without copying.
     """
     if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
-        raise DeltaError("not a broadcast-alloc plan document")
+        raise PlanDocumentError("not a broadcast-alloc plan document")
     if doc.get("version") != 1:
-        raise DeltaError(f"unknown plan document version {doc.get('version')!r}")
+        raise PlanDocumentError(
+            f"unknown plan document version {doc.get('version')!r}"
+        )
     try:
         schedule = schedule_from_dict(doc["schedule"])
         return PlanResult(
@@ -196,7 +198,7 @@ def plan_from_doc(doc: dict) -> PlanResult:
             copy.deepcopy(doc.get("stats", {})),
         )
     except (KeyError, TypeError) as error:
-        raise DeltaError(f"malformed plan document: {error}") from error
+        raise PlanDocumentError(f"malformed plan document: {error}") from error
 
 
 # ---------------------------------------------------------------------------

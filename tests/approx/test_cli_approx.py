@@ -15,7 +15,8 @@ class TestApproxPlan:
         out = capsys.readouterr().out
         assert "planner 'ptas'" in out
         assert "a-priori bound" in out
-        assert "group:" in out
+        assert "tree:" in out and "depth" in out
+        assert "group" not in out
 
     def test_meta_plan_card_names_the_decision(self, capsys):
         assert main(
@@ -61,11 +62,3 @@ class TestApproxExplain:
         assert "gini=" in out
         assert "decision: 'ptas'" in out
         assert "reason:" in out
-
-    def test_wire_safe_changes_the_decision(self, capsys):
-        assert main(
-            ["approx", "explain", "--items", "5000", "--wire-safe"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "decision: 'sorting'" in out
-        assert "wire-routable" in out

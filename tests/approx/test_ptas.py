@@ -1,14 +1,15 @@
-"""Tests for the KSY-inspired approximation planner (:mod:`repro.approx.ptas`)."""
+"""Tests for the one-tree ptas planner (:mod:`repro.approx.ptas`)."""
 
 from __future__ import annotations
 
 import gc
+import math
 
 import numpy as np
 import pytest
 
-from repro.approx import geometric_classes, ptas_catalog_plan
-from repro.approx.ptas import _data_wait_lower_bound, _merge_to_groups
+from repro.approx import ptas_catalog_plan
+from repro.approx.ptas import _data_wait_lower_bound
 from repro.perf import PerfRecorder
 from repro.planners import available_planners, plan, plan_catalog
 from repro.tree.builders import paper_example_tree
@@ -36,77 +37,6 @@ def assert_feasible(result, channels: int) -> None:
     assert len(seen_cells) == len(schedule.tree.nodes())
 
 
-class TestGeometricClasses:
-    def test_bands_are_geometric_and_heaviest_first(self):
-        classes = geometric_classes([8.0, 4.0, 2.0, 1.0], ratio=2.0)
-        assert [cls.index for cls in classes] == [0, 1, 2, 3]
-        assert classes[0].positions == (0,)
-        assert classes[0].hi == pytest.approx(8.0)
-        assert classes[0].lo == pytest.approx(4.0)
-        assert classes[3].positions == (3,)
-
-    def test_items_within_a_band_share_a_class(self):
-        classes = geometric_classes([10.0, 9.0, 5.5, 0.1], ratio=2.0)
-        assert classes[0].positions == (0, 1, 2)
-
-    def test_tail_class_catches_everything_below_the_last_band(self):
-        classes = geometric_classes([100.0, 1e-9], ratio=2.0, max_classes=4)
-        assert classes[-1].index == 3
-        assert classes[-1].lo == 0.0
-        assert 1 in classes[-1].positions
-
-    def test_zero_and_negative_weights_join_the_tail(self):
-        classes = geometric_classes([10.0, 0.0, -1.0], max_classes=8)
-        assert classes[-1].positions == (1, 2)
-
-    def test_all_zero_catalog_is_one_class(self):
-        classes = geometric_classes([0.0, 0.0])
-        assert len(classes) == 1
-        assert classes[0].size == 2
-
-    def test_positions_stay_in_key_order(self):
-        classes = geometric_classes([1.0, 8.0, 1.1, 7.9])
-        for cls in classes:
-            assert list(cls.positions) == sorted(cls.positions)
-
-    def test_class_weights_partition_the_total(self):
-        weights = [float(w) for w in range(1, 40)]
-        classes = geometric_classes(weights)
-        assert sum(cls.weight for cls in classes) == pytest.approx(sum(weights))
-        assert sum(cls.size for cls in classes) == len(weights)
-
-    def test_bad_arguments_raise(self):
-        with pytest.raises(ValueError, match="ratio"):
-            geometric_classes([1.0], ratio=1.0)
-        with pytest.raises(ValueError, match="max_classes"):
-            geometric_classes([1.0], max_classes=0)
-        with pytest.raises(ValueError, match="non-empty"):
-            geometric_classes([])
-
-
-class TestGroupMerging:
-    def test_never_more_groups_than_channels(self):
-        classes = geometric_classes([2.0 ** -g for g in range(10)])
-        assert len(classes) == 10
-        groups = _merge_to_groups(classes, 3)
-        assert len(groups) <= 3
-
-    def test_tiny_heavy_class_does_not_pin_a_channel(self):
-        # Two ultra-heavy items plus a 5000-item tail: the sqrt rule's
-        # ideal share for the heavy pair is far below one channel, so
-        # it must merge into the tail rather than pin a channel.
-        weights = [1000.0, 900.0] + [1.0] * 5000
-        groups = _merge_to_groups(geometric_classes(weights), 4)
-        assert len(groups) == 1
-
-    def test_merging_preserves_every_class(self):
-        weights = [float(2 ** (i % 7)) for i in range(200)]
-        classes = geometric_classes(weights)
-        groups = _merge_to_groups(classes, 2)
-        merged = [cls.index for grp in groups for cls in grp]
-        assert sorted(merged) == sorted(cls.index for cls in classes)
-
-
 class TestPtasPlans:
     @pytest.mark.parametrize(
         ("size", "channels"),
@@ -127,15 +57,28 @@ class TestPtasPlans:
         assert first.cost == second.cost
         assert first.stats == second.stats
 
-    def test_stats_carry_the_group_table(self):
+    def test_stats_describe_the_one_tree(self):
         labels, weights = zipf_catalog(400)
         result = ptas_catalog_plan(labels, weights, 4)
         stats = result.stats
         assert stats["quality_ratio"] == pytest.approx(
             stats["quality_bound"] / stats["lower_bound"]
         )
-        assert sum(group["items"] for group in stats["groups"]) == 400
-        assert sum(group["channels"] for group in stats["groups"]) <= 4
+        tree = result.schedule.tree
+        # The tree under the single-child global root: every node but it.
+        assert stats["nodes"] == len(tree.nodes()) - 1
+        assert len(tree.root.children) == 1
+        assert stats["depth"] == tree.depth() - 1
+        assert stats["quality_bound"] == (
+            2 + math.ceil(stats["nodes"] / 4) + stats["depth"]
+        )
+        # Packed from slot 2, the tree ends the cycle.
+        assert result.schedule.cycle_length == 1 + stats["slots"]
+        assert stats["slots"] <= math.ceil(stats["nodes"] / 4) + stats["depth"]
+        assert set(stats) == {
+            "nodes", "depth", "slots",
+            "quality_bound", "lower_bound", "quality_ratio",
+        }
 
     def test_perf_counters(self):
         labels, weights = zipf_catalog(100)
@@ -144,7 +87,7 @@ class TestPtasPlans:
         counters = perf.snapshot()["counters"]
         assert counters["planner.ptas.plans"] == 1
         assert counters["planner.ptas.items"] == 100
-        assert counters["planner.ptas.groups"] >= 1
+        assert set(counters) == {"planner.ptas.plans", "planner.ptas.items"}
 
     def test_gc_state_is_restored(self):
         labels, weights = zipf_catalog(50)

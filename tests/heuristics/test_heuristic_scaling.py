@@ -220,12 +220,10 @@ def test_combination_matches_the_rescanning_oracle(spec, bound):
 
 
 def churn_plan(theta: float):
-    """perfbench's ``air-churn`` catalog: 1,000 Zipf keys, meta, wire-safe."""
+    """perfbench's ``air-churn`` catalog: 1,000 Zipf keys, meta."""
     labels = [f"K{index:03d}" for index in range(1000)]
     weights = zipf_weights(np.random.default_rng(2000), 1000, theta=theta)
-    return plan_catalog(
-        labels, weights, 3, method="meta", fanout=3, wire_safe=True
-    )
+    return plan_catalog(labels, weights, 3, method="meta", fanout=3)
 
 
 @pytest.mark.parametrize(

@@ -19,13 +19,15 @@ import json
 import math
 from typing import Any
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import ReproError
 from repro.io.json_io import schedule_to_dict
 from repro.net.harness import build_demo_plan
 from repro.planners import PlanResult
-from repro.sched import DeltaError, canonical_bytes, content_id, delta
+from repro.sched import PlanDocumentError, canonical_bytes, content_id, delta
 from repro.sched.delta import (
     PLAN_FORMAT,
     plan_bytes,
@@ -40,7 +42,7 @@ def _resolve(doc: Any, path: list) -> Any:
         try:
             node = node[step]
         except (KeyError, IndexError, TypeError) as error:
-            raise DeltaError(f"delta path {path!r} does not resolve") from error
+            raise ValueError(f"delta path {path!r} does not resolve") from error
     return node
 
 
@@ -52,7 +54,7 @@ def apply_delta(ops: list[dict], base: Any) -> Any:
             kind = op["op"]
             path = op["path"]
         except (KeyError, TypeError) as error:
-            raise DeltaError(f"malformed delta op {op!r}") from error
+            raise ValueError(f"malformed delta op {op!r}") from error
         if kind == "set":
             if not path:
                 doc = copy.deepcopy(op["value"])
@@ -61,36 +63,36 @@ def apply_delta(ops: list[dict], base: Any) -> Any:
             try:
                 parent[path[-1]] = copy.deepcopy(op["value"])
             except (IndexError, TypeError) as error:
-                raise DeltaError(
+                raise ValueError(
                     f"cannot set {path!r} on the base document"
                 ) from error
         elif kind == "del":
             if not path:
-                raise DeltaError("cannot delete the document root")
+                raise ValueError("cannot delete the document root")
             parent = _resolve(doc, path[:-1])
             try:
                 del parent[path[-1]]
             except (KeyError, IndexError, TypeError) as error:
-                raise DeltaError(
+                raise ValueError(
                     f"cannot delete {path!r} from the base document"
                 ) from error
         elif kind == "push":
             target = _resolve(doc, path)
             if not isinstance(target, list):
-                raise DeltaError(f"push target {path!r} is not a list")
+                raise ValueError(f"push target {path!r} is not a list")
             target.extend(copy.deepcopy(op["values"]))
         elif kind == "trim":
             target = _resolve(doc, path)
             if not isinstance(target, list):
-                raise DeltaError(f"trim target {path!r} is not a list")
+                raise ValueError(f"trim target {path!r} is not a list")
             length = op["length"]
             if not 0 <= length <= len(target):
-                raise DeltaError(
+                raise ValueError(
                     f"trim length {length} out of range for {path!r}"
                 )
             del target[length:]
         else:
-            raise DeltaError(f"unknown delta op {kind!r}")
+            raise ValueError(f"unknown delta op {kind!r}")
     return doc
 
 
@@ -180,6 +182,22 @@ class TestPlanDocumentRoundTrip:
         # And the patched document is a loadable plan, not just bytes.
         rebuilt = plan_from_doc(patched)
         assert canonical_bytes(plan_to_doc(rebuilt)) == canonical_bytes(doc_b)
+
+    @pytest.mark.parametrize(
+        ("mutate", "message"),
+        [
+            (lambda doc: doc.update(format="other"), "not a broadcast-alloc"),
+            (lambda doc: doc.update(version=2), "unknown plan document version"),
+            (lambda doc: doc.pop("cost"), "malformed plan document"),
+        ],
+        ids=["format", "version", "field"],
+    )
+    def test_a_document_that_is_no_plan_raises(self, mutate, message):
+        doc = plan_to_doc(build_demo_plan(items=10, channels=2))
+        mutate(doc)
+        with pytest.raises(PlanDocumentError, match=message) as caught:
+            plan_from_doc(doc)
+        assert isinstance(caught.value, ReproError)
 
 
 def frozen_plan_to_doc(result: PlanResult) -> dict:

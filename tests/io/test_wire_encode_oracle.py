@@ -4,8 +4,9 @@
 post-order pass. The encoder below is the one it replaced, kept as it
 was: it walks each child's whole subtree for every index bucket. Both
 must produce the same frames, byte for byte, on random trees, on catalog
-plans, and on multi-group ``ptas`` plans whose groups' key ranges
-interleave, so the largest key of a subtree is not its last leaf.
+plans, on ``ptas`` plans, and on hand-built trees whose root's subtrees
+interleave their key ranges, so the largest key of a subtree is not its
+last leaf.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from repro.broadcast.pointers import compile_program
 from repro.heuristics.channel_allocation import sorting_schedule
 from repro.io.wire import encode_bucket, encode_program
 from repro.planners import plan_catalog
+from repro.tree.alphabetic import build_index
 from repro.tree.builders import random_tree
+from repro.tree.index_tree import IndexTree
 from repro.tree.node import DataNode, IndexNode
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -89,20 +92,34 @@ def assert_same_frames(program, bucket_size: int = 96) -> None:
             assert encode_bucket(bucket, bucket_size) == frame
 
 
-def ptas_program(seed: int, items: int, heavy: int):
-    """Ultra-heavy items in a light catalog, the last key among them.
-
-    ptas forms two weight groups, heavy first under the root, so the
-    root's largest key sits in its first child, not its last.
-    """
+def heavy_light_catalog(seed: int, items: int, heavy: int):
+    """Ultra-heavy items in a light catalog, the last key among them."""
     rng = np.random.default_rng(seed)
     labels = [f"k{i:03d}" for i in range(items)]
     weights = [float(w) for w in rng.uniform(1.0, 2.0, items)]
     for position in [*rng.choice(items - 1, heavy - 1, replace=False), items - 1]:
         weights[position] = 1000.0 * rng.uniform(1.0, 2.0)
-    result = plan_catalog(labels, weights, 4, method="ptas")
-    assert len(result.stats["groups"]) == 2
-    return result.compile()
+    return labels, weights
+
+
+def two_group_program(labels, weights):
+    """One alphabetic subtree for the heavy items, one for the rest.
+
+    The heavy subtree comes first under the root, so the root's
+    largest key sits in its first child, not its last: the tree ptas
+    built when it planned per weight class.
+    """
+    roots = []
+    for heavy in (True, False):
+        group = [i for i, w in enumerate(weights) if (w >= 1000.0) == heavy]
+        subtree = build_index(
+            [labels[i] for i in group], [weights[i] for i in group], fanout=3
+        )
+        for node in subtree.index_nodes():
+            node.label = ""  # numbered afresh under the shared root
+        roots.append(subtree.root)
+    tree = IndexTree(IndexNode("", roots))
+    return compile_program(sorting_schedule(tree, 4))
 
 
 def last_leaf_key(node) -> str:
@@ -127,13 +144,18 @@ class TestFrozenEncoder:
     @pytest.mark.parametrize("heavy", [2, 3])
     @pytest.mark.parametrize("seed", range(8))
     def test_multi_group_ptas_plans(self, seed, heavy):
-        program = ptas_program(seed, 48, heavy)
+        labels, weights = heavy_light_catalog(seed, 48, heavy)
+        program = two_group_program(labels, weights)
         assert any(
             frozen_subtree_max_key(node) != last_leaf_key(node)
             for node in program.schedule.tree.nodes()
             if isinstance(node, IndexNode)
         )
         assert_same_frames(program)
+        # The one tree ptas plans for the same catalog.
+        assert_same_frames(
+            plan_catalog(labels, weights, 4, method="ptas").compile()
+        )
 
     def test_keyed_catalog_plans(self):
         labels = [f"K{i:04d}" for i in range(300)]

@@ -7,9 +7,9 @@ functions below are the versions they replaced, kept as they were
 the oracle with it; the frozen diff without the size limit ``delta``
 no longer takes). Today's code must give the same bytes, content
 ids, delta ops, bucket grids and frames on random trees and on
-catalog plans, including two-group ``ptas`` plans and tie-heavy
-weights, and raise the same exception with the same message for every
-malformed document.
+catalog plans, including ``ptas`` plans, hand-built trees whose root's
+subtrees interleave their key ranges, and tie-heavy weights, and raise
+the same exception with the same message for every malformed document.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.io.wire import WireFormatError, encode_program
 from repro.planners import PlanResult, plan_catalog
 from repro.sched import canonical_bytes, content_id, delta, plan_to_doc
 from repro.sched.delta import plan_bytes
+from repro.tree.alphabetic import build_index
 from repro.tree.builders import random_tree
 from repro.tree.index_tree import IndexTree
 from repro.tree.node import DataNode, IndexNode
@@ -424,16 +425,32 @@ def tree_result(tree, channels: int, stats=None) -> PlanResult:
     return PlanResult(schedule, schedule.data_wait(), "sorting", stats or {})
 
 
-def ptas_plan(seed: int, items: int = 48, heavy: int = 2) -> PlanResult:
-    """Ultra-heavy items in a light catalog: ptas forms two groups."""
+def heavy_light_catalog(seed: int, items: int = 48, heavy: int = 2):
+    """Ultra-heavy items in a light catalog, the last key among them."""
     rng = np.random.default_rng(seed)
     labels = [f"k{i:03d}" for i in range(items)]
     weights = [float(w) for w in rng.uniform(1.0, 2.0, items)]
     for position in [*rng.choice(items - 1, heavy - 1, replace=False), items - 1]:
         weights[position] = 1000.0 * rng.uniform(1.0, 2.0)
-    result = plan_catalog(labels, weights, 4, method="ptas")
-    assert len(result.stats["groups"]) == 2
-    return result
+    return labels, weights
+
+
+def two_group_plan(labels, weights) -> PlanResult:
+    """The heavy items' alphabetic subtree, then the rest's, under a root.
+
+    The root's largest key sits in its first child, not its last: the
+    tree ptas built when it planned per weight class.
+    """
+    roots = []
+    for heavy in (True, False):
+        group = [i for i, w in enumerate(weights) if (w >= 1000.0) == heavy]
+        subtree = build_index(
+            [labels[i] for i in group], [weights[i] for i in group], fanout=3
+        )
+        for node in subtree.index_nodes():
+            node.label = ""  # numbered afresh under the shared root
+        roots.append(subtree.root)
+    return tree_result(IndexTree(IndexNode("", roots)), 4)
 
 
 def catalog_plans(
@@ -574,11 +591,17 @@ class TestCatalogPlans:
     @pytest.mark.parametrize("heavy", [2, 3])
     @pytest.mark.parametrize("seed", range(4))
     def test_two_group_ptas_plans(self, seed, heavy):
-        result = ptas_plan(seed, heavy=heavy)
-        assert_same_codec(result)
-        assert_same_deltas(
-            plan_to_doc(ptas_plan(seed + 100, heavy=heavy)), plan_to_doc(result)
-        )
+        """A hand-built two-group tree, and the one tree ptas plans for
+        the same catalog."""
+        plans = []
+        for offset in (0, 100):
+            labels, weights = heavy_light_catalog(seed + offset, heavy=heavy)
+            plans.append(two_group_plan(labels, weights))
+            plans.append(plan_catalog(labels, weights, 4, method="ptas"))
+        for result in plans:
+            assert_same_codec(result)
+        for first, second in zip(plans, plans[2:]):
+            assert_same_deltas(plan_to_doc(second), plan_to_doc(first))
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,6 @@ LEAVES = [
             "items": 10000,
             "seed": 2000,
             "theta": 0.95,
-            "wire_safe": False,
         },
         id="approx explain",
     ),

@@ -268,7 +268,7 @@ class TestPlanCatalog:
         labels = [f"d{i:04d}" for i in range(3000)]
         weights = [float((i % 9) + 1) for i in range(3000)]
         result = plan_catalog(
-            labels, weights, 2, method="meta", wire_safe=True
+            labels, weights, 2, method="meta", thresholds={"ptas_items": 5000}
         )
         assert result.method == "meta:sorting"
 
