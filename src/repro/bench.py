@@ -161,13 +161,20 @@ register(Suite(
         "items": 24, "channels": 3, "fanout": 3, "planner": "sorting",
         "walks": 200_000, "sample": 2000, "loss": 0.05,
         "corruption": 0.01, "seed": 2000, "repeats": 3,
+        "catalog_items": 1000, "catalog_walks": 50_000,
+        "catalog_sample": 500,
     },
     lambda config: run_engine_bench(**config),
-    _quality("mean_access_time", "mean_tuning_time", "faulty_mean_access_time")
+    _quality(
+        "mean_access_time", "mean_tuning_time", "faulty_mean_access_time",
+        "catalog_faulty_mean_access_time",
+    )
     + _timing(
         "batch_walks_per_second", "faulty_walks_per_second",
-        "speedup_vs_scalar", better=HIGHER,
-    ),
+        "speedup_vs_scalar", "catalog_faulty_walks_per_second",
+        better=HIGHER,
+    )
+    + _timing("catalog_compile_seconds"),
 ))
 register(Suite(
     "approx-frontier",

@@ -9,7 +9,12 @@ seeded request trace, and measures three regimes:
 * **batch** — :func:`repro.engine.run_batch` over the full trace,
   loss-free;
 * **faulty** — the batch recovery path under a seeded
-  :class:`~repro.faults.FaultConfig`.
+  :class:`~repro.faults.FaultConfig`;
+* **catalog** — the simulator at catalog scale: ``compile_dense`` and
+  the faulty batch on a ``catalog_items``-item plan (air-churn's
+  1,000-item ``meta`` plan by default, cycle 537, so the default
+  policy's deadline is 4,296 slots and the fault streams span several
+  blocks), under metric names of their own.
 
 Correctness is part of the bench, not a separate step: the suite's
 checks carry the differential gates (batch bit-identical
@@ -62,6 +67,19 @@ def _draw_trace(program, walks: int, seed: int):
     return targets, ids.astype(np.int64), slots.astype(np.int64)
 
 
+def _faulty_matches(program, dense, targets, ids, slots, faults, policy):
+    """Whether the faulty batch equals ``recovering_walk`` on every walk."""
+    injector = FaultInjector(faults)
+    return run_batch(
+        dense, ids, slots, faults=faults, recovery=policy
+    ).to_records() == [
+        recovering_walk(
+            program, targets[int(d)], int(s), faults=injector, policy=policy,
+        )
+        for d, s in zip(ids, slots)
+    ]
+
+
 def run_engine_bench(
     *,
     items: int = 24,
@@ -74,16 +92,20 @@ def run_engine_bench(
     corruption: float = 0.01,
     seed: int = 2000,
     repeats: int = 3,
+    catalog_items: int = 1000,
+    catalog_walks: int = 50_000,
+    catalog_sample: int = 500,
 ) -> dict:
     """Run the engine suite; return its metrics, checks and detail.
 
     ``sample`` bounds the scalar-walk comparisons (timing baseline and
     per-walk differential) — the scalar side is exactly what the engine
-    exists to avoid running 10⁵ times. The batch paths always run the
-    full ``walks``-long trace.
+    exists to avoid running 10⁵ times — and ``catalog_sample`` bounds
+    them at catalog scale. The batch paths always run the full
+    ``walks``- and ``catalog_walks``-long traces.
     """
-    if walks < 1 or repeats < 1:
-        raise ValueError("walks and repeats must be >= 1")
+    if walks < 1 or catalog_walks < 1 or repeats < 1:
+        raise ValueError("walks, catalog_walks and repeats must be >= 1")
     sample = min(sample, walks)
     from ..net.harness import build_demo_program
 
@@ -119,18 +141,35 @@ def run_engine_bench(
     # -- differential gates (part of the bench, not an afterthought) -------
     batch_sample = run_batch(dense, sample_ids, sample_slots).to_records()
     differential_exact = batch_sample == scalar_records
-    faulty_sample = run_batch(
-        dense, sample_ids, sample_slots, faults=fault_config, recovery=policy
-    ).to_records()
-    injector = FaultInjector(fault_config)
-    scalar_faulty = [
-        recovering_walk(
-            program, targets[int(d)], int(s),
-            faults=injector, policy=policy,
-        )
-        for d, s in zip(sample_ids, sample_slots)
-    ]
-    differential_faulty_exact = faulty_sample == scalar_faulty
+    differential_faulty_exact = _faulty_matches(
+        program, dense, targets, ids[:sample], slots[:sample],
+        fault_config, policy,
+    )
+
+    # -- catalog scale -----------------------------------------------------
+    catalog = build_demo_program(
+        items=catalog_items, channels=channels, fanout=fanout,
+        planner="meta", seed=seed,
+    )
+    catalog_dense, catalog_compile = measure(
+        lambda: compile_dense(catalog), repeats=repeats
+    )
+    catalog_targets, catalog_ids, catalog_slots = _draw_trace(
+        catalog, catalog_walks, seed
+    )
+    catalog_result, catalog_faulty = measure(
+        lambda: run_batch(
+            catalog_dense, catalog_ids, catalog_slots,
+            faults=fault_config, recovery=policy,
+        ),
+        repeats=repeats,
+    )
+    catalog_sample = min(catalog_sample, catalog_walks)
+    catalog_differential = _faulty_matches(
+        catalog, catalog_dense, catalog_targets,
+        catalog_ids[:catalog_sample], catalog_slots[:catalog_sample],
+        fault_config, policy,
+    )
 
     # -- metrics ---------------------------------------------------------
     summary = batch_result.summarise()
@@ -138,6 +177,7 @@ def run_engine_bench(
     batch_wps = walks / batch.min
     faulty_wps = walks / faulty.min
     scalar_wps = sample / scalar.min
+    catalog_summary = catalog_result.summarise()
     return {
         "metrics": {
             "mean_access_time": summary.mean_access_time,
@@ -146,10 +186,18 @@ def run_engine_bench(
             "batch_walks_per_second": batch_wps,
             "faulty_walks_per_second": faulty_wps,
             "speedup_vs_scalar": batch_wps / scalar_wps,
+            "catalog_faulty_mean_access_time": (
+                catalog_summary.mean_access_time
+            ),
+            "catalog_faulty_walks_per_second": (
+                catalog_walks / catalog_faulty.min
+            ),
+            "catalog_compile_seconds": catalog_compile.min,
         },
         "checks": {
             "differential_exact": differential_exact,
             "differential_faulty_exact": differential_faulty_exact,
+            "catalog_differential_faulty_exact": catalog_differential,
             "batch_speedup_50x": (
                 batch_wps >= SPEEDUP_TARGET * ENVELOPE_WALKS_PER_SECOND
             ),
@@ -158,6 +206,8 @@ def run_engine_bench(
             "batch_seconds": batch.to_dict(),
             "faulty_seconds": faulty.to_dict(),
             "scalar_seconds": scalar.to_dict(),
+            "catalog_compile_seconds": catalog_compile.to_dict(),
+            "catalog_faulty_seconds": catalog_faulty.to_dict(),
         },
         "detail": {
             "scalar_walks": sample,
@@ -167,5 +217,10 @@ def run_engine_bench(
             "faulty_lost_buckets": faulty_summary.lost_buckets,
             "faulty_corrupt_buckets": faulty_summary.corrupt_buckets,
             "faulty_retries": faulty_summary.retries,
+            "catalog_cycle": catalog_dense.cycle_length,
+            "catalog_deadline": policy.max_cycles * catalog_dense.cycle_length,
+            "catalog_scalar_walks": catalog_sample,
+            "catalog_faulty_abandoned": catalog_summary.abandoned,
+            "catalog_faulty_retries": catalog_summary.retries,
         },
     }

@@ -10,10 +10,16 @@ part that makes a lossless walk a handful of gathers — per-target *path
 tables* giving the (channel, slot) sequence from the index root down to
 every data node.
 
-The path tables are built by walking the compiled **pointers**, not the
-schedule, so compiling dense re-validates the wiring exactly as the
-object-level walk would: a data node the pointers cannot reach raises
-:class:`~repro.exceptions.ScheduleError` at compile time.
+The path tables are built by following the compiled **pointers**, not
+the schedule, so compiling dense re-validates the wiring as the
+object-level walk would. One Python pass reads the bucket grid; the
+rest are array passes. The pointers are followed level by level from
+the root, recording each reached bucket's parent, and every target's
+path is gathered up through the parents. A pointer that leaves the
+grid, lands on an empty bucket or reaches a bucket a second time (a
+cycle, or two pointers to one bucket), or a data node no pointer
+reaches, raises :class:`~repro.exceptions.ScheduleError` at compile
+time.
 """
 
 from __future__ import annotations
@@ -89,95 +95,78 @@ def compile_dense(program: BroadcastProgram) -> DenseProgram:
 
     The per-target path tables are discovered by following the compiled
     child pointers from the root bucket (never the schedule), so a
-    mis-wired pointer — one that lands on the wrong bucket or strands a
-    data node — fails here with :class:`ScheduleError`, exactly where
-    the object-level walk would have derailed.
+    mis-wired pointer — one that lands on the wrong bucket, reaches a
+    bucket twice or strands a data node — fails here with
+    :class:`ScheduleError`, exactly where the object-level walk would
+    have derailed.
     """
     channels = program.channels
     cycle = program.cycle_length
-    kind = np.zeros((channels, cycle), dtype=np.int8)
-    data_id = np.full((channels, cycle), -1, dtype=np.int32)
-    child_start = np.zeros((channels, cycle), dtype=np.int32)
-    child_count = np.zeros((channels, cycle), dtype=np.int32)
-    child_channel: list[int] = []
-    child_slot: list[int] = []
-
     tree = program.schedule.tree
     data_nodes = tree.data_nodes()
     data_labels = tuple(node.label for node in data_nodes)
     id_of = {id(node): index for index, node in enumerate(data_nodes)}
 
+    # One pass over the grid, row-major: cell ``(c - 1) * cycle + s - 1``.
+    index_cells: list[int] = []
+    data_cells: list[int] = []
+    data_ids: list[int] = []
+    counts: list[int] = []
+    pointers: list = []
+    cell = 0
     for row in program.buckets:
         for bucket in row:
-            c, s = bucket.channel - 1, bucket.slot - 1
-            if bucket.node is None:
-                continue
-            if isinstance(bucket.node, IndexNode):
-                kind[c, s] = KIND_INDEX
-                child_start[c, s] = len(child_channel)
-                child_count[c, s] = len(bucket.child_pointers)
-                for pointer in bucket.child_pointers:
-                    child_channel.append(pointer.channel)
-                    child_slot.append(pointer.slot)
-            else:
-                d = id_of.get(id(bucket.node))
+            node = bucket.node
+            if isinstance(node, IndexNode):
+                index_cells.append(cell)
+                counts.append(len(bucket.child_pointers))
+                pointers.extend(bucket.child_pointers)
+            elif node is not None:
+                d = id_of.get(id(node))
                 if d is None:
                     raise ScheduleError(
-                        f"bucket grid carries a data node "
-                        f"{bucket.node.label!r} that is not in the tree's "
-                        "catalog"
+                        f"bucket grid carries a data node {node.label!r} "
+                        "that is not in the tree's catalog"
                     )
-                kind[c, s] = KIND_DATA
-                data_id[c, s] = d
+                data_cells.append(cell)
+                data_ids.append(d)
+            cell += 1
+    cells = channels * cycle
+    kind = np.zeros(cells, dtype=np.int8)
+    kind[index_cells] = KIND_INDEX
+    kind[data_cells] = KIND_DATA
+    data_id = np.full(cells, -1, dtype=np.int32)
+    data_id[data_cells] = data_ids
+    child_count = np.zeros(cells, dtype=np.int32)
+    child_count[index_cells] = counts
+    child_start = np.zeros(cells, dtype=np.int32)
+    child_start[index_cells] = np.cumsum(counts, dtype=np.int32) - counts
+    child_channel = np.array([p.channel for p in pointers], dtype=np.int32)
+    child_slot = np.array([p.slot for p in pointers], dtype=np.int32)
 
     root = program.root_bucket()
     root_channel, root_slot = root.channel, root.slot
+    hop_cell, via, depth, twice = _pointer_paths(
+        kind, child_start, child_count, child_channel, child_slot,
+        (root_channel - 1) * cycle + root_slot - 1, channels, cycle,
+    )
+    target = data_id[hop_cell[np.arange(depth.size), depth]]
+    reached = np.bincount(target, minlength=len(data_nodes))
+    if twice is not None or (reached == 0).any():
+        raise _wiring_error(program, data_labels, reached, twice)
 
-    # Per-target paths, discovered through the pointers themselves.
+    # Per-target paths, in the order a last-child-first depth-first walk
+    # of the pointers meets the targets: by their paths' child-table
+    # entries, compared hop by hop, the later entry first.
+    order = np.lexsort(-via.T[::-1])
+    hop_cell, target, length = hop_cell[order], target[order], depth[order] + 1
     path_start = np.zeros(len(data_nodes), dtype=np.int32)
     path_len = np.zeros(len(data_nodes), dtype=np.int32)
-    path_channel: list[int] = []
-    path_slot: list[int] = []
-    reached = 0
-    stack = [(root, [(root_channel, root_slot)])]
-    while stack:
-        bucket, trail = stack.pop()
-        node = bucket.node
-        if node is None:
-            raise ScheduleError(
-                f"pointer walk reached an empty bucket at channel "
-                f"{bucket.channel}, slot {bucket.slot}"
-            )
-        if isinstance(node, IndexNode):
-            for pointer in bucket.child_pointers:
-                child = program.bucket_at(pointer.channel, pointer.slot)
-                stack.append((child, trail + [(pointer.channel, pointer.slot)]))
-        else:
-            d = id_of.get(id(node))
-            if d is None:
-                raise ScheduleError(
-                    f"pointer walk reached a data node {node.label!r} "
-                    "that is not in the tree's catalog"
-                )
-            path_start[d] = len(path_channel)
-            path_len[d] = len(trail)
-            for hop_channel, hop_slot in trail:
-                path_channel.append(hop_channel)
-                path_slot.append(hop_slot)
-            reached += 1
-    if reached != len(data_nodes):
-        missing = [
-            node.label
-            for node in data_nodes
-            if path_len[id_of[id(node)]] == 0
-        ]
-        raise ScheduleError(
-            f"{len(data_nodes) - reached} data node(s) unreachable "
-            f"through the compiled pointers: {', '.join(missing)}"
-        )
-
-    path_channel_arr = np.asarray(path_channel, dtype=np.int32)
-    path_slot_arr = np.asarray(path_slot, dtype=np.int32)
+    path_len[target] = length
+    path_start[target] = np.cumsum(length) - length
+    hops = hop_cell[np.arange(hop_cell.shape[1]) < length[:, None]]
+    path_channel_arr = (hops // cycle + 1).astype(np.int32)
+    path_slot_arr = (hops % cycle + 1).astype(np.int32)
 
     # Lossless per-target constants: every hop lands at cycle + slot, so
     # data_wait is the target's own slot; switches count the root hop
@@ -195,17 +184,18 @@ def compile_dense(program: BroadcastProgram) -> DenseProgram:
         - changes[path_start]
     )
 
+    shape = (channels, cycle)
     return DenseProgram(
         channels=channels,
         cycle_length=cycle,
         root_channel=root_channel,
         root_slot=root_slot,
-        kind=kind,
-        data_id=data_id,
-        child_start=child_start,
-        child_count=child_count,
-        child_channel=np.asarray(child_channel, dtype=np.int32),
-        child_slot=np.asarray(child_slot, dtype=np.int32),
+        kind=kind.reshape(shape),
+        data_id=data_id.reshape(shape),
+        child_start=child_start.reshape(shape),
+        child_count=child_count.reshape(shape),
+        child_channel=child_channel,
+        child_slot=child_slot,
         data_labels=data_labels,
         path_start=path_start,
         path_len=path_len,
@@ -214,3 +204,100 @@ def compile_dense(program: BroadcastProgram) -> DenseProgram:
         target_data_wait=target_data_wait,
         target_switches=target_switches,
     )
+
+
+def _pointer_paths(kind, child_start, child_count, child_channel, child_slot,
+                   root, channels, cycle):
+    """Every data cell the pointers reach, with its path from ``root``.
+
+    Cells are flat row-major grid indices. The pointers are followed
+    level by level from ``root``; each reached cell records its parent
+    and the child-table entry that reached it, and each data cell's path
+    is then gathered up through the parents. Returns ``(cells, entries,
+    depth, twice)``: row ``i`` of ``cells``/``entries`` holds data cell
+    ``i``'s path and the entries that reached it, root first, up to
+    column ``depth[i]`` (the rest is padding; the root's entry is
+    ``-1``). ``twice`` is the first cell a pointer reached again
+    (``None`` when none was); a second reach is not followed.
+    """
+    off = np.flatnonzero(
+        (child_channel < 1) | (child_channel > channels)
+        | (child_slot < 1) | (child_slot > cycle)
+    )
+    if off.size:
+        raise ScheduleError(
+            f"pointer off the grid: channel {child_channel[off[0]]}, "
+            f"slot {child_slot[off[0]]}"
+        )
+    child_cell = (child_channel.astype(np.int64) - 1) * cycle + child_slot - 1
+    parent = np.zeros(kind.size, dtype=np.int64)
+    via = np.full(kind.size, -1, dtype=np.int64)
+    seen = np.zeros(kind.size, dtype=bool)
+    stamp = np.zeros(kind.size, dtype=np.int64)
+    seen[root] = True
+    frontier = np.array([root], dtype=np.int64)
+    leaves, leaf_depth = [], []
+    twice = None
+    level = 0
+    while frontier.size:
+        kinds = kind[frontier]
+        data = frontier[kinds == KIND_DATA]
+        leaves.append(data)
+        leaf_depth.append(np.full(data.size, level, dtype=np.int64))
+        owner = frontier[kinds == KIND_INDEX]
+        counts = child_count[owner]
+        step = np.arange(counts.sum())
+        entry = step + np.repeat(
+            child_start[owner] - (np.cumsum(counts) - counts), counts
+        )
+        child = child_cell[entry]
+        empty = np.flatnonzero(kind[child] == KIND_EMPTY)
+        if empty.size:
+            channel, slot = divmod(int(child[empty[0]]), cycle)
+            raise ScheduleError(
+                f"pointer walk reached an empty bucket at channel "
+                f"{channel + 1}, slot {slot + 1}"
+            )
+        owner = np.repeat(owner, counts)
+        # Follow one pointer per cell, and none to a cell an earlier
+        # level reached; a cell reached twice is reported, not followed.
+        stamp[child] = step
+        fresh = (stamp[child] == step) & ~seen[child]
+        if not fresh.all():
+            if twice is None:
+                twice = int(child[np.flatnonzero(~fresh)[0]])
+            child, owner, entry = child[fresh], owner[fresh], entry[fresh]
+        seen[child] = True
+        parent[child] = owner
+        via[child] = entry
+        frontier = child
+        level += 1
+
+    leaf = np.concatenate(leaves)
+    depth = np.concatenate(leaf_depth)
+    cells = np.zeros((leaf.size, level), dtype=np.int64)
+    rows = np.arange(leaf.size)
+    for up in range(level):
+        live = depth >= up
+        cells[rows[live], depth[live] - up] = leaf[live]
+        leaf = parent[leaf]
+    return cells, via[cells], depth, twice
+
+
+def _wiring_error(program, data_labels, reached, twice) -> ScheduleError:
+    """Name the bucket reached twice and every data node left unreached."""
+    problems = []
+    if twice is not None:
+        channel, slot = divmod(twice, program.cycle_length)
+        node = program.bucket_at(channel + 1, slot + 1).node
+        problems.append(
+            f"pointers reach {node.label!r} at channel {channel + 1}, "
+            f"slot {slot + 1} more than once"
+        )
+    missing = [data_labels[d] for d in np.flatnonzero(reached == 0)]
+    if missing:
+        problems.append(
+            f"{len(missing)} data node(s) unreachable through the compiled "
+            f"pointers: {', '.join(missing)}"
+        )
+    return ScheduleError("; ".join(problems))

@@ -13,6 +13,7 @@ from repro.engine.bench import ENVELOPE_WALKS_PER_SECOND, run_engine_bench
 CONFIG = {
     **SUITES["engine-batch"].config,
     "items": 12, "walks": 4000, "sample": 300, "repeats": 1, "seed": 7,
+    "catalog_items": 60, "catalog_walks": 3000, "catalog_sample": 200,
 }
 SUITE = dataclasses.replace(SUITES["engine-batch"], config=CONFIG)
 
@@ -32,7 +33,9 @@ class TestRecordShape:
         assert config["seed"] == 7
 
     def test_sections_present(self, record):
-        for section in ("scalar", "batch", "faulty"):
+        for section in (
+            "scalar", "batch", "faulty", "catalog_compile", "catalog_faulty",
+        ):
             timing = record["timings"][f"{section}_seconds"]
             assert 0 < timing["min"] <= timing["median"]
         assert record["metrics"]["batch_walks_per_second"] > 0
@@ -44,6 +47,7 @@ class TestRecordShape:
             "mean_access_time",
             "mean_tuning_time",
             "faulty_mean_access_time",
+            "catalog_faulty_mean_access_time",
         ):
             assert record["metrics"][metric] == again["metrics"][metric]
         assert (
@@ -57,6 +61,7 @@ class TestGates:
         checks = record["checks"]
         assert checks["differential_exact"] is True
         assert checks["differential_faulty_exact"] is True
+        assert checks["catalog_differential_faulty_exact"] is True
 
     def test_speedup_is_measured_against_the_envelope(self, record):
         assert record["detail"]["speedup_vs_envelope"] == pytest.approx(
@@ -75,6 +80,8 @@ class TestGates:
             run_engine_bench(walks=0)
         with pytest.raises(ValueError):
             run_engine_bench(repeats=0)
+        with pytest.raises(ValueError):
+            run_engine_bench(catalog_walks=0)
 
 
 class TestOutputs:

@@ -131,3 +131,41 @@ class TestWiringValidation:
         data_bucket.node = DataNode("stowaway", 1.0)
         with pytest.raises(ScheduleError, match="catalog"):
             compile_dense(program)
+
+    def test_doubly_reached_bucket_raises(self):
+        program = _program(channels=2)
+        parent = next(
+            bucket
+            for row in program.buckets
+            for bucket in row
+            if len(bucket.child_pointers) >= 2
+            and all(
+                isinstance(program.bucket_at(p.channel, p.slot).node, DataNode)
+                for p in bucket.child_pointers[:2]
+            )
+        )
+        first, second = parent.child_pointers[:2]
+        # Two pointers to one data bucket: the second child is stranded.
+        parent.child_pointers[1] = first
+        with pytest.raises(ScheduleError) as raised:
+            compile_dense(program)
+        message = str(raised.value)
+        assert f"reach {first.label!r}" in message
+        assert "more than once" in message
+        assert f"unreachable through the compiled pointers: {second.label}" in (
+            message
+        )
+
+    def test_pointer_cycle_raises(self):
+        program = _program(channels=2)
+        root = program.root_bucket()
+        child = program.bucket_at(
+            root.child_pointers[0].channel, root.child_pointers[0].slot
+        )
+        assert isinstance(child.node, IndexNode)
+        # A pointer back to the root: following it would never end.
+        child.child_pointers[0] = Pointer(
+            channel=root.channel, slot=root.slot, offset=0, label="loop"
+        )
+        with pytest.raises(ScheduleError, match="more than once"):
+            compile_dense(program)

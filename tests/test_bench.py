@@ -37,7 +37,8 @@ SMALL_CONFIGS = {
     },
     "engine-batch": {
         **SUITES["engine-batch"].config, "items": 12, "walks": 4000,
-        "sample": 300, "repeats": 1,
+        "sample": 300, "repeats": 1, "catalog_items": 60,
+        "catalog_walks": 3000, "catalog_sample": 200,
     },
     "approx-frontier": {
         "sizes": [60, 240], "channels": 3, "fanout": 3, "theta": 0.95,
@@ -174,7 +175,7 @@ class TestHeadlineTimingsAreTheMin:
         seen = _recording_measure(monkeypatch, repro.engine.bench)
         config = SMALL_CONFIGS["engine-batch"]
         result = SUITES["engine-batch"].run(config)
-        batch, faulty, scalar = seen
+        batch, faulty, scalar, catalog_compile, catalog_faulty = seen
         metrics = result["metrics"]
         assert metrics["batch_walks_per_second"] == (
             config["walks"] / batch.min
@@ -184,6 +185,10 @@ class TestHeadlineTimingsAreTheMin:
         )
         assert result["timings"]["batch_seconds"] == batch.to_dict()
         assert result["timings"]["scalar_seconds"]["min"] == scalar.min
+        assert metrics["catalog_faulty_walks_per_second"] == (
+            config["catalog_walks"] / catalog_faulty.min
+        )
+        assert metrics["catalog_compile_seconds"] == catalog_compile.min
 
     def test_net_throughput_times_the_fleet_without_parity(
         self, monkeypatch
